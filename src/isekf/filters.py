@@ -161,9 +161,9 @@ def check_covariance(P: np.ndarray, tol_scale: float = 1e-9) -> float:
     return min_eig
 
 
-def _innovation_gain(model: NonlinearModel, P_pred: np.ndarray, C: np.ndarray):
+def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
     """Gain K = P C^T S^{-1} and S = C P C^T + R via an SPD factorization."""
-    S = _symmetrize(C @ P_pred @ C.T + model.R)
+    S = _symmetrize(C @ P @ C.T + R)
     try:
         cf = cho_factor(S)
     except LinAlgError as exc:
@@ -171,7 +171,7 @@ def _innovation_gain(model: NonlinearModel, P_pred: np.ndarray, C: np.ndarray):
             f"innovation covariance not factorizable (cond ~ {np.linalg.cond(S):.3e})",
             context=S,
         ) from exc
-    K = cho_solve(cf, C @ P_pred).T
+    K = cho_solve(cf, C @ P).T
     return K, S
 
 
@@ -182,6 +182,22 @@ def dt_predict(model: NonlinearModel, st: FilterState, u=None) -> FilterState:
     x_pred = model.f_at(st.x_hat, u)
     P_pred = _symmetrize(A @ st.P @ A.T + model.Q)
     return replace(st, x_hat=x_pred, P=P_pred, k=st.k + 1)
+
+
+def _update(model: NonlinearModel, st: FilterState, y: np.ndarray, shape: Callable):
+    """The measurement update every discrete-time filter shares.
+
+    The estimate is corrected with shape(innov, S), the innovation policy
+    applied to the raw innovation; the covariance update is
+    P - K (C P C^T + R) K^T, then symmetrization.  Returns
+    (x_new, P_new, raw innovation)."""
+    C = model.C_at(st.x_hat)
+    K, S = _innovation_gain(st.P, C, model.R)
+    innov = model.innovation(st.x_hat, y)
+    x_new = st.x_hat + K @ shape(innov, S)
+    if not np.all(np.isfinite(x_new)):
+        raise NumericalFailure("update produced non-finite estimate", context=st.x_hat)
+    return x_new, _symmetrize(st.P - K @ S @ K.T), innov
 
 
 def dt_update(
@@ -197,22 +213,13 @@ def dt_update(
     innovation.  Covariance update: P - K (C P C^T + R) K^T, then
     symmetrization.
     """
-    C = model.C_at(st.x_hat)
-    K, S = _innovation_gain(model, st.P, C)
-    innov_raw = model.innovation(st.x_hat, y)
-    if st.sat is not None:
-        if params is None:
-            raise ConfigurationError("dt_update: BoundParams required for a saturated state")
-        innov_used = saturate_innovation(innov_raw, st.sat)
-        sat_next = bound_step_dt(st.sat, innov_raw, params)
-    else:
-        innov_used = innov_raw
-        sat_next = None
-    x_new = st.x_hat + K @ innov_used
-    P_new = _symmetrize(st.P - K @ S @ K.T)
-    if not np.all(np.isfinite(x_new)):
-        raise NumericalFailure("update produced non-finite estimate", context=st.x_hat)
-    return replace(st, x_hat=x_new, P=P_new, sat=sat_next)
+    if st.sat is None:
+        x_new, P_new, _ = _update(model, st, y, lambda innov, S: innov)
+        return replace(st, x_hat=x_new, P=P_new)
+    if params is None:
+        raise ConfigurationError("dt_update: BoundParams required for a saturated state")
+    x_new, P_new, innov = _update(model, st, y, lambda innov, S: saturate_innovation(innov, st.sat))
+    return replace(st, x_hat=x_new, P=P_new, sat=bound_step_dt(st.sat, innov, params))
 
 
 def dt_isekf_step(
@@ -250,15 +257,11 @@ def sigma_gate_step(
     if not ell > 0.0:
         raise ConfigurationError(f"ell must be positive, got {ell}")
     pred = dt_predict(model, replace(st, sat=None), u)
-    C = model.C_at(pred.x_hat)
-    K, S = _innovation_gain(model, pred.P, C)
-    innov = model.innovation(pred.x_hat, y)
-    gate = ell * np.sqrt(np.diag(S))
-    innov_gated = np.where(np.abs(innov) > gate, 0.0, innov)
-    x_new = pred.x_hat + K @ innov_gated
-    P_new = _symmetrize(pred.P - K @ S @ K.T)
-    if not np.all(np.isfinite(x_new)):
-        raise NumericalFailure("update produced non-finite estimate", context=pred.x_hat)
+
+    def gate(innov, S):
+        return np.where(np.abs(innov) > ell * np.sqrt(np.diag(S)), 0.0, innov)
+
+    x_new, P_new, _ = _update(model, pred, y, gate)
     return replace(pred, x_hat=x_new, P=P_new)
 
 
@@ -292,6 +295,26 @@ def ct_isekf_derivative(
     return x_dot, P_dot, sigma_dot, eps_dot
 
 
+def rk4_step(rhs: Callable, y: tuple, t: float, dt: float) -> tuple:
+    """One classical RK4 step for a state held as a tuple of arrays;
+    rhs(y, t) returns the derivatives as a tuple of the same shapes."""
+    half = 0.5 * dt
+    k1 = rhs(y, t)
+    k2 = rhs(tuple(v + half * k for v, k in zip(y, k1)), t + half)
+    k3 = rhs(tuple(v + half * k for v, k in zip(y, k2)), t + half)
+    k4 = rhs(tuple(v + dt * k for v, k in zip(y, k3)), t + dt)
+    return tuple(v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
+def _joint_rk4_step(rhs: Callable, y: tuple, t: float, dt: float) -> tuple:
+    """RK4 step of a joint (estimate or error, P, sigma, epsilon) state:
+    P is re-symmetrized and sigma/epsilon floored at _SAT_FLOOR."""
+    x, P, sigma, epsilon = rk4_step(rhs, y, t, dt)
+    return (x, _symmetrize(P), np.maximum(sigma, _SAT_FLOOR),
+            np.maximum(epsilon, _SAT_FLOOR))
+
+
 def ct_isekf_integrate(
     model: NonlinearModel,
     st: FilterState,
@@ -311,35 +334,21 @@ def ct_isekf_integrate(
     if st.sat is None:
         raise ConfigurationError("ct_isekf_integrate requires a SaturationState")
 
-    def rhs(state: FilterState, t: float):
+    def rhs(joint, t: float):
+        x_hat, P, sigma, epsilon = joint
+        state = FilterState(x_hat=x_hat, P=P, sat=SaturationState(sigma, epsilon))
         return ct_isekf_derivative(model, state, np.asarray(y_provider(t), dtype=float), params)
-
-    def advance(state: FilterState, deriv, h: float, t_new: float) -> FilterState:
-        x_dot, P_dot, s_dot, e_dot = deriv
-        return FilterState(
-            x_hat=state.x_hat + h * x_dot,
-            P=state.P + h * P_dot,
-            sat=SaturationState(state.sat.sigma + h * s_dot, state.sat.epsilon + h * e_dot),
-            t=t_new,
-        )
 
     n_steps = int(round(horizon / dt))
     out = [replace(st, t=0.0)]
-    cur = out[0]
+    joint = (st.x_hat, st.P, st.sat.sigma, st.sat.epsilon)
     for i in range(n_steps):
         t = i * dt
-        k1 = rhs(cur, t)
-        k2 = rhs(advance(cur, k1, 0.5 * dt, t + 0.5 * dt), t + 0.5 * dt)
-        k3 = rhs(advance(cur, k2, 0.5 * dt, t + 0.5 * dt), t + 0.5 * dt)
-        k4 = rhs(advance(cur, k3, dt, t + dt), t + dt)
-        x_new = cur.x_hat + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        P_new = _symmetrize(cur.P + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
-        s_new = cur.sat.sigma + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        e_new = cur.sat.epsilon + (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        s_new = np.maximum(s_new, _SAT_FLOOR)
-        e_new = np.maximum(e_new, _SAT_FLOOR)
+        joint = _joint_rk4_step(rhs, joint, t, dt)
+        x_new, P_new, s_new, e_new = joint
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(P_new))):
-            raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=cur.x_hat)
-        cur = FilterState(x_hat=x_new, P=P_new, sat=SaturationState(s_new, e_new), t=(i + 1) * dt)
-        out.append(cur)
+            raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}",
+                                   context=out[-1].x_hat)
+        out.append(FilterState(x_hat=x_new, P=P_new, sat=SaturationState(s_new, e_new),
+                               t=(i + 1) * dt))
     return out

@@ -50,9 +50,9 @@ from .errors import (
 from .saturation import BoundParams
 from .scenario import (
     FilterSpec,
+    InputProfile,
     OutlierSchedule,
     OutlierSegment,
-    RobotInput,
     RobotState,
     ScenarioConfig,
     SimulationTrace,
@@ -60,8 +60,6 @@ from .scenario import (
     simulate,
 )
 from .svgplot import LineChart
-
-log = logging.getLogger("isekf")
 
 STATE_NAMES = ("px", "py", "theta")
 
@@ -100,19 +98,22 @@ def _require_keys(section: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _vec(section: dict, key: str, default, where: str, length: int = 3) -> np.ndarray:
-    value = section.get(key, default)
+def _vec(value, where: str, length: int = 3) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (length,):
-        raise ConfigurationError(f"{where}.{key} must be a list of {length} numbers")
+        raise ConfigurationError(f"{where} must be a list of {length} numbers")
     return arr
 
 
-def _parse_schedule(spec, where: str) -> Optional[OutlierSchedule]:
-    if spec is None or spec == "paper":
-        return paper_schedule()
+def _parse_schedule(spec, routing, where: str) -> Optional[OutlierSchedule]:
+    """The paper schedule, no schedule, or an explicit segment list; the
+    routing matrix defaults to the paper's."""
     if spec == "none":
         return None
+    paper = paper_schedule()
+    D = paper.D if routing is None else np.asarray(routing, dtype=float)
+    if spec is None or spec == "paper":
+        return OutlierSchedule(segments=paper.segments, D=D)
     if not isinstance(spec, list):
         raise ConfigurationError(f"{where}.outliers must be 'paper', 'none' or a list")
     segs = []
@@ -125,7 +126,7 @@ def _parse_schedule(spec, where: str) -> Optional[OutlierSchedule]:
             ))
         except (KeyError, ConfigurationError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}.outliers[{i}]: {exc}") from exc
-    return segs
+    return OutlierSchedule(segments=segs, D=D)
 
 
 def _parse_filters(section: dict) -> list[FilterSpec]:
@@ -135,25 +136,20 @@ def _parse_filters(section: dict) -> list[FilterSpec]:
         if kind not in section:
             continue
         sub = section[kind] or {}
+        where = f"filters.{kind}"
         allowed = {"P0", "ell"} | set(DEFAULT_BOUND) if kind == "is-ekf" else {"P0", "ell"}
-        _require_keys(sub, allowed, f"filters.{kind}")
-        P0 = np.diag(_vec(sub, "P0", DEFAULT_P0_DIAG, f"filters.{kind}"))
-        if kind == "is-ekf":
-            kw = {}
-            for name, default in DEFAULT_BOUND.items():
-                kw[name] = _vec(sub, name, default, f"filters.{kind}")
-            try:
-                bp = BoundParams(mode="dt", **kw)
-            except (InputDomainError, ConfigurationError) as exc:
-                raise ConfigurationError(f"filters.is-ekf: {exc}") from exc
-            specs.append(FilterSpec(kind, P0=P0, bound_params=bp))
-        elif kind == "ekf":
-            specs.append(FilterSpec(kind, P0=P0))
-        else:
-            ell = float(sub.get("ell", 3.0))
-            if not ell > 0.0:
-                raise ConfigurationError("filters.lsigma-ekf.ell must be positive")
-            specs.append(FilterSpec(kind, P0=P0, ell=ell))
+        _require_keys(sub, allowed, where)
+        try:
+            kw = {"P0": np.diag(_vec(sub.get("P0", DEFAULT_P0_DIAG), "P0"))}
+            if kind == "is-ekf":
+                bound = {name: _vec(sub.get(name, default), name)
+                         for name, default in DEFAULT_BOUND.items()}
+                kw["bound_params"] = BoundParams(mode="dt", **bound)
+            elif kind == "lsigma-ekf" and "ell" in sub:
+                kw["ell"] = float(sub["ell"])
+            specs.append(FilterSpec(kind, **kw))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{where}: {exc}") from exc
     return specs
 
 
@@ -184,50 +180,30 @@ def parse_config(path: str) -> ExperimentConfig:
 
     inp = sc.get("input", {}) or {}
     _require_keys(inp, {"eta", "delta_amp", "delta_freq"}, "scenario.input")
-    eta = float(inp.get("eta", 1.0))
-    amp = float(inp.get("delta_amp", 0.1))
-    freq = float(inp.get("delta_freq", 0.02))
-
-    def profile(k: int) -> RobotInput:
-        return RobotInput(eta, amp * np.sin(freq * k))
-
-    schedule = _parse_schedule(sc.get("outliers"), "scenario")
-    if isinstance(schedule, list):  # explicit segment list: attach routing
-        D = np.asarray(sc.get("d_routing", [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), dtype=float)
-        schedule = OutlierSchedule(segments=schedule, D=D)
-    elif "d_routing" in sc and schedule is not None:
-        schedule = OutlierSchedule(segments=schedule.segments,
-                                   D=np.asarray(sc["d_routing"], dtype=float))
-
-    truth0 = _vec(sc, "initial_truth", [0.0, 0.0, 0.0], "scenario")
-    filters = _parse_filters(data.get("filters", {}) or {})
+    # only the keys present are passed: the dataclass defaults are the paper's
+    kw = {"input_profile": InputProfile(**{k: float(v) for k, v in inp.items()})}
+    if "horizon" in sc:
+        kw["horizon"] = int(sc["horizon"])
+    if "T" in sc:
+        kw["T"] = float(sc["T"])
+    for key in ("process_std", "meas_std", "filter_process_std", "filter_meas_std",
+                "initial_guess_offset"):
+        if key in sc:
+            kw[key] = _vec(sc[key], f"scenario.{key}")
+    if "initial_truth" in sc:
+        kw["initial_truth"] = RobotState(*_vec(sc["initial_truth"], "scenario.initial_truth"))
+    if "outliers" in sc or "d_routing" in sc:
+        kw["schedule"] = _parse_schedule(sc.get("outliers"), sc.get("d_routing"), "scenario")
+    kw["filters"] = _parse_filters(data.get("filters", {}) or {})
     try:
-        scenario = ScenarioConfig(
-            horizon=int(sc.get("horizon", 700)),
-            T=float(sc.get("T", 0.1)),
-            process_std=_vec(sc, "process_std", [0.005, 0.005, 0.0005], "scenario"),
-            meas_std=_vec(sc, "meas_std", [0.5, 0.5, 0.008], "scenario"),
-            filter_process_std=(_vec(sc, "filter_process_std", None, "scenario")
-                                if "filter_process_std" in sc else None),
-            filter_meas_std=(_vec(sc, "filter_meas_std", None, "scenario")
-                             if "filter_meas_std" in sc else None),
-            schedule=schedule,
-            initial_truth=RobotState(*truth0),
-            initial_guess_offset=_vec(sc, "initial_guess_offset", [1.0, 1.0, 0.1], "scenario"),
-            input_profile=profile,
-            filters=filters,
-        )
+        scenario = ScenarioConfig(**kw)
     except (InputDomainError, ConfigurationError) as exc:
         raise ConfigurationError(f"scenario: {exc}") from exc
 
     out = data.get("output", {}) or {}
     _require_keys(out, {"dir", "csv", "plots", "metrics"}, "output")
-    output = OutputConfig(
-        dir=str(out.get("dir", "out")),
-        csv=str(out.get("csv", "trace.csv")),
-        plots=bool(out.get("plots", True)),
-        metrics=str(out.get("metrics", "metrics.txt")),
-    )
+    convert = {"dir": str, "csv": str, "plots": bool, "metrics": str}
+    output = OutputConfig(**{key: convert[key](value) for key, value in out.items()})
     return ExperimentConfig(scenario=scenario, seed=int(sc.get("seed", 1)), output=output)
 
 

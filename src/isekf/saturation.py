@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError
+from .errors import ConfigurationError, InputDomainError, NumericalFailure
 
 # Clamp range for epsilon before evaluating exp(-epsilon).  Outside this
 # range the shaping term is below 1e-300, i.e. numerically zero anyway.
@@ -153,6 +153,32 @@ def saturate_innovation(innov: np.ndarray, sat: SaturationState) -> np.ndarray:
     return saturate_vector(innov, sat.bounds())
 
 
+def _bound_map(sat: SaturationState, innov: np.ndarray, params: BoundParams, mode: str):
+    """The two-layer bound map shared by the discrete recursion and the
+    continuous-time right-hand side:
+
+        lambda1*sigma + gamma1*eps*exp(-eps)
+        lambda2*eps   + gamma2*innov^2
+
+    Raises NumericalFailure when the result overflows (an innovation so
+    large that its square is not finite)."""
+    name = "bound_step_dt" if mode == "dt" else "bound_rhs_ct"
+    if params.mode != mode:
+        raise ConfigurationError(f"{name} requires {mode}-mode parameters")
+    innov = np.asarray(innov, dtype=float)
+    if innov.shape != sat.sigma.shape or params.p != sat.p:
+        raise ConfigurationError(f"{name}: channel count mismatch")
+    sigma_out = params.lambda1 * sat.sigma + params.gamma1 * shaping_term(sat.epsilon)
+    eps_out = params.lambda2 * sat.epsilon + params.gamma2 * innov**2
+    # one check covers both outputs: the sum is finite iff neither overflowed
+    # (short of both exceeding half the float range)
+    if not np.isfinite(sigma_out + eps_out).all():
+        if not np.isfinite(innov).all():
+            raise InputDomainError(f"{name}: non-finite innovation")
+        raise NumericalFailure(f"{name}: bound map overflowed", context=innov)
+    return sigma_out, eps_out
+
+
 def bound_step_dt(sat: SaturationState, innov: np.ndarray, params: BoundParams) -> SaturationState:
     """One step of the discrete-time bound recursion.
 
@@ -161,16 +187,7 @@ def bound_step_dt(sat: SaturationState, innov: np.ndarray, params: BoundParams) 
 
     Driven by the raw (unsaturated) innovation.  With valid dt-mode
     parameters and a positive state, positivity is preserved."""
-    if params.mode != "dt":
-        raise ConfigurationError("bound_step_dt requires dt-mode parameters")
-    innov = np.asarray(innov, dtype=float)
-    if innov.shape != sat.sigma.shape or params.p != sat.p:
-        raise ConfigurationError("bound_step_dt: channel count mismatch")
-    if not np.all(np.isfinite(innov)):
-        raise InputDomainError("bound_step_dt: non-finite innovation")
-    sigma_next = params.lambda1 * sat.sigma + params.gamma1 * shaping_term(sat.epsilon)
-    eps_next = params.lambda2 * sat.epsilon + params.gamma2 * innov**2
-    return SaturationState(sigma_next, eps_next)
+    return SaturationState(*_bound_map(sat, innov, params, "dt"))
 
 
 def bound_rhs_ct(sat: SaturationState, innov: np.ndarray, params: BoundParams):
@@ -180,13 +197,4 @@ def bound_rhs_ct(sat: SaturationState, innov: np.ndarray, params: BoundParams):
     d(eps)/dt   = lambda2*eps   + gamma2*innov^2
 
     Returns (sigma_dot, eps_dot).  Pure function of its inputs."""
-    if params.mode != "ct":
-        raise ConfigurationError("bound_rhs_ct requires ct-mode parameters")
-    innov = np.asarray(innov, dtype=float)
-    if innov.shape != sat.sigma.shape or params.p != sat.p:
-        raise ConfigurationError("bound_rhs_ct: channel count mismatch")
-    if not np.all(np.isfinite(innov)):
-        raise InputDomainError("bound_rhs_ct: non-finite innovation")
-    sigma_dot = params.lambda1 * sat.sigma + params.gamma1 * shaping_term(sat.epsilon)
-    eps_dot = params.lambda2 * sat.epsilon + params.gamma2 * innov**2
-    return sigma_dot, eps_dot
+    return _bound_map(sat, innov, params, "ct")

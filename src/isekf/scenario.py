@@ -10,6 +10,7 @@ saturation-based rejection can be compared on all four regimes.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -26,6 +27,8 @@ from .filters import (
     wrap_angle,
 )
 from .saturation import BoundParams
+
+log = logging.getLogger("isekf")
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,19 @@ class RobotInput:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.eta, self.delta])
+
+
+@dataclass(frozen=True)
+class InputProfile:
+    """Constant speed with a slow steering sweep, a smooth curved path:
+    input k is (eta, delta_amp * sin(delta_freq * k))."""
+
+    eta: float = 1.0
+    delta_amp: float = 0.1
+    delta_freq: float = 0.02
+
+    def __call__(self, k: int) -> RobotInput:
+        return RobotInput(self.eta, self.delta_amp * np.sin(self.delta_freq * k))
 
 
 def robot_step(s: RobotState, u: RobotInput, T: float) -> RobotState:
@@ -127,10 +143,14 @@ class OutlierSegment:
             if self.value is None:
                 raise ConfigurationError("constant segment requires a value")
             object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
+            if not np.all(np.isfinite(self.value)):
+                raise ConfigurationError("value must be finite")
         else:
             if self.scale is None:
                 raise ConfigurationError("uniform segment requires a scale matrix")
             object.__setattr__(self, "scale", np.atleast_2d(np.asarray(self.scale, dtype=float)))
+            if not np.all(np.isfinite(self.scale)):
+                raise ConfigurationError("scale must be finite")
 
     def contains(self, k: int) -> bool:
         return self.k_lo < k <= self.k_hi
@@ -224,7 +244,13 @@ class FilterSpec:
             raise ConfigurationError("is-ekf requires bound parameters")
         if self.kind == "lsigma-ekf" and not self.ell > 0.0:
             raise ConfigurationError("lsigma-ekf requires ell > 0")
-        self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
+        P0 = self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
+        if P0.ndim != 2 or P0.shape[0] != P0.shape[1] or not np.all(np.isfinite(P0)):
+            raise ConfigurationError("P0 must be a finite square matrix")
+        if not np.allclose(P0, P0.T, atol=1e-12 * (1.0 + abs(P0).max())):
+            raise ConfigurationError("P0 must be symmetric")
+        if np.linalg.eigvalsh(P0).min() < -1e-10 * (1.0 + np.linalg.norm(P0)):
+            raise ConfigurationError("P0 must be positive semidefinite")
         if self.label is None:
             self.label = self.kind
 
@@ -243,20 +269,22 @@ class ScenarioConfig:
     schedule: Optional[OutlierSchedule] = field(default_factory=paper_schedule)
     initial_truth: RobotState = field(default_factory=lambda: RobotState(0.0, 0.0, 0.0))
     initial_guess_offset: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.1]))
-    input_profile: Callable[[int], RobotInput] = None
+    input_profile: Callable[[int], RobotInput] = field(default_factory=InputProfile)
     filters: Sequence[FilterSpec] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.horizon < 0:
             raise ConfigurationError("horizon must be nonnegative")
-        self.process_std = np.asarray(self.process_std, dtype=float)
-        self.meas_std = np.asarray(self.meas_std, dtype=float)
-        if self.filter_process_std is not None:
-            self.filter_process_std = np.asarray(self.filter_process_std, dtype=float)
-        if self.filter_meas_std is not None:
-            self.filter_meas_std = np.asarray(self.filter_meas_std, dtype=float)
-        if self.input_profile is None:
-            self.input_profile = default_input_profile
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ConfigurationError(f"T must be finite and positive, got {self.T}")
+        for name in ("process_std", "meas_std", "filter_process_std", "filter_meas_std"):
+            std = getattr(self, name)
+            if std is None:
+                continue
+            std = np.asarray(std, dtype=float)
+            if not (np.all(np.isfinite(std)) and np.all(std >= 0.0)):
+                raise ConfigurationError(f"{name} must be finite and nonnegative")
+            setattr(self, name, std)
         if self.schedule is None:
             self.schedule = OutlierSchedule(segments=(), D=np.zeros((3, 2)))
 
@@ -277,11 +305,6 @@ class ScenarioConfig:
     def R_filter(self) -> np.ndarray:
         std = self.meas_std if self.filter_meas_std is None else self.filter_meas_std
         return np.diag(std**2)
-
-
-def default_input_profile(k: int) -> RobotInput:
-    """Constant speed with a slow steering sweep: a smooth curved path."""
-    return RobotInput(1.0, 0.1 * np.sin(0.02 * k))
 
 
 @dataclass
@@ -320,8 +343,9 @@ def simulate(cfg: ScenarioConfig, seed: int) -> SimulationTrace:
 
     Deterministic for a fixed (cfg, seed): the process, measurement and
     outlier draws come from three independent child streams of the seed.
-    A filter that raises NumericalFailure keeps its last estimate and is
-    reported in failed_at; the run continues for the others.
+    A filter that raises NumericalFailure keeps its last estimate, is
+    reported in failed_at and logged at WARNING on the "isekf" logger;
+    the run continues for the others.
     """
     labels = [spec.label for spec in cfg.filters]
     if len(set(labels)) != len(labels):
@@ -391,8 +415,9 @@ def simulate(cfg: ScenarioConfig, seed: int) -> SimulationTrace:
                 else:
                     states[lbl] = sigma_gate_step(model, states[lbl], y_arr[k],
                                                   ell=spec.ell, u=u_prev.as_array())
-            except NumericalFailure:
+            except NumericalFailure as exc:
                 failed_at[lbl] = k
+                log.warning("filter %s failed at step %d: %s", lbl, k, exc)
                 estimates[lbl][k] = estimates[lbl][k - 1]
                 if spec.kind == "is-ekf":
                     sqrt_sigma[lbl][k] = sqrt_sigma[lbl][k - 1]

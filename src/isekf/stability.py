@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_continuous_are
 
 from .errors import (
     CertificationFailure,
@@ -23,18 +23,15 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
+from .filters import _innovation_gain, _joint_rk4_step, _symmetrize
 from .saturation import BoundParams, SaturationState, bound_rhs_ct, bound_step_dt, saturate_vector
 
 _HAUTUS_TOL = 1e-8
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     try:
-        cf = cho_factor(_sym(M))
+        cf = cho_factor(_symmetrize(M))
     except LinAlgError as exc:
         raise NumericalFailure(f"{what} is singular or not positive definite", context=M) from exc
     return cho_solve(cf, np.eye(M.shape[0]))
@@ -42,7 +39,7 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
 
 def sqrtm_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition."""
-    w, V = np.linalg.eigh(_sym(M))
+    w, V = np.linalg.eigh(_symmetrize(M))
     w = np.clip(w, 0.0, None)
     return V @ np.diag(np.sqrt(w)) @ V.T
 
@@ -77,10 +74,10 @@ class LinearSystem:
             raise ConfigurationError("D must have p rows")
         if self.mode not in ("continuous", "discrete"):
             raise ConfigurationError(f"mode must be 'continuous' or 'discrete', got {self.mode!r}")
-        if np.linalg.eigvalsh(_sym(self.Q)).min() < -1e-10 * (1.0 + np.linalg.norm(self.Q)):
+        if np.linalg.eigvalsh(_symmetrize(self.Q)).min() < -1e-10 * (1.0 + np.linalg.norm(self.Q)):
             raise ConfigurationError("Q must be positive semidefinite")
         try:
-            cho_factor(_sym(self.R))
+            cho_factor(_symmetrize(self.R))
         except LinAlgError as exc:
             raise ConfigurationError("R must be positive definite") from exc
 
@@ -133,13 +130,13 @@ def assert_regular(sys: LinearSystem) -> None:
 # Riccati solvers
 
 def _care_rhs(sys: LinearSystem, Sbar: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return _sym(sys.A @ P + P @ sys.A.T + sys.Q - P @ Sbar @ P)
+    return _symmetrize(sys.A @ P + P @ sys.A.T + sys.Q - P @ Sbar @ P)
 
 
-def _care_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
-               max_iter: int = 20000):
+def _care_flow(sys: LinearSystem, P0: np.ndarray, max_iter: int = 20000):
     """Follow the Riccati flow dP/dt = A P + P A^T + Q - P C^T R^(-1) C P
-    until stationary (||dP/dt|| below 1e-12 at the iterate's scale).
+    from P0 and record the trajectory, handing over to solve_care once the
+    flow is near its fixed point.
 
     Each step propagates the flow exactly over a horizon h through the
     associated linear system d/dt [X; Y] = [[-A', S], [Q, A]] [X; Y] with
@@ -151,10 +148,10 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
 
     n = sys.n
     Rinv = _spd_inverse(sys.R, "R")
-    Sbar = _sym(sys.C.T @ Rinv @ sys.C)
+    Sbar = _symmetrize(sys.C.T @ Rinv @ sys.C)
     M = np.block([[-sys.A.T, Sbar], [sys.Q, sys.A]])
-    P = _sym(np.asarray(P0, dtype=float))
-    samples = [(0.0, P.copy())] if record else []
+    P = _symmetrize(np.asarray(P0, dtype=float))
+    samples = [(0.0, P.copy())]
 
     def stationary(P_mat, nd_val):
         return nd_val <= 1e-12 * (1.0 + np.linalg.norm(P_mat))
@@ -175,7 +172,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
         X = Phi[:n, :n] + Phi[:n, n:] @ P
         Y = Phi[n:, :n] + Phi[n:, n:] @ P
         try:
-            P_new = _sym(np.linalg.solve(X.T, Y.T).T)
+            P_new = _symmetrize(np.linalg.solve(X.T, Y.T).T)
         except np.linalg.LinAlgError:
             P_new = np.full_like(P, np.nan)
         if not np.all(np.isfinite(P_new)):
@@ -187,17 +184,14 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
         P = P_new
         t += h
         steps_at_h += 1
-        if record:
-            samples.append((t, P.copy()))
+        samples.append((t, P.copy()))
         nd = np.linalg.norm(_care_rhs(sys, Sbar, P))
         if stationary(P, nd):
             return P, samples
         if nd <= 1e-3 * (1.0 + np.linalg.norm(P)):
-            # close to the fixed point: defect-correction polish reaches the
+            # close to the fixed point: the Schur solution meets the
             # stationarity contract past the flow steps' rounding floor
-            P_ref = _care_polish(sys, Sbar, P)
-            if P_ref is not None:
-                return P_ref, samples
+            return solve_care(sys), samples
         if steps_at_h >= 8 and h < h_max:
             h = min(2.0 * h, h_max)
             Phi = expm(h * M)
@@ -205,52 +199,23 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
     raise CertificationFailure("continuous Riccati flow did not reach stationarity")
 
 
-def _care_polish(sys: LinearSystem, Sbar: np.ndarray, P: np.ndarray):
-    """Newton defect-correction near the fixed point: each step solves the
-    Lyapunov equation (A - P S) d + d (A - P S)' = -residual."""
-    from scipy.linalg import solve_sylvester
-
-    for _ in range(30):
-        res = _care_rhs(sys, Sbar, P)
-        if np.linalg.norm(res) <= 1e-12 * (1.0 + np.linalg.norm(P)):
-            return P
-        Acl = sys.A - P @ Sbar
-        if np.linalg.eigvals(Acl).real.max() >= 0.0:
-            return None
-        try:
-            delta = solve_sylvester(Acl, Acl.T, -res)
-        except (np.linalg.LinAlgError, ValueError):
-            return None
-        P_new = _sym(P + delta)
-        if not np.all(np.isfinite(P_new)):
-            return None
-        P = P_new
-    return None
-
-
 def solve_care(sys: LinearSystem) -> np.ndarray:
-    """Stationary solution of A P + P A^T + Q - P C^T R^(-1) C P = 0,
-    obtained by following the (monotone from zero) Riccati flow from
-    P0 = 0.  The returned matrix satisfies the residual contract
+    """Stabilizing solution of A P + P A^T + Q - P C^T R^(-1) C P = 0 by
+    the Schur method (Arnold & Laub, Proc. IEEE 1984).  The returned
+    matrix satisfies the residual contract
     ||residual||_F <= 1e-10 * (1 + ||P||_F)."""
     if sys.mode != "continuous":
         raise ConfigurationError("solve_care requires a continuous-mode system")
     assert_regular(sys)
-    P, _ = _care_flow(sys, np.zeros((sys.n, sys.n)))
-    return P
+    return _symmetrize(solve_continuous_are(sys.A.T, sys.C.T, sys.Q, sys.R))
 
 
 def _dare_step(sys: LinearSystem, P: np.ndarray):
     """One prediction-form Riccati recursion step; returns
     (P_next, P_filt, K)."""
-    S = _sym(sys.C @ P @ sys.C.T + sys.R)
-    try:
-        cf = cho_factor(S)
-    except LinAlgError as exc:
-        raise NumericalFailure("innovation covariance not factorizable", context=S) from exc
-    K = cho_solve(cf, sys.C @ P).T
-    P_filt = _sym(P - K @ S @ K.T)
-    P_next = _sym(sys.A @ P_filt @ sys.A.T + sys.Q)
+    K, S = _innovation_gain(P, sys.C, sys.R)
+    P_filt = _symmetrize(P - K @ S @ K.T)
+    P_next = _symmetrize(sys.A @ P_filt @ sys.A.T + sys.Q)
     return P_next, P_filt, K
 
 
@@ -258,7 +223,7 @@ def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
                max_iter: int = 1000000):
     """Iterate the prediction-form recursion until successive iterates are
     stationary.  Returns (P_inf, preds, filts, gains)."""
-    P = _sym(np.asarray(P0, dtype=float))
+    P = _symmetrize(np.asarray(P0, dtype=float))
     preds, filts, gains = [], [], []
     for _ in range(max_iter):
         P_next, P_filt, K = _dare_step(sys, P)
@@ -270,7 +235,7 @@ def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
         if not np.all(np.isfinite(P_next)):
             raise CertificationFailure("discrete Riccati recursion diverged")
         if delta <= 1e-12 * (1.0 + np.linalg.norm(P)):
-            return _sym(P_next), preds, filts, gains
+            return _symmetrize(P_next), preds, filts, gains
         P = P_next
     raise CertificationFailure("discrete Riccati recursion did not converge")
 
@@ -321,11 +286,12 @@ class CertificateCandidate:
                 raise ConfigurationError(f"{name} must be diagonal")
             if np.any(np.diag(M) <= 0.0):
                 raise ConfigurationError(f"{name} must have strictly positive diagonal")
-        if np.linalg.eigvalsh(_sym(self.U)).min() <= 0.0:
+        if np.linalg.eigvalsh(_symmetrize(self.U)).min() <= 0.0:
             raise ConfigurationError("U must be positive definite")
         if not self.alpha > 0.0:
             raise ConfigurationError("alpha must be positive")
-        if np.linalg.eigvalsh(_sym(self.P0)).min() < -1e-12 * (1.0 + np.linalg.norm(self.P0)):
+        lmin = np.linalg.eigvalsh(_symmetrize(self.P0)).min()
+        if lmin < -1e-12 * (1.0 + np.linalg.norm(self.P0)):
             raise ConfigurationError("P0 must be positive semidefinite")
 
 
@@ -351,7 +317,7 @@ def build_S(sys: LinearSystem, cand: CertificateCandidate, P_t: np.ndarray) -> n
     S[n:n + p, :n] = S[:n, n:n + p].T
     S[n + p:, :n] = S[:n, n + p:].T
     S[n + p:, n:n + p] = S[n:n + p, n + p:].T
-    return _sym(S)
+    return _symmetrize(S)
 
 
 def build_Z(
@@ -372,7 +338,7 @@ def build_Z(
     if np.linalg.matrix_rank(sys.A, tol=1e-12 * (1.0 + np.linalg.norm(sys.A))) < n:
         raise CertificationFailure("discrete certification requires invertible A")
     try:
-        Q_cf = cho_factor(_sym(sys.Q))
+        Q_cf = cho_factor(_symmetrize(sys.Q))
     except LinAlgError as exc:
         raise CertificationFailure("discrete certification requires invertible Q") from exc
     Qinv = cho_solve(Q_cf, np.eye(n))
@@ -382,17 +348,17 @@ def build_Z(
         eps_cov = 1.01 * float(np.linalg.eigvalsh(Pf_inv).max())
     Qbar = _spd_inverse(eps_cov * np.eye(n) + sys.A.T @ Qinv @ sys.A, "Qbar inverse")
     CR = sys.C.T @ Rinv                       # n x p
-    CRC = _sym(CR @ sys.C)                    # n x n
+    CRC = _symmetrize(CR @ sys.C)                    # n x n
     Pdiff = P_filt - Qbar
-    G = _sym(Rinv @ sys.C @ Pdiff @ sys.C.T @ Rinv)   # p x p
+    G = _symmetrize(Rinv @ sys.C @ Pdiff @ sys.C.T @ Rinv)   # p x p
 
-    T1 = _sym(CRC + Pf_inv @ Qbar @ Pf_inv - Pf_inv @ Qbar @ CRC - CRC @ Qbar @ Pf_inv
+    T1 = _symmetrize(CRC + Pf_inv @ Qbar @ Pf_inv - Pf_inv @ Qbar @ CRC - CRC @ Qbar @ Pf_inv
               - CRC @ Pdiff @ CRC - sys.C.T @ cand.Gamma2 @ sys.C)
     T2 = -CR + Pf_inv @ Qbar @ CR + CRC @ Pdiff @ CR
     T3 = (T2 + sys.C.T @ cand.Gamma2) @ sys.D
     T4 = -G
     T5 = -G @ sys.D
-    T6 = _sym(sys.D.T @ (G + cand.Gamma2) @ sys.D)
+    T6 = _symmetrize(sys.D.T @ (G + cand.Gamma2) @ sys.D)
 
     Pp_inv = _spd_inverse(P_pred, "P_pred")
     Z = np.zeros((n + p + m, n + p + m))
@@ -405,7 +371,7 @@ def build_Z(
     Z[n:n + p, :n] = Z[:n, n:n + p].T
     Z[n + p:, :n] = Z[:n, n + p:].T
     Z[n + p:, n:n + p] = Z[n:n + p, n + p:].T
-    return _sym(Z), T6
+    return _symmetrize(Z), T6
 
 
 @dataclass(frozen=True)
@@ -419,7 +385,7 @@ class PsdReport:
 
 def is_psd(M: np.ndarray, tol: float = 1e-9) -> PsdReport:
     """True iff lambda_min(M) >= -tol*(1 + ||M||), after symmetrization."""
-    M = _sym(np.asarray(M, dtype=float))
+    M = _symmetrize(np.asarray(M, dtype=float))
     try:
         min_eig = float(np.linalg.eigvalsh(M).min())
     except LinAlgError as exc:
@@ -561,7 +527,7 @@ def certify(
     rho = 0.0 if variant == "corollary" else float(np.sum(params.gamma1)) / math.e
 
     if sys.mode == "continuous":
-        P_inf, samples = _care_flow(sys, cand.P0, record=True)
+        P_inf, samples = _care_flow(sys, cand.P0)
         times = np.array([t for t, _ in samples])
         mats = [P for _, P in samples]
     else:
@@ -583,7 +549,7 @@ def certify(
         eps_cov = 1.01 * max(float(np.linalg.eigvalsh(_spd_inverse(Pf, "P_filt")).max())
                              for Pf in filts_all)
 
-    lmin_p0 = float(np.linalg.eigvalsh(_sym(cand.P0)).min())
+    lmin_p0 = float(np.linalg.eigvalsh(_symmetrize(cand.P0)).min())
     report = []
     checks = []
     for i in idx:
@@ -601,7 +567,7 @@ def certify(
             Mat = build_S(sys, cand, P_pred)
         else:
             Mat, T6 = build_Z(sys, cand, P_pred, P_filt, eps_cov=eps_cov)
-            t6_top = max(t6_top, float(np.linalg.eigvalsh(_sym(T6 + cand.U)).max()))
+            t6_top = max(t6_top, float(np.linalg.eigvalsh(_symmetrize(T6 + cand.U)).max()))
         rep = is_psd(Mat, tol=psd_tol)
         report.append((where, rep.min_eig))
         if not rep.ok:
@@ -611,10 +577,10 @@ def certify(
             )
 
     if sys.mode == "continuous":
-        c1 = float(np.linalg.eigvalsh(_sym(cand.U + sys.D.T @ cand.Gamma2 @ sys.D)).max())
+        c1 = float(np.linalg.eigvalsh(_symmetrize(cand.U + sys.D.T @ cand.Gamma2 @ sys.D)).max())
     else:
         c1 = t6_top
-    c3 = 1.0 / float(np.linalg.eigvalsh(_sym(P_inf)).max())
+    c3 = 1.0 / float(np.linalg.eigvalsh(_symmetrize(P_inf)).max())
 
     lmax_traj = np.array([float(np.linalg.eigvalsh(P).max()) for P in mats] + [float(np.linalg.eigvalsh(P_inf).max())])
     times_traj = np.concatenate([times, [times[-1] + (1.0 if sys.mode == "discrete" else 0.0)]]) if n_rec else np.array([0.0])
@@ -718,7 +684,7 @@ def bound_trajectory_check(
             max_ratio = max(max_ratio, norm_e / bound)
 
     if sys.mode == "discrete":
-        P = _sym(cand.P0.copy())
+        P = _symmetrize(cand.P0.copy())
         n_steps = int(horizon)
         samples = 0
         for k in range(n_steps + 1):
@@ -738,7 +704,8 @@ def bound_trajectory_check(
     # continuous time: RK4 on the coupled (e, P, sigma, eps) system
     Rinv = _spd_inverse(sys.R, "R")
 
-    def rhs(e_vec, P_mat, sig, eps, t):
+    def rhs(joint, t):
+        e_vec, P_mat, sig, eps = joint
         d = np.atleast_1d(np.asarray(d_signal(t), dtype=float))
         if np.linalg.norm(d) > cert.mu + 1e-9:
             raise InputDomainError(f"||d(t)|| exceeds mu at t={t:.6g}")
@@ -746,41 +713,31 @@ def bound_trajectory_check(
         innov = sys.C @ e_vec - sys.D @ d
         st = SaturationState(np.maximum(sig, 1e-300), np.maximum(eps, 0.0))
         e_dot = sys.A @ e_vec - K @ saturate_vector(innov, st.bounds())
-        P_dot = _sym(sys.A @ P_mat + P_mat @ sys.A.T + sys.Q - P_mat @ sys.C.T @ Rinv @ sys.C @ P_mat)
+        P_dot = _symmetrize(sys.A @ P_mat + P_mat @ sys.A.T + sys.Q
+                            - P_mat @ sys.C.T @ Rinv @ sys.C @ P_mat)
         s_dot, x_dot = bound_rhs_ct(st, innov, params)
         return e_dot, P_dot, s_dot, x_dot
 
-    P = _sym(cand.P0.copy())
-    sig = params.sigma0.copy()
-    eps = params.epsilon0.copy()
+    joint = (e, _symmetrize(cand.P0.copy()), params.sigma0.copy(), params.epsilon0.copy())
     n_steps = int(round(float(horizon) / dt))
     samples = 0
     for i in range(n_steps + 1):
         t = i * dt
-        check(t, e)
+        check(t, joint[0])
         samples += 1
         if i == n_steps:
             break
-        k1 = rhs(e, P, sig, eps, t)
-        k2 = rhs(e + 0.5 * dt * k1[0], P + 0.5 * dt * k1[1], sig + 0.5 * dt * k1[2],
-                 eps + 0.5 * dt * k1[3], t + 0.5 * dt)
-        k3 = rhs(e + 0.5 * dt * k2[0], P + 0.5 * dt * k2[1], sig + 0.5 * dt * k2[2],
-                 eps + 0.5 * dt * k2[3], t + 0.5 * dt)
-        k4 = rhs(e + dt * k3[0], P + dt * k3[1], sig + dt * k3[2], eps + dt * k3[3], t + dt)
-        e = e + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        P = _sym(P + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-        sig = np.maximum(sig + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]), 1e-12)
-        eps = np.maximum(eps + (dt / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]), 1e-12)
+        joint = _joint_rk4_step(rhs, joint, t, dt)
     return BoundCheckReport(max_ratio=max_ratio, horizon=float(horizon), samples=samples,
-                            final_error_norm=float(np.linalg.norm(e)))
+                            final_error_norm=float(np.linalg.norm(joint[0])))
 
 
 def gain_identity_residuals(C: np.ndarray, R: np.ndarray, P_pred: np.ndarray):
     """Residuals of the three filtered-covariance/gain identities:
     Pf^-1 = Pp^-1 + C'R^-1 C;  Pf^-1 K = C'R^-1;  K'Pf^-1 K = R^-1 C Pf C' R^-1."""
-    S = _sym(C @ P_pred @ C.T + R)
+    S = _symmetrize(C @ P_pred @ C.T + R)
     K = np.linalg.solve(S, C @ P_pred).T
-    P_filt = _sym(P_pred - K @ S @ K.T)
+    P_filt = _symmetrize(P_pred - K @ S @ K.T)
     Rinv = _spd_inverse(R, "R")
     Pf_inv = _spd_inverse(P_filt, "P_filt")
     Pp_inv = _spd_inverse(P_pred, "P_pred")

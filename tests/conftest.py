@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isekf.filters import NonlinearModel
+from isekf.harness import DEFAULT_BOUND, DEFAULT_P0_DIAG
 from isekf.saturation import BoundParams
 from isekf.scenario import FilterSpec, ScenarioConfig
 from isekf.stability import LinearSystem, is_detectable, is_stabilizable
@@ -42,20 +43,12 @@ def random_system(rng: np.random.Generator, mode: str, n_max: int = 6) -> Linear
             return sys
 
 
-def paper_bound_params(sigma0=(25.0, 25.0, 0.25), epsilon0=(1.0, 1.0, 1.0)) -> BoundParams:
-    return BoundParams(
-        lambda1=[0.5, 0.5, 0.1],
-        lambda2=[0.1, 0.1, 0.1],
-        gamma1=[100.0, 100.0, 5.0e-3],
-        gamma2=[9.0, 9.0, 9.0],
-        sigma0=list(sigma0),
-        epsilon0=list(epsilon0),
-        mode="dt",
-    )
+def paper_bound_params() -> BoundParams:
+    return BoundParams(mode="dt", **DEFAULT_BOUND)
 
 
 def robot_filter_p0() -> np.ndarray:
-    return np.diag([0.1, 0.1, 5.0e-5])
+    return np.diag(DEFAULT_P0_DIAG)
 
 
 def benchmark_config(**overrides) -> ScenarioConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import yaml
 from conftest import benchmark_config
 from isekf.errors import ConfigurationError, UndefinedMetricError
 from isekf.harness import (
+    OutputConfig,
     cli_main,
     export_csv,
     parse_config,
@@ -101,6 +103,56 @@ def test_explicit_outlier_list(tmp_path):
     ])
     cfg = parse_config(write_cfg(tmp_path, data))
     assert cfg.scenario.schedule.active_ranges() == [(5, 10), (20, 25)]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, scenario, filters", [
+    ("T", {"T": 0}, None),
+    ("T", {"T": NAN}, None),
+    ("meas_std", {"meas_std": [NAN, 0.5, 0.008]}, None),
+    ("process_std", {"process_std": [0.005, -0.005, 0.0005]}, None),
+    ("filter_meas_std", {"filter_meas_std": [0.5, INF, 0.008]}, None),
+    ("filter_process_std", {"filter_process_std": [NAN, 0.005, 0.0005]}, None),
+    ("value", {"outliers": [{"k_lo": 5, "k_hi": 10, "kind": "constant", "value": [INF, 0.0]}]},
+     None),
+    ("scale", {"outliers": [{"k_lo": 5, "k_hi": 10, "kind": "uniform",
+                             "scale": [[NAN, 0.0], [0.0, 1.0]]}]}, None),
+    ("P0", {}, {"is-ekf": {"P0": [NAN, 0.1, 5.0e-5]}}),
+    ("P0", {}, {"ekf": {"P0": [-1.0, 0.1, 5.0e-5]}}),
+], ids=["T-zero", "T-nan", "meas_std-nan", "process_std-negative", "filter_meas_std-inf",
+        "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd"])
+def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters):
+    data = minimal_cfg_dict(**scenario)
+    if filters is not None:
+        data["filters"] = filters
+    path = write_cfg(tmp_path, data)
+    with pytest.raises(ConfigurationError, match=rf"\b{key}\b"):
+        parse_config(path)
+    assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 1
+
+
+def _assert_same(a, b, where="cfg"):
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b, err_msg=where)
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where
+
+
+def test_paper_cfg_equals_the_defaults():
+    cfg = parse_config(PAPER_CFG)
+    _assert_same(cfg.scenario, benchmark_config())
+    assert cfg.seed == 1
+    assert cfg.output == OutputConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isekf.errors import ConfigurationError, InputDomainError
+from isekf.errors import ConfigurationError, InputDomainError, NumericalFailure
 from isekf.saturation import (
     BoundParams,
     SaturationState,
@@ -113,6 +113,18 @@ def test_bound_rhs_ct_values():
     s_dot, e_dot = bound_rhs_ct(SaturationState([2.5], [0.0]), np.array([0.0]), p)
     assert e_dot[0] == 0.0
     assert s_dot[0] == pytest.approx(-2.5)
+
+
+@pytest.mark.parametrize("bound_map, mode", [(bound_step_dt, "dt"), (bound_rhs_ct, "ct")])
+def test_bound_map_overflow_is_a_numerical_failure(bound_map, mode):
+    lam = 0.5 if mode == "dt" else -0.5
+    p = BoundParams(lambda1=[lam], lambda2=[lam], gamma1=[1.0], gamma2=[9.0],
+                    sigma0=[1.0], epsilon0=[1.0], mode=mode)
+    # finite innovation whose square overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="overflow"):
+        bound_map(p.initial_state(), np.array([1e200]), p)
+    with pytest.raises(InputDomainError, match="non-finite innovation"):
+        bound_map(p.initial_state(), np.array([np.nan]), p)
 
 
 def test_zero_innovation_geometric_decay():

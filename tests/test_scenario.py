@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -187,3 +188,18 @@ def test_sqrt_sigma_recorded_only_for_saturated_filters():
     assert "is-ekf" in tr.sqrt_sigma
     assert "ekf" not in tr.sqrt_sigma
     assert np.all(tr.sqrt_sigma["is-ekf"][0] == np.sqrt([25.0, 25.0, 0.25]))
+
+
+def test_filter_failure_is_contained_and_logged(caplog):
+    # a finite outlier whose square overflows is-ekf's bound recursion
+    huge = OutlierSegment(50, 60, "constant", value=[1e200, 1e200])
+    cfg = benchmark_config(horizon=80, schedule=OutlierSchedule((huge,), D=paper_schedule().D))
+    with caplog.at_level(logging.WARNING, logger="isekf"), np.errstate(over="ignore"):
+        tr = simulate(cfg, 1)
+    assert tr.failed_at == {"is-ekf": 51, "ekf": None, "lsigma-ekf": None}
+    np.testing.assert_array_equal(tr.estimates["is-ekf"][51:], tr.estimates["is-ekf"][50:-1])
+    assert np.all(np.isfinite(tr.estimates["lsigma-ekf"]))
+    warnings = [r for r in caplog.records if r.name == "isekf" and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "is-ekf" in message and "step 51" in message and "overflow" in message
