@@ -1,7 +1,9 @@
 """Saturated- and standard-EKF recursions over a shared nonlinear model.
 
 Model maps take the state and an optional control input.  Discrete-time
-steps are pure: each returns a new FilterState.  Linearization points
+steps are pure: each returns a new FilterState.  They check their inputs
+once and run one array-level core, _filter_step, which scenario.simulate
+calls directly on raw arrays.  Linearization points
 follow the recursion exactly: the state Jacobian is evaluated at the
 filtered estimate, the measurement Jacobian at the predicted estimate
 (continuous time: both at the current estimate).
@@ -14,16 +16,24 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, get_lapack_funcs
 
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError, InputDomainError, NumericalFailure
 from .saturation import (
     BoundParams,
     SaturationState,
+    _bound_step,
+    _clip,
     bound_rhs_ct,
-    bound_step_dt,
     saturate_innovation,
 )
+# The checked public form of _bound_step; bench/tracer.py wraps it under
+# this name.
+from .saturation import bound_step_dt  # noqa: F401
+
+# The LAPACK Cholesky pair behind cho_factor/cho_solve, resolved once
+# (see _spd_solve).
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 # Positivity floor for sigma/epsilon during continuous-time integration.
 _SAT_FLOOR = 1.0e-12
@@ -102,13 +112,13 @@ class NonlinearModel:
 
     def f_at(self, x: np.ndarray, u=None) -> np.ndarray:
         out = np.asarray(self.f(x, u), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalFailure("state map produced non-finite values", context=x)
         return out
 
     def h_at(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.h(x), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalFailure("measurement map produced non-finite values", context=x)
         return out
 
@@ -162,43 +172,110 @@ def check_covariance(P: np.ndarray, tol_scale: float = 1e-9) -> float:
     return min_eig
 
 
+def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """M^{-1} B for a finite symmetric positive definite M.
+
+    Calls the LAPACK pair behind cho_factor/cho_solve, potrf and potrs,
+    with their flags (upper factor, not cleaned), so the bits are theirs
+    without their per-call checks and copies.  Raises NumericalFailure
+    when M is not positive definite."""
+    c, info = _POTRF(M, lower=0, clean=0)
+    if info != 0:
+        raise NumericalFailure(f"{what} not factorizable (cond ~ {np.linalg.cond(M):.3e})",
+                               context=M)
+    return _POTRS(c, B, lower=0)[0]
+
+
 def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
-    """Gain K = P C^T S^{-1} and S = C P C^T + R via an SPD factorization."""
-    S = _symmetrize(C @ P @ C.T + R)
-    try:
-        cf = cho_factor(S)
-    except LinAlgError as exc:
-        raise NumericalFailure(
-            f"innovation covariance not factorizable (cond ~ {np.linalg.cond(S):.3e})",
-            context=S,
-        ) from exc
-    K = cho_solve(cf, C @ P).T
+    """Gain K = P C^T S^{-1} and S = C P C^T + R via an SPD factorization.
+
+    Raises NumericalFailure when S is not finite or not positive definite."""
+    CP = C.dot(P)
+    S = _symmetrize(CP.dot(C.T) + R)
+    if not np.isfinite(S).all():
+        raise NumericalFailure("innovation covariance not finite", context=S)
+    K = _spd_solve(S, CP, "innovation covariance").T
     return K, S
+
+
+# Innovation policies of the discrete-time update: shape(innov, S, sat) is
+# the innovation that corrects the estimate, sat the (sigma, epsilon) pair
+# of the saturated filter or None.
+
+def _raw(innov, S, sat):
+    return innov
+
+
+def _clip_to_bound(innov, S, sat):
+    return _clip(innov, np.sqrt(sat[0]))
+
+
+def _gate(ell: float) -> Callable:
+    """Zero channel i when |innov_i| > ell * sqrt(S_ii)."""
+    def gate(innov, S, sat):
+        return np.where(np.abs(innov) > ell * np.sqrt(np.diag(S)), 0.0, innov)
+    return gate
+
+
+def _predict(model: NonlinearModel, x: np.ndarray, P: np.ndarray, u):
+    """Predict core: x = f(x, u), P = A P A^T + Q with A at x."""
+    A = model.A_at(x, u)
+    return model.f_at(x, u), _symmetrize(A.dot(P).dot(A.T) + model.Q)
+
+
+def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
+            shape: Callable, sat=None, params: Optional[BoundParams] = None):
+    """Update core that every discrete-time filter shares.
+
+    The estimate is corrected with shape(innov, S, sat); the covariance
+    update is P - K (C P C^T + R) K^T, then symmetrization.  A saturated
+    filter's sat = (sigma, epsilon) advances through the bound map on the
+    raw innovation.  Returns (x, P, sat)."""
+    C = model.C_at(x)
+    K, S = _innovation_gain(P, C, model.R)
+    innov = model.innovation(x, y)
+    x_new = x + K.dot(shape(innov, S, sat))
+    if not np.isfinite(x_new).all():
+        raise NumericalFailure("update produced non-finite estimate", context=x)
+    P_new = _symmetrize(P - K.dot(S).dot(K.T))
+    if sat is not None:
+        sat = _bound_step(sat[0], sat[1], innov, params, "bound_step_dt")
+    return x_new, P_new, sat
+
+
+def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray, u,
+                 shape: Callable, sat=None, params: Optional[BoundParams] = None):
+    """One predict + update cycle on raw arrays; returns (x, P, sat).
+
+    The core behind every discrete-time step.  It checks only what can go
+    wrong per step (non-finite f, h, S or estimate, S not positive
+    definite, bound-map overflow: all NumericalFailure); the inputs are
+    checked once by the caller (see _check_saturated)."""
+    x, P = _predict(model, x, P, u)
+    return _update(model, x, P, y, shape, sat, params)
+
+
+def _check_saturated(model: NonlinearModel, sat: SaturationState,
+                     params: Optional[BoundParams], caller: str, y=None) -> None:
+    """Entry checks of a saturated discrete-time step, and of its
+    measurement y when given."""
+    if params is None:
+        raise ConfigurationError(f"{caller}: BoundParams required for a saturated state")
+    if params.mode != "dt":
+        raise ConfigurationError(f"{caller} requires dt-mode parameters")
+    if not params.p == sat.p == model.p:
+        raise ConfigurationError(f"{caller}: channel count mismatch")
+    if not (sat.sigma > 0.0).all():
+        raise InputDomainError(f"{caller}: sigma must be strictly positive")
+    if y is not None and not np.isfinite(y).all():
+        raise InputDomainError(f"{caller}: non-finite measurement")
 
 
 def dt_predict(model: NonlinearModel, st: FilterState, u=None) -> FilterState:
     """Time update: x = f(x, u), P = A P A^T + Q with A at the filtered
     estimate.  The saturation state is unchanged."""
-    A = model.A_at(st.x_hat, u)
-    x_pred = model.f_at(st.x_hat, u)
-    P_pred = _symmetrize(A @ st.P @ A.T + model.Q)
-    return replace(st, x_hat=x_pred, P=P_pred, k=st.k + 1)
-
-
-def _update(model: NonlinearModel, st: FilterState, y: np.ndarray, shape: Callable):
-    """The measurement update every discrete-time filter shares.
-
-    The estimate is corrected with shape(innov, S), the innovation policy
-    applied to the raw innovation; the covariance update is
-    P - K (C P C^T + R) K^T, then symmetrization.  Returns
-    (x_new, P_new, raw innovation)."""
-    C = model.C_at(st.x_hat)
-    K, S = _innovation_gain(st.P, C, model.R)
-    innov = model.innovation(st.x_hat, y)
-    x_new = st.x_hat + K @ shape(innov, S)
-    if not np.all(np.isfinite(x_new)):
-        raise NumericalFailure("update produced non-finite estimate", context=st.x_hat)
-    return x_new, _symmetrize(st.P - K @ S @ K.T), innov
+    x, P = _predict(model, st.x_hat, st.P, u)
+    return replace(st, x_hat=x, P=P, k=st.k + 1)
 
 
 def dt_update(
@@ -215,12 +292,12 @@ def dt_update(
     symmetrization.
     """
     if st.sat is None:
-        x_new, P_new, _ = _update(model, st, y, lambda innov, S: innov)
-        return replace(st, x_hat=x_new, P=P_new)
-    if params is None:
-        raise ConfigurationError("dt_update: BoundParams required for a saturated state")
-    x_new, P_new, innov = _update(model, st, y, lambda innov, S: saturate_innovation(innov, st.sat))
-    return replace(st, x_hat=x_new, P=P_new, sat=bound_step_dt(st.sat, innov, params))
+        x, P, _ = _update(model, st.x_hat, st.P, y, _raw)
+        return replace(st, x_hat=x, P=P)
+    _check_saturated(model, st.sat, params, "dt_update", y)
+    x, P, sat = _update(model, st.x_hat, st.P, y, _clip_to_bound,
+                        (st.sat.sigma, st.sat.epsilon), params)
+    return replace(st, x_hat=x, P=P, sat=SaturationState(*sat))
 
 
 def dt_isekf_step(
@@ -234,13 +311,16 @@ def dt_isekf_step(
     innovation, advance the bound recursion."""
     if st.sat is None:
         raise ConfigurationError("dt_isekf_step requires a state with a SaturationState")
-    return dt_update(model, dt_predict(model, st, u), y, params)
+    _check_saturated(model, st.sat, params, "dt_isekf_step", y)
+    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, _clip_to_bound,
+                             (st.sat.sigma, st.sat.epsilon), params)
+    return replace(st, x_hat=x, P=P, sat=SaturationState(*sat), k=st.k + 1)
 
 
 def ekf_step(model: NonlinearModel, st: FilterState, y: np.ndarray, u=None) -> FilterState:
     """Standard EKF cycle (no innovation clipping)."""
-    pred = dt_predict(model, replace(st, sat=None), u)
-    return dt_update(model, pred, y)
+    x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, _raw)
+    return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 
 
 def sigma_gate_step(
@@ -257,13 +337,8 @@ def sigma_gate_step(
     usual with the gated innovation."""
     if not ell > 0.0:
         raise ConfigurationError(f"ell must be positive, got {ell}")
-    pred = dt_predict(model, replace(st, sat=None), u)
-
-    def gate(innov, S):
-        return np.where(np.abs(innov) > ell * np.sqrt(np.diag(S)), 0.0, innov)
-
-    x_new, P_new, _ = _update(model, pred, y, gate)
-    return replace(pred, x_hat=x_new, P=P_new)
+    x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, _gate(ell))
+    return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 
 
 def ct_isekf_derivative(
@@ -281,11 +356,7 @@ def ct_isekf_derivative(
         raise ConfigurationError("ct_isekf_derivative requires a SaturationState")
     A = model.A_at(st.x_hat)
     C = model.C_at(st.x_hat)
-    try:
-        cf = cho_factor(model.R)
-    except LinAlgError as exc:
-        raise NumericalFailure("R not factorizable", context=model.R) from exc
-    K = cho_solve(cf, C @ st.P).T
+    K = _spd_solve(model.R, C @ st.P, "R").T
     innov_raw = model.innovation(st.x_hat, y)
     innov_sat = saturate_innovation(innov_raw, st.sat)
     x_dot = model.f_at(st.x_hat) + K @ innov_sat

@@ -169,18 +169,12 @@ def _bound_map_core(sigma: np.ndarray, epsilon: np.ndarray, innov: np.ndarray,
             params.lambda2 * epsilon + params.gamma2 * innov**2)
 
 
-def _bound_map(sat: SaturationState, innov: np.ndarray, params: BoundParams, mode: str):
-    """_bound_map_core behind the mode and channel-count checks.
-
-    Raises NumericalFailure when the result overflows (an innovation so
-    large that its square is not finite)."""
-    name = "bound_step_dt" if mode == "dt" else "bound_rhs_ct"
-    if params.mode != mode:
-        raise ConfigurationError(f"{name} requires {mode}-mode parameters")
-    innov = np.asarray(innov, dtype=float)
-    if innov.shape != sat.sigma.shape or params.p != sat.p:
-        raise ConfigurationError(f"{name}: channel count mismatch")
-    sigma_out, eps_out = _bound_map_core(sat.sigma, sat.epsilon, innov, params)
+def _bound_step(sigma: np.ndarray, epsilon: np.ndarray, innov: np.ndarray,
+                params: BoundParams, name: str):
+    """_bound_map_core with its overflow check: raises NumericalFailure when
+    the result is not finite (an innovation so large that its square
+    overflows), InputDomainError when the innovation itself is not."""
+    sigma_out, eps_out = _bound_map_core(sigma, epsilon, innov, params)
     # one check covers both outputs: the sum is finite iff neither overflowed
     # (short of both exceeding half the float range)
     if not np.isfinite(sigma_out + eps_out).all():
@@ -188,6 +182,17 @@ def _bound_map(sat: SaturationState, innov: np.ndarray, params: BoundParams, mod
             raise InputDomainError(f"{name}: non-finite innovation")
         raise NumericalFailure(f"{name}: bound map overflowed", context=innov)
     return sigma_out, eps_out
+
+
+def _bound_map(sat: SaturationState, innov: np.ndarray, params: BoundParams, mode: str):
+    """_bound_step behind the mode and channel-count checks."""
+    name = "bound_step_dt" if mode == "dt" else "bound_rhs_ct"
+    if params.mode != mode:
+        raise ConfigurationError(f"{name} requires {mode}-mode parameters")
+    innov = np.asarray(innov, dtype=float)
+    if innov.shape != sat.sigma.shape or params.p != sat.p:
+        raise ConfigurationError(f"{name}: channel count mismatch")
+    return _bound_step(sat.sigma, sat.epsilon, innov, params, name)
 
 
 def bound_step_dt(sat: SaturationState, innov: np.ndarray, params: BoundParams) -> SaturationState:

@@ -19,13 +19,17 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .filters import (
-    FilterState,
     NonlinearModel,
-    dt_isekf_step,
-    ekf_step,
-    sigma_gate_step,
+    _check_saturated,
+    _clip_to_bound,
+    _filter_step,
+    _gate,
+    _raw,
     wrap_angle,
 )
+# The public FilterState steps over _filter_step; bench/tracer.py wraps
+# them under these names.
+from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
 from .saturation import BoundParams
 
 log = logging.getLogger("isekf")
@@ -222,9 +226,15 @@ def measure(
     reuse an already-drawn disturbance; otherwise it is drawn here."""
     if d is None:
         d = outlier_at(sched, k, rng)
+    L = _noise_factor(R)
+    return s.as_array() + sched.D @ d + L @ rng.standard_normal(L.shape[0])
+
+
+def _noise_factor(R: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of the noise covariance R (L L^T = R); zero
+    for a zero R.  Noise with covariance R is L @ standard_normal."""
     R = np.asarray(R, dtype=float)
-    L = np.linalg.cholesky(R) if np.any(R) else np.zeros_like(R)
-    return s.as_array() + sched.D @ d + L @ rng.standard_normal(R.shape[0])
+    return np.linalg.cholesky(R) if np.any(R) else np.zeros_like(R)
 
 
 @dataclass
@@ -371,62 +381,69 @@ def simulate(cfg: ScenarioConfig, seed: int) -> SimulationTrace:
     failed_at = {lbl: None for lbl in labels}
     elapsed = {lbl: 0.0 for lbl in labels}
 
-    # initial row
-    truth[0] = cfg.initial_truth.as_array()
-    u_arr[0] = cfg.input_profile(0).as_array()
-    d_arr[0] = outlier_at(sched, 0, rng_outl)
-    y_arr[0] = measure(cfg.initial_truth, sched, 0, cfg.R, rng_meas, d=d_arr[0])
+    L = _noise_factor(cfg.R)
 
-    states = {}
+    def observe(k: int) -> None:
+        # measure() on truth[k], with R factored once per run
+        d_arr[k] = outlier_at(sched, k, rng_outl)
+        y_arr[k] = truth[k] + sched.D @ d_arr[k] + L @ rng_meas.standard_normal(L.shape[0])
+
+    # initial row
+    state_true = cfg.initial_truth
+    u_in = cfg.input_profile(0)
+    truth[0] = state_true.as_array()
+    u_arr[0] = u_in.as_array()
+    observe(0)
+
+    # each filter runs on raw arrays through the one step core; its inputs
+    # are checked here, once: [label, shape, params, x, P, sat]
+    runs = []
     x0 = truth[0] + cfg.initial_guess_offset
     for spec in cfg.filters:
-        sat = spec.bound_params.initial_state() if spec.kind == "is-ekf" else None
-        states[spec.label] = FilterState(x_hat=x0.copy(), P=spec.P0.copy(), sat=sat)
-        estimates[spec.label][0] = x0
+        sat, params, shape = None, None, _raw
         if spec.kind == "is-ekf":
-            sqrt_sigma[spec.label][0] = np.sqrt(sat.sigma)
+            params = spec.bound_params
+            init = params.initial_state()
+            _check_saturated(model, init, params, "simulate")
+            sat, shape = (init.sigma, init.epsilon), _clip_to_bound
+            sqrt_sigma[spec.label][0] = np.sqrt(init.sigma)
+        elif spec.kind == "lsigma-ekf":
+            shape = _gate(spec.ell)
+        runs.append([spec.label, shape, params, x0.copy(), spec.P0.copy(), sat])
+        estimates[spec.label][0] = x0
 
-    state_true = cfg.initial_truth
     for k in range(1, N + 1):
-        u_prev = cfg.input_profile(k - 1)
-        u_arr[k] = cfg.input_profile(k).as_array()
+        u_prev, u_in = u_in, cfg.input_profile(k)
+        u_arr[k] = u_in.as_array()
         w = cfg.process_std * rng_proc.standard_normal(3)
         nxt = robot_step(state_true, u_prev, cfg.T).as_array() + w
         state_true = RobotState.from_array(nxt)
         truth[k] = state_true.as_array()
 
-        d_arr[k] = outlier_at(sched, k, rng_outl)
-        y_arr[k] = measure(state_true, sched, k, cfg.R, rng_meas, d=d_arr[k])
+        observe(k)
+        y, u = y_arr[k], u_arr[k - 1]
 
-        for spec in cfg.filters:
-            lbl = spec.label
-            if failed_at[lbl] is not None:
+        for run in runs:
+            lbl, shape, params, x, P, sat = run
+            if failed_at[lbl] is None:
+                t0 = time.perf_counter()
+                try:
+                    x, P, sat = _filter_step(model, x, P, y, u, shape, sat, params)
+                except NumericalFailure as exc:
+                    failed_at[lbl] = k
+                    log.warning("filter %s failed at step %d: %s", lbl, k, exc)
+                finally:
+                    elapsed[lbl] += time.perf_counter() - t0
+            if failed_at[lbl] is None:
+                run[3:] = x, P, sat
+                estimates[lbl][k] = x
+                if sat is not None:
+                    sqrt_sigma[lbl][k] = np.sqrt(sat[0])
+            else:
+                # a failed filter keeps its last estimate
                 estimates[lbl][k] = estimates[lbl][k - 1]
-                if spec.kind == "is-ekf":
+                if sat is not None:
                     sqrt_sigma[lbl][k] = sqrt_sigma[lbl][k - 1]
-                continue
-            t0 = time.perf_counter()
-            try:
-                if spec.kind == "is-ekf":
-                    states[lbl] = dt_isekf_step(model, states[lbl], y_arr[k],
-                                                spec.bound_params, u=u_prev.as_array())
-                elif spec.kind == "ekf":
-                    states[lbl] = ekf_step(model, states[lbl], y_arr[k], u=u_prev.as_array())
-                else:
-                    states[lbl] = sigma_gate_step(model, states[lbl], y_arr[k],
-                                                  ell=spec.ell, u=u_prev.as_array())
-            except NumericalFailure as exc:
-                failed_at[lbl] = k
-                log.warning("filter %s failed at step %d: %s", lbl, k, exc)
-                estimates[lbl][k] = estimates[lbl][k - 1]
-                if spec.kind == "is-ekf":
-                    sqrt_sigma[lbl][k] = sqrt_sigma[lbl][k - 1]
-                continue
-            finally:
-                elapsed[lbl] += time.perf_counter() - t0
-            estimates[lbl][k] = states[lbl].x_hat
-            if spec.kind == "is-ekf":
-                sqrt_sigma[lbl][k] = np.sqrt(states[lbl].sat.sigma)
 
     step_seconds = {lbl: (elapsed[lbl] / N if N else 0.0) for lbl in labels}
     return SimulationTrace(

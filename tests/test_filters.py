@@ -135,6 +135,14 @@ def test_innovation_covariance_failure_reports_conditioning():
         dt_update(m, st, np.array([1.0]))
 
 
+def test_non_finite_innovation_covariance_is_a_numerical_failure():
+    # P and R are finite, but S = C P C^T + R overflows
+    m = linear_model([[1.0]], [[1.0]], [[0.0]], [[1e308]])
+    st = FilterState(np.array([0.0]), np.array([[1e308]]))
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="not finite"):
+        dt_update(m, st, np.array([1.0]))
+
+
 def test_dt_isekf_step_matches_ekf_without_clipping(rng):
     m = linear_model([[0.95]], [[1.0]], [[0.05]], [[0.5]])
     p = big_sigma_params()

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import linear_model
 from isekf import stability
 from isekf.filters import (
     _SAT_FLOOR,
     FilterState,
+    _innovation_gain,
+    _spd_solve,
     ct_isekf_integrate,
     ekf_step,
     rk4_step,
@@ -136,3 +139,27 @@ def test_wide_gate_equals_the_plain_ekf_bit_for_bit(x, y, p_scale, eta, delta):
     plain = ekf_step(model, state, np.array(y), u=u)
     assert np.array_equal(gated.x_hat, plain.x_hat)
     assert np.array_equal(gated.P, plain.P)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.floats(-10.0, 10.0), min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.array(v).reshape(rows, cols))
+
+
+def _spd(n):
+    # L L^T plus a ridge: symmetric positive definite
+    return _matrix(n, n).map(lambda L: L @ L.T + 0.1 * np.eye(n))
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda dims: st.tuples(_spd(dims[0]), _matrix(dims[1], dims[0]), _spd(dims[1]))))
+def test_innovation_gain_equals_scipy_cholesky_bit_for_bit(case):
+    P, C, R = case
+    M = C @ P @ C.T + R
+    S_ref = 0.5 * (M + M.T)
+    K_ref = cho_solve(cho_factor(S_ref), C @ P).T
+    K, S = _innovation_gain(P, C, R)
+    assert np.array_equal(S, S_ref)
+    assert np.array_equal(K, K_ref)
+    # the solve on its own, as ct_isekf_derivative uses it with R
+    assert np.array_equal(_spd_solve(R, C, "R"), cho_solve(cho_factor(R), C))

@@ -1,11 +1,14 @@
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import benchmark_config, paper_bound_params, robot_filter_p0
-from isekf.errors import ConfigurationError
+from isekf.errors import ConfigurationError, NumericalFailure
+from isekf.filters import FilterState, dt_isekf_step, ekf_step, sigma_gate_step
+from isekf.harness import parse_config
 from isekf.scenario import (
     FilterSpec,
     OutlierSchedule,
@@ -16,9 +19,12 @@ from isekf.scenario import (
     measure,
     outlier_at,
     paper_schedule,
+    robot_model,
     robot_step,
     simulate,
 )
+
+PAPER_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "paper.cfg")
 
 
 def test_robot_step_straight():
@@ -203,3 +209,80 @@ def test_filter_failure_is_contained_and_logged(caplog):
     assert len(warnings) == 1
     message = warnings[0].getMessage()
     assert "is-ekf" in message and "step 51" in message and "overflow" in message
+
+
+def test_non_finite_innovation_covariance_fails_only_that_filter(caplog):
+    # a valid P0 whose symmetrized prediction overflows: S is not finite
+    P0 = robot_filter_p0()
+    with caplog.at_level(logging.WARNING, logger="isekf"), np.errstate(all="ignore"):
+        cfg = benchmark_config(horizon=80, filters=[
+            FilterSpec("is-ekf", P0=P0, bound_params=paper_bound_params()),
+            FilterSpec("ekf", P0=np.diag([1e308, 1e308, 5e-5])),
+            FilterSpec("lsigma-ekf", P0=P0, ell=3.0),
+        ])
+        tr = simulate(cfg, 1)
+    assert tr.failed_at == {"is-ekf": None, "ekf": 1, "lsigma-ekf": None}
+    assert np.all(np.isfinite(tr.estimates["is-ekf"]))
+    assert np.all(np.isfinite(tr.estimates["lsigma-ekf"]))
+    warnings = [r for r in caplog.records if r.name == "isekf" and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "ekf" in warnings[0].getMessage() and "step 1" in warnings[0].getMessage()
+
+
+# the public FilterState step of each filter kind: step(model, spec, state, y, u)
+PUBLIC_STEPS = {
+    "is-ekf": lambda model, spec, st, y, u: dt_isekf_step(model, st, y, spec.bound_params, u=u),
+    "ekf": lambda model, spec, st, y, u: ekf_step(model, st, y, u=u),
+    "lsigma-ekf": lambda model, spec, st, y, u: sigma_gate_step(model, st, y, ell=spec.ell, u=u),
+}
+
+
+def _replay(cfg, tr):
+    """Every filter of cfg replayed through its public step on the trace's
+    measurements and inputs: (estimates, sqrt_sigma, failed_at)."""
+    model = robot_model(cfg.T, cfg.Q_filter, cfg.R_filter)
+    estimates, sqrt_sigma, failed_at = {}, {}, {}
+    for spec in cfg.filters:
+        sat = spec.bound_params.initial_state() if spec.kind == "is-ekf" else None
+        st = FilterState(tr.truth[0] + cfg.initial_guess_offset, spec.P0, sat=sat)
+        est, sig, failed = [st.x_hat], [], None
+        for k in range(1, tr.horizon + 1):
+            if failed is None:
+                try:
+                    st = PUBLIC_STEPS[spec.kind](model, spec, st, tr.y[k], tr.u[k - 1])
+                except NumericalFailure:
+                    failed = k
+            est.append(st.x_hat)
+            if sat is not None:
+                sig.append(np.sqrt(st.sat.sigma))
+        estimates[spec.label] = np.array(est)
+        if sat is not None:
+            sqrt_sigma[spec.label] = np.vstack([np.sqrt(sat.sigma)] + sig)
+        failed_at[spec.label] = failed
+    return estimates, sqrt_sigma, failed_at
+
+
+def _overflow_config():
+    huge = OutlierSegment(50, 60, "constant", value=[1e200, 1e200])
+    return benchmark_config(horizon=80, schedule=OutlierSchedule((huge,), D=paper_schedule().D))
+
+
+@pytest.mark.parametrize("make_cfg, seed", [
+    (lambda: parse_config(PAPER_CFG).scenario, 1),
+    (lambda: parse_config(PAPER_CFG).scenario, 7),
+    (_overflow_config, 1),
+], ids=["paper-seed-1", "paper-seed-7", "overflow"])
+def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
+    # simulate steps raw arrays through the core; the FilterState steps are
+    # the reference path it must reproduce exactly
+    cfg = make_cfg()
+    with np.errstate(over="ignore"):
+        tr = simulate(cfg, seed)
+        estimates, sqrt_sigma, failed_at = _replay(cfg, tr)
+    assert tr.failed_at == failed_at
+    assert tr.estimates.keys() == estimates.keys()
+    for label in estimates:
+        np.testing.assert_array_equal(tr.estimates[label], estimates[label])
+    assert tr.sqrt_sigma.keys() == sqrt_sigma.keys()
+    for label in sqrt_sigma:
+        np.testing.assert_array_equal(tr.sqrt_sigma[label], sqrt_sigma[label])
