@@ -230,7 +230,9 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
     The estimate is corrected with shape(innov, S, sat); the covariance
     update is P - K (C P C^T + R) K^T, then symmetrization.  A saturated
     filter's sat = (sigma, epsilon) advances through the bound map on the
-    raw innovation.  Returns (x, P, sat)."""
+    raw innovation; a clip level that underflows to 0 is a NumericalFailure,
+    so no step hands on a state that the entry checks reject.  Returns
+    (x, P, sat)."""
     C = model.C_at(x)
     K, S = _innovation_gain(P, C, model.R)
     innov = model.innovation(x, y)
@@ -240,6 +242,8 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
     P_new = _symmetrize(P - K.dot(S).dot(K.T))
     if sat is not None:
         sat = _bound_step(sat[0], sat[1], innov, params, "bound_step_dt")
+        if not (sat[0] > 0.0).all():
+            raise NumericalFailure("clip level sigma underflowed to 0", context=sat[0])
     return x_new, P_new, sat
 
 
@@ -249,8 +253,8 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
 
     The core behind every discrete-time step.  It checks only what can go
     wrong per step (non-finite f, h, S or estimate, S not positive
-    definite, bound-map overflow: all NumericalFailure); the inputs are
-    checked once by the caller (see _check_saturated)."""
+    definite, bound-map overflow, sigma underflow: all NumericalFailure);
+    the inputs are checked once by the caller (see _check_saturated)."""
     x, P = _predict(model, x, P, u)
     return _update(model, x, P, y, shape, sat, params)
 

@@ -226,8 +226,14 @@ def measure(
     reuse an already-drawn disturbance; otherwise it is drawn here."""
     if d is None:
         d = outlier_at(sched, k, rng)
-    L = _noise_factor(R)
-    return s.as_array() + sched.D @ d + L @ rng.standard_normal(L.shape[0])
+    return _measure(s.as_array(), sched.D, d, _noise_factor(R), rng)
+
+
+def _measure(x: np.ndarray, D: np.ndarray, d: np.ndarray, L: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+    """The measurement equation y = x + D d + L v, v ~ N(0, I), with L a
+    factor of R (see _noise_factor); measure and simulate share it."""
+    return x + D @ d + L @ rng.standard_normal(L.shape[0])
 
 
 def _noise_factor(R: np.ndarray) -> np.ndarray:
@@ -386,7 +392,7 @@ def simulate(cfg: ScenarioConfig, seed: int) -> SimulationTrace:
     def observe(k: int) -> None:
         # measure() on truth[k], with R factored once per run
         d_arr[k] = outlier_at(sched, k, rng_outl)
-        y_arr[k] = truth[k] + sched.D @ d_arr[k] + L @ rng_meas.standard_normal(L.shape[0])
+        y_arr[k] = _measure(truth[k], sched.D, d_arr[k], L, rng_meas)
 
     # initial row
     state_true = cfg.initial_truth

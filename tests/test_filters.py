@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_model, paper_bound_params, robot_filter_p0
-from isekf.errors import ConfigurationError, NumericalFailure
+from isekf.errors import ConfigurationError, InputDomainError, NumericalFailure
 from isekf.filters import (
     FilterState,
     NonlinearModel,
@@ -141,6 +141,18 @@ def test_non_finite_innovation_covariance_is_a_numerical_failure():
     st = FilterState(np.array([0.0]), np.array([[1e308]]))
     with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="not finite"):
         dt_update(m, st, np.array([1.0]))
+
+
+def test_clip_level_underflow_is_a_numerical_failure():
+    # the step whose bound recursion underflows sigma to 0 fails; it never
+    # hands on a state that the entry check would then reject
+    m = linear_model([[1.0]], [[1.0]], [[0.01]], [[1.0]])
+    p = BoundParams(lambda1=[0.01], lambda2=[0.5], gamma1=[1.0], gamma2=[1.0],
+                    sigma0=[1.0], epsilon0=[1e12], mode="dt")
+    with pytest.raises(NumericalFailure, match="underflowed"):
+        dt_isekf_step(m, scalar_state(0.0, 1.0, sigma=5e-324, eps=1e12), np.array([0.0]), p)
+    with pytest.raises(InputDomainError, match="sigma must be strictly positive"):
+        dt_isekf_step(m, scalar_state(0.0, 1.0, sigma=0.0, eps=1e12), np.array([0.0]), p)
 
 
 def test_dt_isekf_step_matches_ekf_without_clipping(rng):

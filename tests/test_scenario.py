@@ -8,7 +8,8 @@ import pytest
 from conftest import benchmark_config, paper_bound_params, robot_filter_p0
 from isekf.errors import ConfigurationError, NumericalFailure
 from isekf.filters import FilterState, dt_isekf_step, ekf_step, sigma_gate_step
-from isekf.harness import parse_config
+from isekf.harness import DEFAULT_BOUND, parse_config
+from isekf.saturation import BoundParams
 from isekf.scenario import (
     FilterSpec,
     OutlierSchedule,
@@ -267,11 +268,37 @@ def _overflow_config():
     return benchmark_config(horizon=80, schedule=OutlierSchedule((huge,), D=paper_schedule().D))
 
 
+def _underflow_config():
+    # a persistent 1e100 outlier drives epsilon so high that sigma decays
+    # geometrically; lambda1 = 0.01 underflows it to 0 at step 164
+    huge = OutlierSegment(0, 200, "constant", value=[1e100, 0.0])
+    P0 = robot_filter_p0()
+    fast_decay = BoundParams(mode="dt", **{**DEFAULT_BOUND, "lambda1": [0.01] * 3})
+    return benchmark_config(horizon=200, schedule=OutlierSchedule((huge,), D=paper_schedule().D),
+                            filters=[FilterSpec("is-ekf", P0=P0, bound_params=fast_decay),
+                                     FilterSpec("ekf", P0=P0),
+                                     FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
+
+
+def test_clip_level_underflow_fails_only_that_filter(caplog):
+    with caplog.at_level(logging.WARNING, logger="isekf"):
+        tr = simulate(_underflow_config(), 1)
+    assert tr.failed_at == {"is-ekf": 164, "ekf": None, "lsigma-ekf": None}
+    # the failed filter holds its last estimate and clip level
+    assert np.all(tr.estimates["is-ekf"][164:] == tr.estimates["is-ekf"][163])
+    assert np.all(tr.sqrt_sigma["is-ekf"][164:] == tr.sqrt_sigma["is-ekf"][163])
+    assert tr.sqrt_sigma["is-ekf"][163, 0] > 0.0
+    warnings = [r for r in caplog.records if r.name == "isekf" and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "is-ekf" in warnings[0].getMessage() and "underflowed" in warnings[0].getMessage()
+
+
 @pytest.mark.parametrize("make_cfg, seed", [
     (lambda: parse_config(PAPER_CFG).scenario, 1),
     (lambda: parse_config(PAPER_CFG).scenario, 7),
     (_overflow_config, 1),
-], ids=["paper-seed-1", "paper-seed-7", "overflow"])
+    (_underflow_config, 1),
+], ids=["paper-seed-1", "paper-seed-7", "overflow", "underflow"])
 def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
     # simulate steps raw arrays through the core; the FilterState steps are
     # the reference path it must reproduce exactly
