@@ -2,8 +2,9 @@
 
 Model maps take the state and an optional control input.  Discrete-time
 steps are pure: each returns a new FilterState.  They check their inputs
-once and run one array-level core, _filter_step, which scenario.simulate
-calls directly on raw arrays.  Linearization points
+once and run one array-level core, _filter_step.  _Lanes runs the same
+arithmetic on a stack of filters at once; scenario.simulate steps every
+filter of every seed through it.  Linearization points
 follow the recursion exactly: the state Jacobian is evaluated at the
 filtered estimate, the measurement Jacobian at the predicted estimate
 (continuous time: both at the current estimate).
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, get_lapack_funcs
@@ -22,6 +23,7 @@ from .errors import ConfigurationError, InputDomainError, NumericalFailure
 from .saturation import (
     BoundParams,
     SaturationState,
+    _bound_map_core,
     _bound_step,
     _clip,
     bound_rhs_ct,
@@ -102,7 +104,7 @@ class NonlinearModel:
             raise ConfigurationError("Q must be symmetric")
         if not np.allclose(self.R, self.R.T, atol=1e-12 * (1.0 + abs(self.R).max())):
             raise ConfigurationError("R must be symmetric")
-        if np.linalg.eigvalsh(self.Q).min() < -1e-10 * (1.0 + np.linalg.norm(self.Q)):
+        if not _is_psd(self.Q, 1e-10)[1]:
             raise ConfigurationError("Q must be positive semidefinite")
         try:
             cho_factor(self.R)
@@ -134,9 +136,13 @@ class NonlinearModel:
 
     def innovation(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Raw innovation y - h(x), with angle channels wrapped."""
-        innov = np.asarray(y, dtype=float) - self.h_at(x)
+        return self.wrap_channels(np.asarray(y, dtype=float) - self.h_at(x))
+
+    def wrap_channels(self, innov: np.ndarray) -> np.ndarray:
+        """Wrap the angle channels of an innovation, or of a stack of them
+        (channels last), in place; returns it."""
         for i in self.angle_channels:
-            innov[i] = wrap_angle(innov[i])
+            innov[..., i] = wrap_angle(innov[..., i])
         return innov
 
 
@@ -158,16 +164,27 @@ class FilterState:
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    """0.5 (P + P^T) of a matrix or of a stack of them (last two axes)."""
+    return 0.5 * (P + P.swapaxes(-1, -2))
+
+
+def _is_psd(M: np.ndarray, tol_scale: float):
+    """(min eigenvalue, passed) of the PSD test on the symmetric part of M:
+    the minimum eigenvalue is at least -tol_scale * (1 + max |M_ij|).  The
+    scale cannot overflow for a finite M, and a non-finite eigenvalue
+    fails."""
+    # halves first: M + M^T overflows for entries near the float limit
+    min_eig = float(np.linalg.eigvalsh(0.5 * M + 0.5 * M.T).min())
+    return min_eig, min_eig >= -tol_scale * (1.0 + abs(M).max())
 
 
 def check_covariance(P: np.ndarray, tol_scale: float = 1e-9) -> float:
-    """Assert P is symmetric PSD up to tol_scale*(1+||P||); returns the
+    """Assert P is symmetric PSD up to tol_scale*(1+max|P_ij|); returns the
     minimum eigenvalue."""
     if not np.allclose(P, P.T, atol=1e-9 * (1.0 + abs(P).max())):
         raise NumericalFailure("covariance lost symmetry", context=P)
-    min_eig = float(np.linalg.eigvalsh(_symmetrize(P)).min())
-    if min_eig < -tol_scale * (1.0 + np.linalg.norm(P)):
+    min_eig, psd = _is_psd(P, tol_scale)
+    if not psd:
         raise NumericalFailure(f"covariance not PSD, min eigenvalue {min_eig:.3e}", context=P)
     return min_eig
 
@@ -179,11 +196,12 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     with their flags (upper factor, not cleaned), so the bits are theirs
     without their per-call checks and copies.  Raises NumericalFailure
     when M is not positive definite."""
-    c, info = _POTRF(M, lower=0, clean=0)
+    # positional (lower=0, clean=0) and (lower=0): f2py parses them faster
+    c, info = _POTRF(M, 0, 0)
     if info != 0:
         raise NumericalFailure(f"{what} not factorizable (cond ~ {np.linalg.cond(M):.3e})",
                                context=M)
-    return _POTRS(c, B, lower=0)[0]
+    return _POTRS(c, B, 0)[0]
 
 
 def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
@@ -210,11 +228,24 @@ def _clip_to_bound(innov, S, sat):
     return _clip(innov, np.sqrt(sat[0]))
 
 
+def _gated(innov, S, ell):
+    """Zero channel i where |innov_i| > ell * sqrt(S_ii); innov and S may
+    be stacks (channels last), ell a matching column of gate widths."""
+    return np.where(np.abs(innov) > ell * np.sqrt(np.diagonal(S, axis1=-2, axis2=-1)),
+                    0.0, innov)
+
+
 def _gate(ell: float) -> Callable:
     """Zero channel i when |innov_i| > ell * sqrt(S_ii)."""
     def gate(innov, S, sat):
-        return np.where(np.abs(innov) > ell * np.sqrt(np.diag(S)), 0.0, innov)
+        return _gated(innov, S, ell)
     return gate
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for a vector or a stack of vectors (and matrices); the BLAS call
+    and so the bits are those of M.dot(v) on each."""
+    return np.matmul(M, v[..., None])[..., 0]
 
 
 def _predict(model: NonlinearModel, x: np.ndarray, P: np.ndarray, u):
@@ -254,9 +285,132 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
     The core behind every discrete-time step.  It checks only what can go
     wrong per step (non-finite f, h, S or estimate, S not positive
     definite, bound-map overflow, sigma underflow: all NumericalFailure);
-    the inputs are checked once by the caller (see _check_saturated)."""
+    the inputs are checked once by the caller (see _check_saturated).
+    _Lanes.step is its stacked form and gives its bits lane by lane; the
+    public steps over this core are the reference simulate is tested
+    against."""
     x, P = _predict(model, x, P, u)
     return _update(model, x, P, y, shape, sat, params)
+
+
+class _BoundStack(NamedTuple):
+    """Bound-map coefficients of several saturated filters, one row each;
+    _bound_map_core reads them as it reads a BoundParams."""
+
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+
+
+class _Lanes:
+    """Discrete-time filters stepped side by side along a lane axis.
+
+    Lane l is one filter: estimate x[l], covariance P[l] and an innovation
+    policy of a clip level and a gate width.  A saturated lane clips to
+    bound[l] = sqrt(sigma) and advances its (sigma, epsilon) through the
+    bound map; a gated lane zeroes the channels beyond ell[l] * sqrt(S_ii).
+    The policy a lane lacks is +inf, which leaves the innovation unchanged
+    bit for bit, so a plain EKF lane has both at +inf.
+
+    step runs the arithmetic of _filter_step on every lane at once, with
+    the same bits lane by lane: stacked matmul makes the BLAS calls that
+    ndarray.dot makes, and S is factored per lane with _spd_solve, since a
+    batched or closed-form Cholesky rounds differently.  Each per-step
+    check of _filter_step is made per lane.  A lane that fails one is dead
+    from then on: it holds its last estimate, covariance and bound state,
+    and it never changes another lane.  The model maps must accept a stack
+    of states (robot_model's do).
+    """
+
+    def __init__(self, model: NonlinearModel, x: np.ndarray, P: np.ndarray,
+                 ell: np.ndarray, params: Sequence[Optional[BoundParams]]):
+        """x (L, n) and P (L, n, n) start the lanes; ell (L,) holds the gate
+        widths and params the bound parameters of each saturated lane (None
+        elsewhere), checked by the caller (see _check_saturated)."""
+        self.model = model
+        self.x = np.array(x, dtype=float)
+        self.P = np.array(P, dtype=float)
+        self.ell = np.array(ell, dtype=float)[:, None]
+        self.live = np.ones(len(self.x), dtype=bool)
+        self.sat_rows = np.array([l for l, bp in enumerate(params) if bp is not None], dtype=int)
+        sat = [bp for bp in params if bp is not None]
+        p = model.p
+        self.coef = _BoundStack(*(np.array([getattr(bp, f) for bp in sat]).reshape(-1, p)
+                                  for f in _BoundStack._fields))
+        self.sigma = np.array([bp.sigma0 for bp in sat]).reshape(-1, p)
+        self.epsilon = np.array([bp.epsilon0 for bp in sat]).reshape(-1, p)
+        self.bound = np.full((len(self.x), p), np.inf)
+        self.bound[self.sat_rows] = np.sqrt(self.sigma)
+
+    def step(self, y: np.ndarray, u) -> dict:
+        """One predict + update of every live lane on its measurement y[l]
+        (the input u is shared).  Returns {lane: NumericalFailure} for the
+        lanes that failed in this step, each with _filter_step's message."""
+        model, live, failures = self.model, self.live.copy(), {}
+
+        def fail(ok, message, context, lanes=None):
+            # kills each live lane lanes[i] (default i) whose row ok[i] is
+            # not all true; context[i] is its payload
+            if ok.all():
+                return
+            for i in np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist():
+                l = i if lanes is None else int(lanes[i])
+                if live[l]:
+                    live[l] = False
+                    failures[l] = NumericalFailure(message, context=context[i])
+
+        # dead lanes compute on their held state and are discarded; every
+        # failure is reported per lane, not as a floating-point warning
+        with np.errstate(all="ignore"):
+            # _predict
+            A = model.A_at(self.x, u)
+            x = np.asarray(model.f(self.x, u), dtype=float)
+            fail(np.isfinite(x), "state map produced non-finite values", self.x)
+            P = _symmetrize(np.matmul(np.matmul(A, self.P), A.swapaxes(-1, -2)) + model.Q)
+            # _update, with _innovation_gain per lane
+            C = model.C_at(x)
+            CP = np.matmul(C, P)
+            S = _symmetrize(np.matmul(CP, C.swapaxes(-1, -2)) + model.R)
+            fail(np.isfinite(S), "innovation covariance not finite", S)
+            K = np.zeros((len(x), model.n, model.p))
+            for l in np.flatnonzero(live).tolist():
+                try:
+                    K[l] = _spd_solve(S[l], CP[l], "innovation covariance").T
+                except NumericalFailure as exc:
+                    live[l] = False
+                    failures[l] = exc
+            hx = np.asarray(model.h(x), dtype=float)
+            fail(np.isfinite(hx), "measurement map produced non-finite values", x)
+            innov = model.wrap_channels(y - hx)
+            x_new = x + _matvec(K, _gated(_clip(innov, self.bound), S, self.ell))
+            fail(np.isfinite(x_new), "update produced non-finite estimate", x)
+            P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))
+            # _bound_step and the underflow check on the saturated lanes
+            rows = self.sat_rows
+            sigma, epsilon = self.sigma, self.epsilon
+            if rows.size:
+                innov_s = innov[rows]
+                sigma, epsilon = _bound_map_core(sigma, epsilon, innov_s, self.coef)
+                # one check covers both outputs, as in _bound_step
+                finite = np.isfinite(sigma + epsilon)
+                if not finite.all():
+                    over = ~finite.all(axis=1) & live[rows]
+                    if (over & ~np.isfinite(innov_s).all(axis=1)).any():
+                        raise InputDomainError("bound_step_dt: non-finite innovation")
+                    fail(finite, "bound_step_dt: bound map overflowed", innov_s, rows)
+                fail(sigma > 0.0, "clip level sigma underflowed to 0", sigma, rows)
+
+        if not live.all():
+            # a dead lane holds its last state
+            x_new = np.where(live[:, None], x_new, self.x)
+            P_new = np.where(live[:, None, None], P_new, self.P)
+            keep = live[rows][:, None]
+            sigma = np.where(keep, sigma, self.sigma)
+            epsilon = np.where(keep, epsilon, self.epsilon)
+        self.x, self.P, self.sigma, self.epsilon, self.live = x_new, P_new, sigma, epsilon, live
+        self.bound[rows] = np.sqrt(sigma)
+        return failures
 
 
 def _check_saturated(model: NonlinearModel, sat: SaturationState,

@@ -6,7 +6,7 @@ Config grammar (YAML, unknown keys rejected)::
     scenario:
       horizon: 700            # steps; trace has horizon+1 rows
       T: 0.1                  # sampling period, seconds
-      seed: 1
+      seed: 1                 # nonnegative integer
       process_std: [..3..]    # per-state process noise std, per step
       meas_std: [..3..]       # GPS x, GPS y, compass noise std
       initial_truth: [..3..]
@@ -56,8 +56,10 @@ from .scenario import (
     RobotState,
     ScenarioConfig,
     SimulationTrace,
+    check_seed,
     paper_schedule,
     simulate,
+    simulate_seeds,
 )
 from .svgplot import LineChart
 
@@ -75,6 +77,10 @@ DEFAULT_BOUND = {
     "epsilon0": [1.0, 1.0, 1.0],
 }
 DEFAULT_P0_DIAG = [0.1, 0.1, 5.0e-5]
+
+# seeds per simulate_seeds call in a sweep: one call for the usual sweeps,
+# and memory bounded (about 0.15 MB per seed held) for long ones
+SWEEP_BATCH = 64
 
 
 @dataclass
@@ -197,6 +203,7 @@ def parse_config(path: str) -> ExperimentConfig:
     kw["filters"] = _parse_filters(data.get("filters", {}) or {})
     try:
         scenario = ScenarioConfig(**kw)
+        seed = check_seed(sc.get("seed", 1))
     except (InputDomainError, ConfigurationError) as exc:
         raise ConfigurationError(f"scenario: {exc}") from exc
 
@@ -204,7 +211,7 @@ def parse_config(path: str) -> ExperimentConfig:
     _require_keys(out, {"dir", "csv", "plots", "metrics"}, "output")
     convert = {"dir": str, "csv": str, "plots": bool, "metrics": str}
     output = OutputConfig(**{key: convert[key](value) for key, value in out.items()})
-    return ExperimentConfig(scenario=scenario, seed=int(sc.get("seed", 1)), output=output)
+    return ExperimentConfig(scenario=scenario, seed=seed, output=output)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +269,12 @@ class MetricsReport:
 def run_experiment(cfg: ExperimentConfig):
     """Simulate the configured scenario and compute the metric report."""
     trace = simulate(cfg.scenario, cfg.seed)
+    return trace, metrics_report(trace)
+
+
+def metrics_report(trace: SimulationTrace) -> MetricsReport:
+    """Per-filter RMSE (full horizon and per outlier window), max errors,
+    divergence and wall clock of one simulated trace."""
     windows = [w for w in trace.schedule.active_ranges() if w[0] < trace.horizon]
     per_filter = {}
     for label in trace.labels():
@@ -282,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig):
             failed_at=trace.failed_at[label],
             step_seconds=trace.step_seconds[label],
         )
-    return trace, MetricsReport(per_filter=per_filter, windows=windows)
+    return MetricsReport(per_filter=per_filter, windows=windows)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +476,18 @@ def cmd_certify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    seeds = range(1, args.seeds + 1)
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
     agg = {}
-    for seed in seeds:
-        run_cfg = ExperimentConfig(scenario=cfg.scenario, seed=seed, output=cfg.output)
-        trace, report = run_experiment(run_cfg)
-        if args.out is not None:
-            outdir = os.path.join(args.out, f"seed{seed}")
-            os.makedirs(outdir, exist_ok=True)
-            export_csv(trace, os.path.join(outdir, cfg.output.csv))
-        for label, fm in report.per_filter.items():
-            agg.setdefault(label, []).append((fm.rmse_full, fm.diverged))
+    for first in range(1, args.seeds + 1, SWEEP_BATCH):
+        seeds = range(first, min(first + SWEEP_BATCH, args.seeds + 1))
+        for seed, trace in zip(seeds, simulate_seeds(cfg.scenario, seeds)):
+            if args.out is not None:
+                outdir = os.path.join(args.out, f"seed{seed}")
+                os.makedirs(outdir, exist_ok=True)
+                export_csv(trace, os.path.join(outdir, cfg.output.csv))
+            for label, fm in metrics_report(trace).per_filter.items():
+                agg.setdefault(label, []).append((fm.rmse_full, fm.diverged))
     print(f"aggregate over seeds 1..{args.seeds}:")
     for label, rows in agg.items():
         stack = np.stack([r[0] for r in rows])

@@ -1,6 +1,6 @@
 """Mobile-robot localization scenario: unicycle truth model, GPS/compass
 measurements corrupted by a staged outlier disturbance, and a seeded
-lock-step simulation of the configured filters.
+lock-step simulation of the configured filters over a batch of seeds.
 
 The disturbance enters two measurement channels (the x coordinate and
 the heading) through a routing matrix the filters never see.  The staged
@@ -11,22 +11,15 @@ saturation-based rejection can be compared on all four regimes.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure
-from .filters import (
-    NonlinearModel,
-    _check_saturated,
-    _clip_to_bound,
-    _filter_step,
-    _gate,
-    _raw,
-    wrap_angle,
-)
+from .errors import ConfigurationError
+from .filters import NonlinearModel, _check_saturated, _is_psd, _Lanes, _matvec, wrap_angle
 # The public FilterState steps over _filter_step; bench/tracer.py wraps
 # them under these names.
 from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
@@ -96,29 +89,35 @@ def robot_model(T: float, Q: np.ndarray, R: np.ndarray) -> NonlinearModel:
     """Filter-facing unicycle model with analytic Jacobians.
 
     The control input is (eta, delta); the measurement is the full pose,
-    heading channel wrapped."""
+    heading channel wrapped.  The maps take one state (3,) or a stack of
+    them (L, 3), with one input for all."""
 
     def f(x, u):
         eta, delta = u
-        return np.array([
-            x[0] + eta * T * np.cos(x[2]),
-            x[1] + eta * T * np.sin(x[2]),
-            wrap_angle(x[2] + T * delta),
-        ])
+        theta = x[..., 2]
+        out = np.empty(np.shape(x))
+        out[..., 0] = x[..., 0] + eta * T * np.cos(theta)
+        out[..., 1] = x[..., 1] + eta * T * np.sin(theta)
+        out[..., 2] = wrap_angle(theta + T * delta)
+        return out
 
     def jac_f(x, u):
         eta, _ = u
-        return np.array([
-            [1.0, 0.0, -eta * T * np.sin(x[2])],
-            [0.0, 1.0, eta * T * np.cos(x[2])],
-            [0.0, 0.0, 1.0],
-        ])
+        theta = x[..., 2]
+        J = np.zeros(np.shape(x)[:-1] + (3, 3))
+        J[..., 0, 0] = J[..., 1, 1] = J[..., 2, 2] = 1.0
+        J[..., 0, 2] = -eta * T * np.sin(theta)
+        J[..., 1, 2] = eta * T * np.cos(theta)
+        return J
 
     def h(x):
         return np.asarray(x, dtype=float).copy()
 
+    eye = np.eye(3)
+    eye.flags.writeable = False
+
     def jac_h(x):
-        return np.eye(3)
+        return eye
 
     return NonlinearModel(f=f, h=h, Q=Q, R=R, n=3, p=3,
                           jac_f=jac_f, jac_h=jac_h, angle_channels=(2,))
@@ -214,6 +213,22 @@ def outlier_at(sched: OutlierSchedule, k: int, rng: np.random.Generator) -> np.n
     return np.zeros(sched.m)
 
 
+def _disturbances(sched: OutlierSchedule, horizon: int, rng: np.random.Generator) -> np.ndarray:
+    """The disturbance of steps 0..horizon as rows, equal bit for bit to
+    calling outlier_at for k = 0, 1, ..., horizon on the same stream: the
+    uniform stages draw their zetas in one call, in ascending k."""
+    d = np.zeros((horizon + 1, sched.m))
+    for seg in sorted(sched.segments, key=lambda seg: seg.k_lo):
+        lo, hi = max(seg.k_lo + 1, 0), min(seg.k_hi, horizon)
+        if lo > hi:
+            continue
+        if seg.kind == "constant":
+            d[lo:hi + 1] = seg.value
+        else:
+            d[lo:hi + 1] = _matvec(seg.scale, rng.uniform(0.0, 1.0, size=(hi - lo + 1, sched.m)))
+    return d
+
+
 def measure(
     s: RobotState,
     sched: OutlierSchedule,
@@ -226,14 +241,16 @@ def measure(
     reuse an already-drawn disturbance; otherwise it is drawn here."""
     if d is None:
         d = outlier_at(sched, k, rng)
-    return _measure(s.as_array(), sched.D, d, _noise_factor(R), rng)
+    L = _noise_factor(R)
+    return _measure(s.as_array(), sched.D, d, L, rng.standard_normal(L.shape[0]))
 
 
 def _measure(x: np.ndarray, D: np.ndarray, d: np.ndarray, L: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
-    """The measurement equation y = x + D d + L v, v ~ N(0, I), with L a
-    factor of R (see _noise_factor); measure and simulate share it."""
-    return x + D @ d + L @ rng.standard_normal(L.shape[0])
+             v: np.ndarray) -> np.ndarray:
+    """The measurement equation y = x + D d + L v on one step's rows or on
+    stacks of them, with v ~ N(0, I) and L a factor of R (see
+    _noise_factor); measure and simulate share it."""
+    return x + _matvec(D, d) + _matvec(L, v)
 
 
 def _noise_factor(R: np.ndarray) -> np.ndarray:
@@ -265,7 +282,7 @@ class FilterSpec:
             raise ConfigurationError("P0 must be a finite square matrix")
         if not np.allclose(P0, P0.T, atol=1e-12 * (1.0 + abs(P0).max())):
             raise ConfigurationError("P0 must be symmetric")
-        if np.linalg.eigvalsh(P0).min() < -1e-10 * (1.0 + np.linalg.norm(P0)):
+        if not _is_psd(P0, 1e-10)[1]:
             raise ConfigurationError("P0 must be positive semidefinite")
         if self.label is None:
             self.label = self.kind
@@ -354,106 +371,122 @@ class SimulationTrace:
         return err
 
 
-def simulate(cfg: ScenarioConfig, seed: int) -> SimulationTrace:
-    """Run truth, measurements and every configured filter in lock step.
+def check_seed(seed) -> int:
+    """A seed as an int; ConfigurationError unless it is a nonnegative
+    integer (what numpy's SeedSequence accepts)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
-    Deterministic for a fixed (cfg, seed): the process, measurement and
-    outlier draws come from three independent child streams of the seed.
-    A filter that raises NumericalFailure keeps its last estimate, is
-    reported in failed_at and logged at WARNING on the "isekf" logger;
-    the run continues for the others.
+
+def simulate(cfg: ScenarioConfig, seed: int) -> SimulationTrace:
+    """Run truth, measurements and every configured filter in lock step
+    for one seed: simulate_seeds(cfg, [seed])[0]."""
+    return simulate_seeds(cfg, [seed])[0]
+
+
+def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[SimulationTrace]:
+    """simulate for each seed, all seeds at once; one trace per seed.
+
+    Deterministic for a fixed (cfg, seed), whatever the other seeds: the
+    process, measurement and outlier draws come from three independent
+    child streams of the seed.  The truth and the measurements of every
+    seed are generated first.  Then every (filter, seed) pair is a lane of
+    one filters._Lanes, and all lanes advance together, one step at a
+    time.  A filter that raises NumericalFailure keeps its last estimate,
+    is reported in failed_at and logged at WARNING on the "isekf" logger;
+    the run continues for the other lanes.  step_seconds is the filter
+    phase's wall clock per lane-step, the same for every filter.
     """
+    seeds = [check_seed(s) for s in seeds]
+    if not seeds:
+        raise ConfigurationError("seeds must not be empty")
     labels = [spec.label for spec in cfg.filters]
     if len(set(labels)) != len(labels):
         raise ConfigurationError("filter labels must be unique")
 
-    ss = np.random.SeedSequence(seed)
-    rng_proc, rng_meas, rng_outl = (np.random.default_rng(s) for s in ss.spawn(3))
-
-    N = cfg.horizon
+    N, n_seeds = cfg.horizon, len(seeds)
     model = robot_model(cfg.T, cfg.Q_filter, cfg.R_filter)
-    sched = cfg.schedule
-    m = sched.m
-
-    k_arr = np.arange(N + 1)
-    t_arr = k_arr * cfg.T
-    truth = np.zeros((N + 1, 3))
-    u_arr = np.zeros((N + 1, 2))
-    d_arr = np.zeros((N + 1, m))
-    y_arr = np.zeros((N + 1, 3))
-
-    estimates = {lbl: np.zeros((N + 1, 3)) for lbl in labels}
-    sqrt_sigma = {spec.label: np.zeros((N + 1, 3)) for spec in cfg.filters if spec.kind == "is-ekf"}
-    failed_at = {lbl: None for lbl in labels}
-    elapsed = {lbl: 0.0 for lbl in labels}
-
-    L = _noise_factor(cfg.R)
-
-    def observe(k: int) -> None:
-        # measure() on truth[k], with R factored once per run
-        d_arr[k] = outlier_at(sched, k, rng_outl)
-        y_arr[k] = _measure(truth[k], sched.D, d_arr[k], L, rng_meas)
-
-    # initial row
-    state_true = cfg.initial_truth
-    u_in = cfg.input_profile(0)
-    truth[0] = state_true.as_array()
-    u_arr[0] = u_in.as_array()
-    observe(0)
-
-    # each filter runs on raw arrays through the one step core; its inputs
-    # are checked here, once: [label, shape, params, x, P, sat]
-    runs = []
-    x0 = truth[0] + cfg.initial_guess_offset
+    # lane j * n_seeds + i runs filter j on seed i
+    params = []
     for spec in cfg.filters:
-        sat, params, shape = None, None, _raw
+        if spec.P0.shape != (model.n, model.n):
+            raise ConfigurationError(f"filter {spec.label}: P0 must be {model.n}x{model.n}")
         if spec.kind == "is-ekf":
-            params = spec.bound_params
-            init = params.initial_state()
-            _check_saturated(model, init, params, "simulate")
-            sat, shape = (init.sigma, init.epsilon), _clip_to_bound
-            sqrt_sigma[spec.label][0] = np.sqrt(init.sigma)
-        elif spec.kind == "lsigma-ekf":
-            shape = _gate(spec.ell)
-        runs.append([spec.label, shape, params, x0.copy(), spec.P0.copy(), sat])
-        estimates[spec.label][0] = x0
+            _check_saturated(model, spec.bound_params.initial_state(), spec.bound_params,
+                             "simulate")
+        params += [spec.bound_params if spec.kind == "is-ekf" else None] * n_seeds
 
-    for k in range(1, N + 1):
-        u_prev, u_in = u_in, cfg.input_profile(k)
-        u_arr[k] = u_in.as_array()
-        w = cfg.process_std * rng_proc.standard_normal(3)
-        nxt = robot_step(state_true, u_prev, cfg.T).as_array() + w
-        state_true = RobotState.from_array(nxt)
-        truth[k] = state_true.as_array()
+    sched = cfg.schedule
+    k_arr = np.arange(N + 1)
+    u = np.array([cfg.input_profile(k).as_array() for k in range(N + 1)]).reshape(N + 1, 2)
+    truth, d, y = _truth_and_measurements(cfg, model, seeds, u)
 
-        observe(k)
-        y, u = y_arr[k], u_arr[k - 1]
-
-        for run in runs:
-            lbl, shape, params, x, P, sat = run
-            if failed_at[lbl] is None:
-                t0 = time.perf_counter()
-                try:
-                    x, P, sat = _filter_step(model, x, P, y, u, shape, sat, params)
-                except NumericalFailure as exc:
-                    failed_at[lbl] = k
-                    log.warning("filter %s failed at step %d: %s", lbl, k, exc)
-                finally:
-                    elapsed[lbl] += time.perf_counter() - t0
-            if failed_at[lbl] is None:
-                run[3:] = x, P, sat
-                estimates[lbl][k] = x
-                if sat is not None:
-                    sqrt_sigma[lbl][k] = np.sqrt(sat[0])
-            else:
-                # a failed filter keeps its last estimate
-                estimates[lbl][k] = estimates[lbl][k - 1]
-                if sat is not None:
-                    sqrt_sigma[lbl][k] = sqrt_sigma[lbl][k - 1]
-
-    step_seconds = {lbl: (elapsed[lbl] / N if N else 0.0) for lbl in labels}
-    return SimulationTrace(
-        k=k_arr, t=t_arr, truth=truth, u=u_arr, d=d_arr, y=y_arr,
-        estimates=estimates, sqrt_sigma=sqrt_sigma, failed_at=failed_at,
-        step_seconds=step_seconds, schedule=sched, T=cfg.T,
+    lanes = _Lanes(
+        model,
+        np.tile(truth[0, 0] + cfg.initial_guess_offset, (len(params), 1)),
+        np.repeat([spec.P0 for spec in cfg.filters], n_seeds, axis=0).reshape(-1, model.n, model.n),
+        np.repeat([spec.ell if spec.kind == "lsigma-ekf" else np.inf for spec in cfg.filters],
+                  n_seeds),
+        params,
     )
+    seed_of = np.tile(np.arange(n_seeds), len(cfg.filters))
+    estimates = np.empty((len(params), N + 1, 3))
+    sqrt_sigma = np.empty((len(lanes.sat_rows), N + 1, 3))
+    estimates[:, 0] = lanes.x
+    sqrt_sigma[:, 0] = lanes.bound[lanes.sat_rows]
+    failed_at = [None] * len(params)
+
+    t0 = time.perf_counter()
+    for k in range(1, N + 1):
+        for lane, exc in lanes.step(y[seed_of, k], u[k - 1]).items():
+            failed_at[lane] = k
+            log.warning("filter %s (seed %d) failed at step %d: %s",
+                        labels[lane // n_seeds], seeds[seed_of[lane]], k, exc)
+        estimates[:, k] = lanes.x
+        sqrt_sigma[:, k] = lanes.bound[lanes.sat_rows]
+    lane_steps = N * len(params)
+    per_step = (time.perf_counter() - t0) / lane_steps if lane_steps else 0.0
+
+    slot = {lane: s for s, lane in enumerate(lanes.sat_rows.tolist())}
+    traces = []
+    for i in range(n_seeds):
+        lane = {spec.label: j * n_seeds + i for j, spec in enumerate(cfg.filters)}
+        traces.append(SimulationTrace(
+            k=k_arr, t=k_arr * cfg.T, truth=truth[i], u=u, d=d[i], y=y[i],
+            estimates={lbl: estimates[l] for lbl, l in lane.items()},
+            sqrt_sigma={lbl: sqrt_sigma[slot[l]] for lbl, l in lane.items() if l in slot},
+            failed_at={lbl: failed_at[l] for lbl, l in lane.items()},
+            step_seconds={lbl: per_step for lbl in labels},
+            schedule=sched, T=cfg.T,
+        ))
+    return traces
+
+
+def _truth_and_measurements(cfg: ScenarioConfig, model: NonlinearModel, seeds: list, u: np.ndarray):
+    """Truth, disturbance and measurement of every seed, each (seeds, N+1, .).
+
+    The truth steps the model's unicycle map on all seeds at once, adds the
+    process noise and wraps the heading again, as robot_step followed by
+    RobotState.from_array does; each seed's three child streams are drawn
+    in one call each, which gives the bits of the per-step draws."""
+    N, sched = cfg.horizon, cfg.schedule
+    truth = np.empty((len(seeds), N + 1, 3))
+    d = np.empty((len(seeds), N + 1, sched.m))
+    w = np.empty((len(seeds), N, 3))
+    v = np.empty((len(seeds), N + 1, 3))
+    for i, seed in enumerate(seeds):
+        rng_proc, rng_meas, rng_outl = (np.random.default_rng(s)
+                                        for s in np.random.SeedSequence(seed).spawn(3))
+        w[i] = cfg.process_std * rng_proc.standard_normal((N, 3))
+        v[i] = rng_meas.standard_normal((N + 1, 3))
+        d[i] = _disturbances(sched, N, rng_outl)
+    truth[:, 0] = cfg.initial_truth.as_array()
+    for k in range(1, N + 1):
+        nxt = model.f(truth[:, k - 1], u[k - 1]) + w[:, k - 1]
+        nxt[:, 2] = wrap_angle(nxt[:, 2])
+        if not np.isfinite(nxt).all():
+            raise ConfigurationError("robot state must be finite")
+        truth[:, k] = nxt
+    y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
+    return truth, d, y

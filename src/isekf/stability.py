@@ -23,7 +23,14 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
-from .filters import _SAT_FLOOR, _innovation_gain, _joint_rk4_step, _joint_views, _symmetrize
+from .filters import (
+    _SAT_FLOOR,
+    _innovation_gain,
+    _is_psd,
+    _joint_rk4_step,
+    _joint_views,
+    _symmetrize,
+)
 from .saturation import BoundParams, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -77,7 +84,7 @@ class LinearSystem:
             raise ConfigurationError("D must have p rows")
         if self.mode not in ("continuous", "discrete"):
             raise ConfigurationError(f"mode must be 'continuous' or 'discrete', got {self.mode!r}")
-        if np.linalg.eigvalsh(_symmetrize(self.Q)).min() < -1e-10 * (1.0 + np.linalg.norm(self.Q)):
+        if not _is_psd(self.Q, 1e-10)[1]:
             raise ConfigurationError("Q must be positive semidefinite")
         try:
             cho_factor(_symmetrize(self.R))

@@ -272,6 +272,20 @@ def test_robot_covariance_stays_symmetric_psd(rng):
     check_covariance(st.P)
 
 
+def test_psd_checks_hold_near_the_float_limit():
+    # a tolerance scaled by the norm overflows to -inf here and accepts any
+    # eigenvalue; the eigenvalue -1e300 is far outside 1e-9 * 1e308
+    M = np.diag([1e308, -1e300])
+    with pytest.raises(NumericalFailure, match="not PSD"):
+        check_covariance(M)
+    assert check_covariance(np.diag([1e308, 0.0])) == 0.0
+    with pytest.raises(ConfigurationError, match="Q must be positive semidefinite"):
+        linear_model(np.eye(2), np.eye(2), M, np.eye(2))
+    with pytest.raises(ConfigurationError, match="Q must be positive semidefinite"):
+        LinearSystem(A=np.eye(2), C=np.eye(2), Q=M, R=np.eye(2), D=np.zeros((2, 1)),
+                     mode="discrete")
+
+
 # ---------------------------------------------------------------------------
 # continuous time
 

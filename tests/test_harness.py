@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from conftest import benchmark_config
+from isekf import harness
 from isekf.errors import ConfigurationError, UndefinedMetricError
 from isekf.harness import (
     OutputConfig,
@@ -121,8 +122,12 @@ NAN, INF = float("nan"), float("inf")
                              "scale": [[NAN, 0.0], [0.0, 1.0]]}]}, None),
     ("P0", {}, {"is-ekf": {"P0": [NAN, 0.1, 5.0e-5]}}),
     ("P0", {}, {"ekf": {"P0": [-1.0, 0.1, 5.0e-5]}}),
+    ("P0", {}, {"ekf": {"P0": [1e308, -1e300, 5.0e-5]}}),
+    ("seed", {"seed": -1}, None),
+    ("seed", {"seed": "one"}, None),
 ], ids=["T-zero", "T-nan", "meas_std-nan", "process_std-negative", "filter_meas_std-inf",
-        "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd"])
+        "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd",
+        "P0-not-psd-near-float-limit", "seed-negative", "seed-not-integer"])
 def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters):
     data = minimal_cfg_dict(**scenario)
     if filters is not None:
@@ -131,6 +136,18 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
     with pytest.raises(ConfigurationError, match=rf"\b{key}\b"):
         parse_config(path)
     assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["sweep", "--seeds", "0"],
+    ["sweep", "--seeds", "-3"],
+], ids=["run-seed-negative", "sweep-seeds-zero", "sweep-seeds-negative"])
+def test_bad_seed_flags_rejected(tmp_path, capsys, argv):
+    path = write_cfg(tmp_path, minimal_cfg_dict())
+    assert cli_main([argv[0], path, *argv[1:], "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
 
 
 def _assert_same(a, b, where="cfg"):
@@ -389,3 +406,15 @@ def test_cli_sweep(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aggregate over seeds 1..2" in out
     assert "is-ekf" in out
+
+
+def test_cli_sweep_out_writes_the_run_csv(tmp_path, capsys, monkeypatch):
+    # sweep simulates its seeds in batches, here of 2 (seeds 1-2, then 3);
+    # each seed's trace.csv must be the one `run` writes for that seed alone
+    monkeypatch.setattr(harness, "SWEEP_BATCH", 2)
+    assert cli_main(["sweep", PAPER_CFG, "--seeds", "3", "--out", str(tmp_path / "sweep")]) == 0
+    for seed in (1, 2, 3):
+        out = tmp_path / f"run{seed}"
+        assert cli_main(["run", PAPER_CFG, "--seed", str(seed), "--out", str(out)]) == 0
+        swept = (tmp_path / "sweep" / f"seed{seed}" / "trace.csv").read_bytes()
+        assert swept == (out / "trace.csv").read_bytes(), f"seed {seed}"

@@ -23,6 +23,7 @@ from isekf.scenario import (
     robot_model,
     robot_step,
     simulate,
+    simulate_seeds,
 )
 
 PAPER_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "paper.cfg")
@@ -280,6 +281,24 @@ def _underflow_config():
                                      FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
 
 
+def _two_saturated_config(horizon=200):
+    # lanes that fail at different steps under the persistent 1e100 outlier:
+    # is-ekf-fast underflows at step 164, is-ekf-slow at 193, and the ekf's
+    # overflowing P0 fails it at step 1; lsigma-ekf runs through
+    huge = OutlierSegment(0, 200, "constant", value=[1e100, 0.0])
+    P0 = robot_filter_p0()
+
+    def decay(lambda1):
+        return BoundParams(mode="dt", **{**DEFAULT_BOUND, "lambda1": [lambda1] * 3})
+
+    return benchmark_config(
+        horizon=horizon, schedule=OutlierSchedule((huge,), D=paper_schedule().D),
+        filters=[FilterSpec("is-ekf", P0=P0, bound_params=decay(0.01), label="is-ekf-fast"),
+                 FilterSpec("is-ekf", P0=P0, bound_params=decay(0.02), label="is-ekf-slow"),
+                 FilterSpec("ekf", P0=np.diag([1e308, 1e308, 5e-5])),
+                 FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
+
+
 def test_clip_level_underflow_fails_only_that_filter(caplog):
     with caplog.at_level(logging.WARNING, logger="isekf"):
         tr = simulate(_underflow_config(), 1)
@@ -298,7 +317,8 @@ def test_clip_level_underflow_fails_only_that_filter(caplog):
     (lambda: parse_config(PAPER_CFG).scenario, 7),
     (_overflow_config, 1),
     (_underflow_config, 1),
-], ids=["paper-seed-1", "paper-seed-7", "overflow", "underflow"])
+    (_two_saturated_config, 1),
+], ids=["paper-seed-1", "paper-seed-7", "overflow", "underflow", "two-saturated"])
 def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
     # simulate steps raw arrays through the core; the FilterState steps are
     # the reference path it must reproduce exactly
@@ -313,3 +333,65 @@ def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
     assert tr.sqrt_sigma.keys() == sqrt_sigma.keys()
     for label in sqrt_sigma:
         np.testing.assert_array_equal(tr.sqrt_sigma[label], sqrt_sigma[label])
+
+
+@pytest.mark.parametrize("horizon", [200, 0])
+def test_simulate_seeds_equals_simulate_lane_for_lane(horizon):
+    # every (filter, seed) pair is one lane of the batch; a seed's trace must
+    # not depend on the other seeds, nor a lane on the lanes that fail
+    cfg = _two_saturated_config(horizon)
+    seeds = [3, 1, 2]
+    with np.errstate(all="ignore"):
+        batch = simulate_seeds(cfg, seeds)
+        singles = [simulate(cfg, seed) for seed in seeds]
+    assert len(batch) == len(seeds)
+    for tr, ref in zip(batch, singles):
+        for name in ("k", "t", "truth", "u", "d", "y"):
+            np.testing.assert_array_equal(getattr(tr, name), getattr(ref, name), err_msg=name)
+        for name in ("estimates", "sqrt_sigma"):
+            got, want = getattr(tr, name), getattr(ref, name)
+            assert got.keys() == want.keys()
+            for label in want:
+                np.testing.assert_array_equal(got[label], want[label], err_msg=f"{name} {label}")
+        assert tr.failed_at == ref.failed_at
+    if horizon:
+        assert batch[0].failed_at == {"is-ekf-fast": 164, "is-ekf-slow": 193, "ekf": 1,
+                                      "lsigma-ekf": None}
+
+
+def test_world_matches_the_per_step_reference():
+    # simulate draws each child stream in one call and steps the truth of all
+    # seeds together; robot_step, outlier_at and measure, step by step on the
+    # same streams, are the reference
+    cfg = parse_config(PAPER_CFG).scenario
+    seeds = [1, 7]
+    for seed, tr in zip(seeds, simulate_seeds(cfg, seeds)):
+        rng_proc, rng_meas, rng_outl = (np.random.default_rng(s)
+                                        for s in np.random.SeedSequence(seed).spawn(3))
+        state, truth, d, y = cfg.initial_truth, [], [], []
+        for k in range(cfg.horizon + 1):
+            if k:
+                w = cfg.process_std * rng_proc.standard_normal(3)
+                step = robot_step(state, cfg.input_profile(k - 1), cfg.T)
+                state = RobotState.from_array(step.as_array() + w)
+            truth.append(state.as_array())
+            d.append(outlier_at(cfg.schedule, k, rng_outl))
+            y.append(measure(state, cfg.schedule, k, cfg.R, rng_meas, d=d[-1]))
+        np.testing.assert_array_equal(tr.truth, truth)
+        np.testing.assert_array_equal(tr.d, d)
+        np.testing.assert_array_equal(tr.y, y)
+        np.testing.assert_array_equal(
+            tr.u, [cfg.input_profile(k).as_array() for k in range(cfg.horizon + 1)])
+
+
+@pytest.mark.parametrize("seeds", [[], [-1], [1, 2.0], [True]],
+                         ids=["empty", "negative", "float", "bool"])
+def test_simulate_seeds_rejects_bad_seeds(seeds):
+    with pytest.raises(ConfigurationError, match="seed"):
+        simulate_seeds(benchmark_config(horizon=5), seeds)
+
+
+def test_simulate_rejects_a_p0_of_the_wrong_size():
+    cfg = benchmark_config(horizon=5, filters=[FilterSpec("ekf", P0=np.eye(2))])
+    with pytest.raises(ConfigurationError, match="P0 must be 3x3"):
+        simulate(cfg, 1)
