@@ -249,9 +249,11 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _predict(model: NonlinearModel, x: np.ndarray, P: np.ndarray, u):
-    """Predict core: x = f(x, u), P = A P A^T + Q with A at x."""
-    A = model.A_at(x, u)
-    return model.f_at(x, u), _symmetrize(A.dot(P).dot(A.T) + model.Q)
+    """Predict core: x = f(x, u), P = A P A^T + Q with A at x; under the
+    floating-point policy of _update."""
+    with np.errstate(all="ignore"):
+        A = model.A_at(x, u)
+        return model.f_at(x, u), _symmetrize(A.dot(P).dot(A.T) + model.Q)
 
 
 def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
@@ -263,18 +265,22 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
     filter's sat = (sigma, epsilon) advances through the bound map on the
     raw innovation; a clip level that underflows to 0 is a NumericalFailure,
     so no step hands on a state that the entry checks reject.  Returns
-    (x, P, sat)."""
-    C = model.C_at(x)
-    K, S = _innovation_gain(P, C, model.R)
-    innov = model.innovation(x, y)
-    x_new = x + K.dot(shape(innov, S, sat))
-    if not np.isfinite(x_new).all():
-        raise NumericalFailure("update produced non-finite estimate", context=x)
-    P_new = _symmetrize(P - K.dot(S).dot(K.T))
-    if sat is not None:
-        sat = _bound_step(sat[0], sat[1], innov, params, "bound_step_dt")
-        if not (sat[0] > 0.0).all():
-            raise NumericalFailure("clip level sigma underflowed to 0", context=sat[0])
+    (x, P, sat).
+
+    As in _Lanes.step, floating-point warnings are off: a failure is
+    reported as its error alone, on both paths."""
+    with np.errstate(all="ignore"):
+        C = model.C_at(x)
+        K, S = _innovation_gain(P, C, model.R)
+        innov = model.innovation(x, y)
+        x_new = x + K.dot(shape(innov, S, sat))
+        if not np.isfinite(x_new).all():
+            raise NumericalFailure("update produced non-finite estimate", context=x)
+        P_new = _symmetrize(P - K.dot(S).dot(K.T))
+        if sat is not None:
+            sat = _bound_step(sat[0], sat[1], innov, params, "bound_step_dt")
+            if not (sat[0] > 0.0).all():
+                raise NumericalFailure("clip level sigma underflowed to 0", context=sat[0])
     return x_new, P_new, sat
 
 

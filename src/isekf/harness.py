@@ -162,7 +162,8 @@ def _parse_filters(section: dict) -> list[FilterSpec]:
 def load_yaml(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it; same resolver
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -310,23 +311,21 @@ def export_csv(trace: SimulationTrace, path: str) -> None:
     header += [f"truth_{s}" for s in STATE_NAMES]
     header += [f"d_{i + 1}" for i in range(m)]
     header += [f"y_{s}" for s in STATE_NAMES]
+    columns = [trace.t[:, None], trace.truth, trace.d, trace.y]
     for label in trace.labels():
         safe = label.replace("-", "_")
         header += [f"{safe}_{s}" for s in STATE_NAMES]
+        columns.append(trace.estimates[label])
         if label in trace.sqrt_sigma:
             header += [f"{safe}_sig_{s}" for s in STATE_NAMES]
+            columns.append(trace.sqrt_sigma[label])
+    # one %-format per row over Python floats: %r is repr, so the text is
+    # repr(float(v)) of each value, without a call per value
+    row = "%d" + ",%r" * (len(header) - 1) + "\n"
+    rows = zip(trace.k.tolist(), np.column_stack(columns).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(trace.k)):
-            row = [str(int(trace.k[i])), repr(float(trace.t[i]))]
-            row += [repr(float(v)) for v in trace.truth[i]]
-            row += [repr(float(v)) for v in trace.d[i]]
-            row += [repr(float(v)) for v in trace.y[i]]
-            for label in trace.labels():
-                row += [repr(float(v)) for v in trace.estimates[label][i]]
-                if label in trace.sqrt_sigma:
-                    row += [repr(float(v)) for v in trace.sqrt_sigma[label][i]]
-            fh.write(",".join(row) + "\n")
+        fh.writelines([row % (k, *v) for k, v in rows])
 
 
 def render_plots(trace: SimulationTrace, outdir: str) -> list[str]:

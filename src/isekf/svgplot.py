@@ -22,6 +22,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _points(X: np.ndarray, Y: np.ndarray) -> str:
+    """Polyline points "X,Y X,Y ..." in one %-format: the text _fmt gives
+    each coordinate, without a format call per number."""
+    return " ".join(["%.6g,%.6g"] * len(X)) % tuple(np.column_stack([X, Y]).ravel().tolist())
+
+
 def _nice_ticks(lo: float, hi: float, n: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -83,6 +89,8 @@ class LineChart:
         pw = WIDTH - MARGIN_L - MARGIN_R
         ph = HEIGHT - MARGIN_T - MARGIN_B
 
+        # on a scalar (ticks, shades) or a whole series: the same IEEE
+        # operations element by element
         def px(x):
             return MARGIN_L + (x - x0) / (x1 - x0) * pw
 
@@ -128,7 +136,7 @@ class LineChart:
                    f'font-family="sans-serif" font-size="12" '
                    f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.0f})">{self.ylabel}</text>')
         for name, color, xs, ys in self.series:
-            pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xs, ys))
+            pts = _points(px(xs), py(ys))
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="1.2"/>')
         # legend

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from conftest import benchmark_config
-from isekf import harness
+from isekf import harness, svgplot
 from isekf.errors import ConfigurationError, UndefinedMetricError
 from isekf.harness import (
     OutputConfig,
@@ -17,7 +17,13 @@ from isekf.harness import (
     rmse,
     run_experiment,
 )
-from isekf.scenario import simulate
+from isekf.scenario import (
+    OutlierSchedule,
+    OutlierSegment,
+    paper_schedule,
+    simulate,
+    simulate_seeds,
+)
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAPER_CFG = os.path.join(PKG_ROOT, "paper.cfg")
@@ -27,7 +33,16 @@ LINEAR_CFG = os.path.join(PKG_ROOT, "linear.cfg")
 def write_cfg(tmp_path, data, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
+    assert_yaml_parity(str(path))
     return str(path)
+
+
+def assert_yaml_parity(path):
+    """load_yaml (libyaml's parser) reads path as PyYAML's pure-Python
+    SafeLoader does; repr, not ==, because .nan never equals itself."""
+    with open(path, encoding="utf-8") as fh:
+        reference = yaml.load(fh, Loader=yaml.SafeLoader)
+    assert repr(harness.load_yaml(path)) == repr(reference)
 
 
 def minimal_cfg_dict(**scenario_extra):
@@ -90,6 +105,32 @@ def test_parse_error_reports_line(tmp_path):
     path.write_text("scenario:\n  horizon: 10\n filters: [unbalanced\n")
     with pytest.raises(ConfigurationError, match="line"):
         parse_config(str(path))
+
+
+def test_yaml_loaders_agree_on_the_bundled_configs():
+    for path in (PAPER_CFG, LINEAR_CFG):
+        assert_yaml_parity(path)
+
+
+@pytest.mark.parametrize("text", [
+    "scenario:\n  horizon: -5\n",
+    "scenario: {T: .1, seed: 0x1f, meas_std: [5e-1, .inf, -.nan]}\nfilters: {ekf: ~}\n",
+    "output: {dir: 2026-10-18, plots: yes, csv: '1e3', metrics: !!str 12}\n",
+], ids=["negative-horizon", "numbers", "scalars"])
+def test_yaml_loaders_agree(tmp_path, text):
+    path = tmp_path / "text.cfg"
+    path.write_text(text)
+    assert_yaml_parity(str(path))
+
+
+def test_yaml_loaders_report_the_same_error_line(tmp_path):
+    path = tmp_path / "broken.cfg"
+    path.write_text("scenario:\n  horizon: 10\n filters: [unbalanced\n")
+    with pytest.raises(yaml.YAMLError) as ref:
+        with open(path, encoding="utf-8") as fh:
+            yaml.load(fh, Loader=yaml.SafeLoader)
+    with pytest.raises(ConfigurationError, match=rf"\(line {ref.value.problem_mark.line + 1}\)"):
+        harness.load_yaml(str(path))
 
 
 def test_missing_file():
@@ -300,7 +341,7 @@ def test_csv_row_count_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_csv_empty_trace(tmp_path):
+def test_csv_empty_trace(tmp_path, monkeypatch):
     trace = simulate(benchmark_config(horizon=4), 1)
     # truncate to an empty trace
     import dataclasses
@@ -312,6 +353,7 @@ def test_csv_empty_trace(tmp_path):
     path = tmp_path / "empty.csv"
     export_csv(empty, str(path))
     assert len(path.read_text().splitlines()) == 1
+    assert_export_matches_oracle(empty, tmp_path, monkeypatch, plots=False)
 
 
 def test_render_plots_files_and_shading(tmp_path):
@@ -418,3 +460,127 @@ def test_cli_sweep_out_writes_the_run_csv(tmp_path, capsys, monkeypatch):
         assert cli_main(["run", PAPER_CFG, "--seed", str(seed), "--out", str(out)]) == 0
         swept = (tmp_path / "sweep" / f"seed{seed}" / "trace.csv").read_bytes()
         assert swept == (out / "trace.csv").read_bytes(), f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# export against the per-element formatters it replaced: byte for byte
+
+def _oracle_csv(trace, path):
+    """export_csv with one repr(float(v)) per value."""
+    header = ["k", "t"] + [f"truth_{s}" for s in harness.STATE_NAMES]
+    header += [f"d_{i + 1}" for i in range(trace.d.shape[1])]
+    header += [f"y_{s}" for s in harness.STATE_NAMES]
+    for label in trace.labels():
+        safe = label.replace("-", "_")
+        header += [f"{safe}_{s}" for s in harness.STATE_NAMES]
+        if label in trace.sqrt_sigma:
+            header += [f"{safe}_sig_{s}" for s in harness.STATE_NAMES]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(trace.k)):
+            row = [str(int(trace.k[i])), repr(float(trace.t[i]))]
+            row += [repr(float(v)) for v in trace.truth[i]]
+            row += [repr(float(v)) for v in trace.d[i]]
+            row += [repr(float(v)) for v in trace.y[i]]
+            for label in trace.labels():
+                row += [repr(float(v)) for v in trace.estimates[label][i]]
+                if label in trace.sqrt_sigma:
+                    row += [repr(float(v)) for v in trace.sqrt_sigma[label][i]]
+            fh.write(",".join(row) + "\n")
+
+
+def _oracle_points(chart, xs, ys):
+    """Polyline points with px/py and _fmt applied to one scalar at a time."""
+    x0, x1, y0, y1 = chart._limits()
+    pw = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    ph = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+
+    def px(x):
+        return svgplot.MARGIN_L + (x - x0) / (x1 - x0) * pw
+
+    def py(y):
+        return svgplot.MARGIN_T + (y1 - y) / (y1 - y0) * ph
+
+    return " ".join(f"{svgplot._fmt(px(a))},{svgplot._fmt(py(b))}" for a, b in zip(xs, ys))
+
+
+_RENDER = svgplot.LineChart.render
+
+
+def _oracle_render(chart):
+    """LineChart.render with each polyline's points made by _oracle_points."""
+    points = iter([_oracle_points(chart, xs, ys) for _, _, xs, ys in chart.series])
+    lines = _RENDER(chart).split("\n")
+    head = '<polyline points="'
+    for i, line in enumerate(lines):
+        if line.startswith(head):
+            lines[i] = head + next(points) + line[line.index('" fill="none"'):]
+    assert next(points, None) is None
+    return "\n".join(lines)
+
+
+def assert_export_matches_oracle(trace, tmp_path, monkeypatch, plots=True):
+    new, old = tmp_path / "new", tmp_path / "oracle"
+    new.mkdir(parents=True)
+    old.mkdir()
+    export_csv(trace, str(new / "trace.csv"))
+    _oracle_csv(trace, str(old / "trace.csv"))
+    if plots:
+        render_plots(trace, str(new))
+        with monkeypatch.context() as m:
+            m.setattr(svgplot.LineChart, "render", _oracle_render)
+            render_plots(trace, str(old))
+    names = sorted(os.listdir(old))
+    assert names == sorted(os.listdir(new)) and len(names) == (8 if plots else 1)
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def paper_traces():
+    scenario = parse_config(PAPER_CFG).scenario
+    return dict(zip([1, 7, 1001], simulate_seeds(scenario, [1, 7, 1001])))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1001])
+def test_export_matches_the_per_element_oracle_on_paper_cfg(paper_traces, seed, tmp_path,
+                                                              monkeypatch):
+    assert_export_matches_oracle(paper_traces[seed], tmp_path, monkeypatch)
+
+
+def test_export_matches_the_per_element_oracle_with_ekf_only(tmp_path, monkeypatch):
+    # no saturated filter: no _sig_ columns
+    scenario = parse_config(PAPER_CFG).scenario
+    scenario.filters = [s for s in scenario.filters if s.kind == "ekf"]
+    trace = simulate(scenario, 2)
+    assert "ekf" in trace.estimates and not trace.sqrt_sigma
+    assert_export_matches_oracle(trace, tmp_path, monkeypatch)
+
+
+def test_export_matches_the_per_element_oracle_with_a_failed_filter(tmp_path, monkeypatch):
+    huge = OutlierSegment(50, 60, "constant", value=[1e200, 1e200])
+    cfg = benchmark_config(horizon=80, schedule=OutlierSchedule((huge,), D=paper_schedule().D))
+    trace = simulate(cfg, 1)
+    assert trace.failed_at["is-ekf"] == 51
+    assert_export_matches_oracle(trace, tmp_path, monkeypatch)
+
+
+SPECIAL = [-0.0, 1e-300, 1e16, float("nan"), float("inf")]
+
+
+def test_export_matches_the_per_element_oracle_on_special_values(tmp_path, monkeypatch):
+    trace = simulate(benchmark_config(horizon=4), 1)
+    trace.estimates["ekf"][:, 0] = SPECIAL
+    trace.sqrt_sigma["is-ekf"][:, 2] = SPECIAL[::-1]
+    assert_export_matches_oracle(trace, tmp_path / "csv", monkeypatch, plots=False)
+    # a chart cannot scale an axis to nan or inf; the finite ones plot
+    trace.estimates["ekf"][:, 0] = [-0.0, 1e-300, 1e16, -1e16, 5e-324]
+    assert_export_matches_oracle(trace, tmp_path / "svg", monkeypatch)
+
+
+def test_polyline_points_match_fmt_on_special_values():
+    X = np.array(SPECIAL + [-float("inf"), 123456.5, -1e-5])
+    Y = X[::-1].copy()
+    expected = " ".join(f"{svgplot._fmt(a)},{svgplot._fmt(b)}" for a, b in zip(X, Y))
+    assert svgplot._points(X, Y) == expected
+    assert svgplot._points(X[:0], Y[:0]) == ""

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -241,9 +242,10 @@ PUBLIC_STEPS = {
 
 def _replay(cfg, tr):
     """Every filter of cfg replayed through its public step on the trace's
-    measurements and inputs: (estimates, sqrt_sigma, failed_at)."""
+    measurements and inputs: (estimates, sqrt_sigma, failed_at, reasons),
+    reasons holding each failed filter's NumericalFailure message."""
     model = robot_model(cfg.T, cfg.Q_filter, cfg.R_filter)
-    estimates, sqrt_sigma, failed_at = {}, {}, {}
+    estimates, sqrt_sigma, failed_at, reasons = {}, {}, {}, {}
     for spec in cfg.filters:
         sat = spec.bound_params.initial_state() if spec.kind == "is-ekf" else None
         st = FilterState(tr.truth[0] + cfg.initial_guess_offset, spec.P0, sat=sat)
@@ -252,8 +254,9 @@ def _replay(cfg, tr):
             if failed is None:
                 try:
                     st = PUBLIC_STEPS[spec.kind](model, spec, st, tr.y[k], tr.u[k - 1])
-                except NumericalFailure:
+                except NumericalFailure as exc:
                     failed = k
+                    reasons[spec.label] = str(exc)
             est.append(st.x_hat)
             if sat is not None:
                 sig.append(np.sqrt(st.sat.sigma))
@@ -261,7 +264,7 @@ def _replay(cfg, tr):
         if sat is not None:
             sqrt_sigma[spec.label] = np.vstack([np.sqrt(sat.sigma)] + sig)
         failed_at[spec.label] = failed
-    return estimates, sqrt_sigma, failed_at
+    return estimates, sqrt_sigma, failed_at, reasons
 
 
 def _overflow_config():
@@ -325,7 +328,7 @@ def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
     cfg = make_cfg()
     with np.errstate(over="ignore"):
         tr = simulate(cfg, seed)
-        estimates, sqrt_sigma, failed_at = _replay(cfg, tr)
+        estimates, sqrt_sigma, failed_at, _ = _replay(cfg, tr)
     assert tr.failed_at == failed_at
     assert tr.estimates.keys() == estimates.keys()
     for label in estimates:
@@ -333,6 +336,48 @@ def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
     assert tr.sqrt_sigma.keys() == sqrt_sigma.keys()
     for label in sqrt_sigma:
         np.testing.assert_array_equal(tr.sqrt_sigma[label], sqrt_sigma[label])
+
+
+def test_failures_raise_no_floating_point_warnings(caplog):
+    # simulate and the public steps report each failure as its error alone:
+    # with warnings turned into errors, the failures and their messages are
+    # those of the two-saturated replay
+    cfg = _two_saturated_config()
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="isekf"):
+        warnings.simplefilter("error")
+        tr = simulate(cfg, 1)
+        _, _, failed_at, reasons = _replay(cfg, tr)
+    expected = {"is-ekf-fast": (164, "clip level sigma underflowed to 0"),
+                "is-ekf-slow": (193, "clip level sigma underflowed to 0"),
+                "ekf": (1, "innovation covariance not finite")}
+    assert tr.failed_at == failed_at == {**{lbl: k for lbl, (k, _) in expected.items()},
+                                         "lsigma-ekf": None}
+    assert reasons == {lbl: msg for lbl, (_, msg) in expected.items()}
+    logged = sorted(r.getMessage() for r in caplog.records
+                    if r.name == "isekf" and r.levelno == logging.WARNING)
+    assert logged == sorted(f"filter {lbl} (seed 1) failed at step {k}: {msg}"
+                            for lbl, (k, msg) in expected.items())
+
+
+def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(caplog):
+    # P0 passes the PSD test within its tolerance, but its heading variance
+    # is more negative than R's: S stays finite and not positive definite on
+    # the held state, so the dead lane must not be factored (and reported)
+    # again
+    P0 = robot_filter_p0()
+    bad = FilterSpec("ekf", P0=np.diag([1e6, 1e6, -9e-5]), label="ekf-indefinite")
+    cfg = benchmark_config(horizon=30, filters=[
+        FilterSpec("is-ekf", P0=P0, bound_params=paper_bound_params()), bad,
+        FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
+    with caplog.at_level(logging.WARNING, logger="isekf"):
+        tr = simulate(cfg, 1)
+    assert tr.failed_at == {"is-ekf": None, "ekf-indefinite": 1, "lsigma-ekf": None}
+    assert np.all(tr.estimates["ekf-indefinite"] == tr.estimates["ekf-indefinite"][0])
+    logged = [r.getMessage() for r in caplog.records
+                if r.name == "isekf" and r.levelno == logging.WARNING]
+    assert len(logged) == 1
+    assert "ekf-indefinite" in logged[0] and "step 1:" in logged[0]
+    assert "innovation covariance not factorizable" in logged[0]
 
 
 @pytest.mark.parametrize("horizon", [200, 0])
