@@ -429,7 +429,9 @@ def certify_from_config(path: str):
 # ---------------------------------------------------------------------------
 # CLI
 
-def _write_outputs(trace, report, out: OutputConfig):
+def _write_outputs(trace, text: str, out: OutputConfig):
+    """Write the trace CSV, the plots and the metrics text; returns the
+    paths written."""
     os.makedirs(out.dir, exist_ok=True)
     csv_path = os.path.join(out.dir, out.csv)
     export_csv(trace, csv_path)
@@ -438,7 +440,7 @@ def _write_outputs(trace, report, out: OutputConfig):
         written += render_plots(trace, out.dir)
     metrics_path = os.path.join(out.dir, out.metrics)
     with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(report.text())
+        fh.write(text)
     written.append(metrics_path)
     return written
 
@@ -461,8 +463,9 @@ def cmd_run(args) -> int:
             if s.kind == "lsigma-ekf":
                 s.ell = args.ell
     trace, report = run_experiment(cfg)
-    files = _write_outputs(trace, report, cfg.output)
-    print(report.text(), end="")
+    text = report.text()
+    files = _write_outputs(trace, text, cfg.output)
+    print(text, end="")
     print("wrote: " + ", ".join(files))
     return 0
 

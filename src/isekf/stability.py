@@ -9,9 +9,11 @@ and asymptotic error bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_continuous_are
@@ -23,14 +25,7 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
-from .filters import (
-    _SAT_FLOOR,
-    _innovation_gain,
-    _is_psd,
-    _joint_rk4_step,
-    _joint_views,
-    _symmetrize,
-)
+from .filters import _SAT_FLOOR, _innovation_gain, _is_psd, _rk4, _symmetrize
 from .saturation import BoundParams, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -668,6 +663,90 @@ class BoundCheckReport:
     final_error_norm: float
 
 
+class _CovariancePass(NamedTuple):
+    """The disturbance-free part of a bound check.  gains is read-only:
+    discrete (k, n, p), the last gain frozen for every later step;
+    continuous (4 * steps, n, p), one gain per RK4 stage.  failed_at is
+    the step whose covariance update failed, or None; failure holds a
+    discrete failure's NumericalFailure arguments."""
+
+    gains: np.ndarray
+    failed_at: Optional[int]
+    failure: Optional[tuple]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _covariance_pass(sys: LinearSystem, P0: np.ndarray, dt: Optional[float],
+                     steps: int) -> _CovariancePass:
+    """The covariance recursion of a bound check from P0 over steps steps
+    (dt None in discrete mode): in discrete time the Riccati recursion
+    until it is stationary (the test solve_dare stops on), in continuous
+    time RK4 on P.  Memoized by value, since the system and candidate are
+    mutable: the key holds the arrays' bytes."""
+    mats = tuple((M.dtype.str, M.shape, M.tobytes())
+                 for M in map(np.asarray, (sys.A, sys.C, sys.Q, sys.R, P0)))
+    return _covariance_pass_of(sys.mode, dt, steps, mats)
+
+
+@functools.lru_cache(maxsize=8)
+def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple):
+    """_covariance_pass on the arrays its key holds."""
+    plant = SimpleNamespace(**{
+        name: np.frombuffer(data, dtype=dtype).reshape(shape)
+        for name, (dtype, shape, data) in zip(("A", "C", "Q", "R", "P0"), mats)})
+    P = _symmetrize(plant.P0)
+    if mode == "discrete":
+        gains = []
+        for k in range(steps):
+            try:
+                P_next, _, K = _dare_step(plant, P)
+            except NumericalFailure as exc:
+                return _CovariancePass(_read_only(np.array(gains)), k,
+                                       (str(exc), _read_only(exc.context)))
+            gains.append(K)
+            if _dare_stationary(P, P_next):
+                break
+            P = P_next
+        return _CovariancePass(_read_only(np.array(gains)), None, None)
+
+    A, C, Q = plant.A, plant.C, plant.Q
+    CtRinv = C.T @ _spd_inverse(plant.R, "R")
+    gains = np.empty((4 * steps,) + CtRinv.shape)
+    slots = iter(gains)
+
+    # ndarray.dot rather than @: the operands are tiny, and dot dispatches
+    # in about half the time
+    def rhs(P_mat, t):
+        K = P_mat.dot(CtRinv)
+        next(slots)[...] = K
+        AP = A.dot(P_mat)  # P_mat is exactly symmetric: P A^T = (A P)^T
+        return _symmetrize(AP + AP.T + Q - K.dot(C).dot(P_mat))
+
+    for i in range(steps):
+        P = _rk4(rhs, P, i * dt, dt)
+        if not np.isfinite(P).all():
+            return _CovariancePass(_read_only(gains[:4 * (i + 1)]), i, None)
+        P = _symmetrize(P)
+    return _CovariancePass(_read_only(gains), None, None)
+
+
+def _error_rk4_step(rhs: Callable, z: np.ndarray, t: float, dt: float, n: int,
+                    rejected: bool) -> np.ndarray:
+    """RK4 step of the stacked error state z = [e; sigma; epsilon], e of
+    length n, with sigma and epsilon floored at _SAT_FLOOR after the step.
+    A non-finite step, or one whose covariance step was rejected, raises
+    NumericalFailure."""
+    z_next = _rk4(rhs, z, t, dt)
+    if rejected or not np.isfinite(z_next).all():
+        raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=z[:n])
+    z_next[n:] = np.maximum(z_next[n:], _SAT_FLOOR)
+    return z_next
+
+
 def bound_trajectory_check(
     sys: LinearSystem,
     cand: CertificateCandidate,
@@ -682,14 +761,15 @@ def bound_trajectory_check(
 
     d_signal(k) (discrete) or d_signal(t) (continuous) must be finite with
     ||d|| <= mu; otherwise InputDomainError.  The bound parameters, e0 and
-    dt are checked once at entry; the steps then run on the unchecked
-    clip and bound-map cores, and a non-finite stepped state raises
-    NumericalFailure.  The discrete covariance recursion starts at
-    cand.P0; once it is stationary (the test solve_dare stops on) its gain
-    is frozen.  The continuous system (e, P, sigma, eps) is integrated
-    with RK4 as one stacked vector, sigma and eps floored at 1e-12 in
-    every stage and after every step.  Raises PropertyFailure at the
-    first violation of ||e|| <= transient_bound + 1e-9."""
+    dt are checked once at entry.  The covariance pass (_covariance_pass:
+    P and the gain, from cand.P0, which do not depend on the disturbance)
+    is shared by every draw on one observer; the error pass then steps
+    (e, sigma, eps) on the unchecked clip and bound-map cores, in
+    continuous time with RK4, sigma and eps floored at 1e-12 in every
+    stage and after every step.  A non-finite stepped state, or a failed
+    covariance step, raises NumericalFailure at its step.  Raises
+    PropertyFailure at the first violation of
+    ||e|| <= transient_bound + 1e-9."""
     params = cert.params
     _check_bound_params(sys, params)
     e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float)
@@ -725,15 +805,16 @@ def bound_trajectory_check(
             max_ratio = max(max_ratio, norm_e / bound)
 
     if sys.mode == "discrete":
-        P = _symmetrize(cand.P0)
         sigma, eps = params.sigma0, params.epsilon0
         n_steps = int(horizon)
+        cov = _covariance_pass(sys, cand.P0, None, n_steps + 1)
+        last = len(cov.gains) - 1
         for k in range(n_steps + 1):
             d = disturbance(k)
             check(k, e)
-            if P is not None:
-                P_next, _, K = _dare_step(sys, P)
-                P = None if _dare_stationary(P, P_next) else P_next
+            if k == cov.failed_at:
+                raise NumericalFailure(*cov.failure)
+            K = cov.gains[min(k, last)]
             innov = C.dot(e) - D.dot(d)
             e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sigma))))
             sigma, eps = _bound_map_core(sigma, eps, innov, params)
@@ -742,36 +823,29 @@ def bound_trajectory_check(
         return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps), samples=n_steps + 1,
                                 final_error_norm=float(np.linalg.norm(e)))
 
-    # continuous time: RK4 on the coupled (e, P, sigma, eps) system
-    Rinv = _spd_inverse(sys.R, "R")
-    CtRinv, Q = C.T @ Rinv, sys.Q
+    # continuous time: RK4 on (e, sigma, eps), reading each stage's gain
     n, p = sys.n, sys.p
-
-    # ndarray.dot rather than @: the operands are tiny, and dot dispatches
-    # in about half the time
-    def rhs(z, t):
-        e_vec, P_mat, sat = _joint_views(z, n)
-        d = disturbance(t)
-        sat = np.maximum(sat, _SAT_FLOOR)
-        sig, eps = sat[:p], sat[p:]
-        K = P_mat.dot(CtRinv)
-        innov = C.dot(e_vec) - D.dot(d)
-        e_dot = A.dot(e_vec) - K.dot(_clip(innov, np.sqrt(sig)))
-        AP = A.dot(P_mat)  # P_mat is exactly symmetric: P A^T = (A P)^T
-        P_dot = _symmetrize(AP + AP.T + Q - K.dot(C).dot(P_mat))
-        return np.concatenate((e_dot, P_dot) + _bound_map_core(sig, eps, innov, params),
-                              axis=None)
-
-    joint = (e, _symmetrize(cand.P0), params.sigma0, params.epsilon0)
     n_steps = int(round(float(horizon) / dt))
+    cov = _covariance_pass(sys, cand.P0, dt, n_steps)
+    stage_gains = iter(cov.gains)
+
+    def rhs(z, t):
+        d = disturbance(t)
+        e_vec, sat = z[:n], np.maximum(z[n:], _SAT_FLOOR)
+        sig, eps = sat[:p], sat[p:]
+        innov = C.dot(e_vec) - D.dot(d)
+        e_dot = A.dot(e_vec) - next(stage_gains).dot(_clip(innov, np.sqrt(sig)))
+        return np.concatenate((e_dot,) + _bound_map_core(sig, eps, innov, params), axis=None)
+
+    z = np.concatenate((e, params.sigma0, params.epsilon0))
     for i in range(n_steps + 1):
         t = i * dt
-        check(t, joint[0])
+        check(t, z[:n])
         if i == n_steps:
             break
-        joint = _joint_rk4_step(rhs, joint, t, dt)
+        z = _error_rk4_step(rhs, z, t, dt, n, i == cov.failed_at)
     return BoundCheckReport(max_ratio=max_ratio, horizon=float(horizon), samples=n_steps + 1,
-                            final_error_norm=float(np.linalg.norm(joint[0])))
+                            final_error_norm=float(np.linalg.norm(z[:n])))
 
 
 def gain_identity_residuals(C: np.ndarray, R: np.ndarray, P_pred: np.ndarray):

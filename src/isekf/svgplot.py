@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import InputDomainError
+
 WIDTH, HEIGHT = 820, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 36, 48
 
@@ -60,8 +62,12 @@ class LineChart:
         self.shades = []      # (x_lo, x_hi)
 
     def add_series(self, name: str, x, y, color=None):
+        """Raises InputDomainError when x or y holds nan or inf: no axis
+        can be scaled to them."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InputDomainError(f"chart {self.title!r}: series {name!r} is not finite")
         if color is None:
             color = PALETTE[len(self.series) % len(PALETTE)]
         self.series.append((name, color, x, y))

@@ -7,7 +7,7 @@ import yaml
 
 from conftest import benchmark_config
 from isekf import harness, svgplot
-from isekf.errors import ConfigurationError, UndefinedMetricError
+from isekf.errors import ConfigurationError, InputDomainError, UndefinedMetricError
 from isekf.harness import (
     OutputConfig,
     cli_main,
@@ -407,6 +407,24 @@ def test_cli_run(tmp_path, capsys):
     assert "rmse full" in capsys.readouterr().out
 
 
+def test_cli_run_prints_the_metrics_it_writes(tmp_path, capsys, monkeypatch):
+    # the report is formatted once, for metrics.txt and stdout alike
+    calls = []
+    text = harness.MetricsReport.text
+
+    def counted(self):
+        calls.append(self)
+        return text(self)
+
+    monkeypatch.setattr(harness.MetricsReport, "text", counted)
+    out = tmp_path / "runout"
+    assert cli_main(["run", PAPER_CFG, "--seed", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert len(calls) == 1
+    assert printed.startswith((out / "metrics.txt").read_text())
+    assert printed.count("\n") == (out / "metrics.txt").read_text().count("\n") + 1
+
+
 def test_cli_run_filter_subset(tmp_path):
     out = tmp_path / "sub"
     code = cli_main(["run", PAPER_CFG, "--seed", "2", "--out", str(out),
@@ -576,6 +594,17 @@ def test_export_matches_the_per_element_oracle_on_special_values(tmp_path, monke
     # a chart cannot scale an axis to nan or inf; the finite ones plot
     trace.estimates["ekf"][:, 0] = [-0.0, 1e-300, 1e16, -1e16, 5e-324]
     assert_export_matches_oracle(trace, tmp_path / "svg", monkeypatch)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_series_is_named_in_the_error(bad):
+    chart = svgplot.LineChart("state px", "t [s]", "px [m]")
+    chart.add_series("truth", [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+    with pytest.raises(InputDomainError, match="chart 'state px': series 'ekf' is not finite"):
+        chart.add_series("ekf", [0.0, 1.0, 2.0], [0.0, bad, 1.0])
+    with pytest.raises(InputDomainError, match="series 'ekf'"):
+        chart.add_series("ekf", [0.0, bad, 2.0], [0.0, 1.0, 1.0])
+    assert chart.render().count("<polyline") == 1
 
 
 def test_polyline_points_match_fmt_on_special_values():

@@ -112,19 +112,19 @@ def test_ct_bound_check_keeps_sigma_and_eps_above_the_floor(ct_certificate, lam1
     cert = dataclasses.replace(cert, params=_ct_params(lam1, lam2))
     dt = 0.5 / max(-lam1, -lam2)
     steps = []
-    step = stability._joint_rk4_step
+    step = stability._error_rk4_step
 
     def recording_step(*args):
         steps.append(step(*args))
         return steps[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_joint_rk4_step", recording_step)
+        mp.setattr(stability, "_error_rk4_step", recording_step)
         stability.bound_trajectory_check(sys, cand, cert, lambda t: np.zeros(1),
                                          horizon=60 * dt, e0=np.zeros(1), dt=dt)
     assert len(steps) == 60
-    for _, _, sigma, eps in steps:
-        assert sigma[0] >= _SAT_FLOOR and eps[0] >= _SAT_FLOOR
+    for _, sigma, eps in steps:
+        assert sigma >= _SAT_FLOOR and eps >= _SAT_FLOOR
 
 
 @settings(deadline=None)
