@@ -12,7 +12,6 @@ filtered estimate, the measurement Jacobian at the predicted estimate
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -26,18 +25,16 @@ from .saturation import (
     _bound_map_core,
     _bound_step,
     _clip,
-    bound_rhs_ct,
-    saturate_innovation,
 )
-# The checked public form of _bound_step; bench/tracer.py wraps it under
-# this name.
-from .saturation import bound_step_dt  # noqa: F401
+# The checked public forms of the cores above; bench/tracer.py wraps them
+# under these names.
+from .saturation import bound_rhs_ct, bound_step_dt, saturate_innovation  # noqa: F401
 
 # The LAPACK Cholesky pair behind cho_factor/cho_solve, resolved once
 # (see _spd_solve).
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
-# Positivity floor for sigma/epsilon during continuous-time integration.
+# Positivity floor for sigma/epsilon in every continuous-time RK4 stage and step.
 _SAT_FLOOR = 1.0e-12
 
 
@@ -419,19 +416,29 @@ class _Lanes:
         return failures
 
 
-def _check_saturated(model: NonlinearModel, sat: SaturationState,
-                     params: Optional[BoundParams], caller: str, y=None) -> None:
-    """Entry checks of a saturated discrete-time step, and of its
-    measurement y when given."""
+def _check_saturated(model: NonlinearModel, sat: Optional[SaturationState],
+                     params: Optional[BoundParams], caller: str, y=None, mode: str = "dt") -> None:
+    """Entry checks of a saturated filter whose bound parameters must be of
+    the given mode ("dt" or "ct"), and of its measurement y when given."""
+    if sat is None:
+        raise ConfigurationError(f"{caller} requires a SaturationState")
     if params is None:
         raise ConfigurationError(f"{caller}: BoundParams required for a saturated state")
-    if params.mode != "dt":
-        raise ConfigurationError(f"{caller} requires dt-mode parameters")
+    if params.mode != mode:
+        raise ConfigurationError(f"{caller} requires {mode}-mode parameters")
     if not params.p == sat.p == model.p:
         raise ConfigurationError(f"{caller}: channel count mismatch")
     if not (sat.sigma > 0.0).all():
         raise InputDomainError(f"{caller}: sigma must be strictly positive")
-    if y is not None and not np.isfinite(y).all():
+    if y is not None:
+        _check_measurement(y, model.p, caller)
+
+
+def _check_measurement(y, p: int, caller: str) -> None:
+    """A measurement broadcasts to p channels (shape (p,), (1,) or ()) and is finite."""
+    if np.ndim(y) > 1 or np.size(y) not in (1, p):
+        raise ConfigurationError(f"{caller}: measurement of shape {np.shape(y)}, not ({p},)")
+    if not np.isfinite(y).all():
         raise InputDomainError(f"{caller}: non-finite measurement")
 
 
@@ -473,8 +480,6 @@ def dt_isekf_step(
 ) -> FilterState:
     """One full saturated-EKF cycle: predict, correct with the clipped
     innovation, advance the bound recursion."""
-    if st.sat is None:
-        raise ConfigurationError("dt_isekf_step requires a state with a SaturationState")
     _check_saturated(model, st.sat, params, "dt_isekf_step", y)
     x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, _clip_to_bound,
                              (st.sat.sigma, st.sat.epsilon), params)
@@ -505,6 +510,29 @@ def sigma_gate_step(
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 
 
+def _saturated_rhs(drift: np.ndarray, K: np.ndarray, innov: np.ndarray, sat: np.ndarray,
+                   params: BoundParams, p: int):
+    """Unchecked saturated observer shared by the CT filter and the bound
+    check: drift + K clip(innov, sqrt(sigma)) and the bound map on innov,
+    with sat = [sigma; epsilon] (p each) floored at _SAT_FLOOR first."""
+    sat = np.maximum(sat, _SAT_FLOOR)
+    sigma, eps = sat[:p], sat[p:]
+    sigma_dot, eps_dot = _bound_map_core(sigma, eps, innov, params)
+    return drift + K.dot(_clip(innov, np.sqrt(sigma))), sigma_dot, eps_dot
+
+
+def _ct_rhs(model: NonlinearModel, x: np.ndarray, P: np.ndarray, sat: np.ndarray,
+            y: np.ndarray, params: BoundParams):
+    """ct_isekf_derivative on raw arrays (sat = [sigma; epsilon]), checking
+    only the model maps: _saturated_rhs with K = P C^T R^{-1}, and P_dot."""
+    A, C = model.A_at(x), model.C_at(x)
+    K = _spd_solve(model.R, C @ P, "R").T
+    innov = model.innovation(x, y)
+    x_dot, sigma_dot, eps_dot = _saturated_rhs(model.f_at(x), K, innov, sat, params, model.p)
+    P_dot = _symmetrize(A @ P + P @ A.T + model.Q - K @ model.R @ K.T)
+    return x_dot, P_dot, sigma_dot, eps_dot
+
+
 def ct_isekf_derivative(
     model: NonlinearModel,
     st: FilterState,
@@ -515,20 +543,14 @@ def ct_isekf_derivative(
 
     Returns (x_dot, P_dot, sigma_dot, eps_dot) with
     x_dot = f(x) + K sat(y - h(x)), K = P C^T R^{-1},
-    P_dot = A P + P A^T + Q - K R K^T (returned symmetric)."""
-    if st.sat is None:
-        raise ConfigurationError("ct_isekf_derivative requires a SaturationState")
-    A = model.A_at(st.x_hat)
-    C = model.C_at(st.x_hat)
-    K = _spd_solve(model.R, C @ st.P, "R").T
-    innov_raw = model.innovation(st.x_hat, y)
-    innov_sat = saturate_innovation(innov_raw, st.sat)
-    x_dot = model.f_at(st.x_hat) + K @ innov_sat
-    P_dot = _symmetrize(A @ st.P + st.P @ A.T + model.Q - K @ model.R @ K.T)
-    sigma_dot, eps_dot = bound_rhs_ct(st.sat, innov_raw, params)
-    if not (np.all(np.isfinite(x_dot)) and np.all(np.isfinite(P_dot))):
+    P_dot = A P + P A^T + Q - K R K^T (returned symmetric).  The checked
+    form of _ct_rhs; a non-finite result raises NumericalFailure."""
+    _check_saturated(model, st.sat, params, "ct_isekf_derivative", y, mode="ct")
+    out = _ct_rhs(model, st.x_hat, st.P, np.concatenate((st.sat.sigma, st.sat.epsilon)),
+                  np.asarray(y, dtype=float), params)
+    if not all(np.isfinite(v).all() for v in out):
         raise NumericalFailure("derivative evaluation non-finite", context=st.x_hat)
-    return x_dot, P_dot, sigma_dot, eps_dot
+    return out
 
 
 def _rk4(f: Callable, z: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -541,20 +563,15 @@ def _rk4(f: Callable, z: np.ndarray, t: float, dt: float) -> np.ndarray:
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step(rhs: Callable, y: tuple, t: float, dt: float) -> tuple:
-    """One classical RK4 step for a state held as a tuple of arrays;
-    rhs(y, t) returns the derivatives as a tuple of the same shapes.
-    The stages run on the stacked vector; rhs receives views into it."""
-    shapes = [np.shape(v) for v in y]
-    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
-
-    def views(z):
-        return tuple(z[a:b].reshape(s) for a, b, s in zip([0] + ends, ends, shapes))
-
-    def f(z, s):
-        return np.concatenate(rhs(views(z), s), axis=None)
-
-    return views(_rk4(f, np.concatenate(y, axis=None), t, dt))
+def _floored_rk4_step(rhs: Callable, z: np.ndarray, t: float, dt: float, n: int, p: int,
+                      rejected: bool = False) -> np.ndarray:
+    """RK4 step of z = [x (n); ...; sigma (p); epsilon (p)], then sigma, epsilon
+    floored at _SAT_FLOOR.  A non-finite or rejected step raises NumericalFailure."""
+    z_next = _rk4(rhs, z, t, dt)
+    if rejected or not np.isfinite(z_next).all():
+        raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=z[:n])
+    z_next[-2 * p:] = np.maximum(z_next[-2 * p:], _SAT_FLOOR)
+    return z_next
 
 
 def _joint_views(z: np.ndarray, n: int):
@@ -562,21 +579,6 @@ def _joint_views(z: np.ndarray, n: int):
     x of length n and sat = [sigma; epsilon]."""
     m = n + n * n
     return z[:n], z[n:m].reshape(n, n), z[m:]
-
-
-def _joint_rk4_step(rhs: Callable, y: tuple, t: float, dt: float) -> tuple:
-    """RK4 step of a joint (x, P, sigma, epsilon) state, x the estimate or
-    the error.  The stages run on the stacked vector (see _joint_views):
-    rhs(z, t) returns dz/dt stacked the same way.  After the step P is
-    re-symmetrized and sigma/epsilon floored at _SAT_FLOOR; a non-finite
-    step raises NumericalFailure."""
-    z = _rk4(rhs, np.concatenate(y, axis=None), t, dt)
-    if not np.isfinite(z).all():
-        raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=y[0])
-    x, P, sat = _joint_views(z, y[0].shape[0])
-    sat = np.maximum(sat, _SAT_FLOOR)
-    p = y[2].shape[0]
-    return x, _symmetrize(P), sat[:p], sat[p:]
 
 
 def ct_isekf_integrate(
@@ -589,29 +591,28 @@ def ct_isekf_integrate(
 ) -> list[FilterState]:
     """Integrate the coupled (x, P, sigma, eps) system with classical RK4.
 
-    y_provider(t) is queried at the RK4 stage times; holding the value
-    constant between samples is acceptable.  P is re-symmetrized and
-    sigma/eps floored at 1e-12 after every step.  Returns the trajectory
-    including the initial state."""
+    Inputs are checked at entry, then each y_provider(t) sample as it is read
+    at the RK4 stage times (it may be held between samples).  Stages run the
+    unchecked core _ct_rhs on the flat [x; vec(P); sigma; eps].  Floor policy:
+    sigma/eps floored at 1e-12 in every stage and after every step; P is
+    re-symmetrized after every step.  Returns the trajectory including st."""
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    if st.sat is None:
-        raise ConfigurationError("ct_isekf_integrate requires a SaturationState")
-
+    _check_saturated(model, st.sat, params, "ct_isekf_integrate", mode="ct")
     n, p = st.x_hat.shape[0], st.sat.p
 
-    def rhs(z, t: float):
-        x_hat, P, sat = _joint_views(z, n)
-        state = FilterState(x_hat=x_hat, P=P, sat=SaturationState(sat[:p], sat[p:]))
+    def stage(z, t: float):
+        x, P, sat = _joint_views(z, n)
         y = np.asarray(y_provider(t), dtype=float)
-        return np.concatenate(ct_isekf_derivative(model, state, y, params), axis=None)
+        _check_measurement(y, p, f"ct_isekf_integrate at t={t:.6g}")
+        return np.concatenate(_ct_rhs(model, x, P, sat, y, params), axis=None)
 
-    n_steps = int(round(horizon / dt))
     out = [replace(st, t=0.0)]
-    joint = (st.x_hat, st.P, st.sat.sigma, st.sat.epsilon)
-    for i in range(n_steps):
-        joint = _joint_rk4_step(rhs, joint, i * dt, dt)
-        x_new, P_new, s_new, e_new = joint
-        out.append(FilterState(x_hat=x_new, P=P_new, sat=SaturationState(s_new, e_new),
+    z = np.concatenate((st.x_hat, st.P, st.sat.sigma, st.sat.epsilon), axis=None)
+    for i in range(int(round(horizon / dt))):
+        z = _floored_rk4_step(stage, z, i * dt, dt, n, p)
+        x, P, sat = _joint_views(z, n)
+        P[...] = _symmetrize(P)
+        out.append(FilterState(x_hat=x, P=P, sat=SaturationState(sat[:p], sat[p:]),
                                t=(i + 1) * dt))
     return out

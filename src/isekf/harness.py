@@ -459,6 +459,8 @@ def cmd_run(args) -> int:
             raise ConfigurationError(f"--filters names not in config: {sorted(unknown)}")
         cfg.scenario.filters = kept
     if args.ell is not None:
+        if not args.ell > 0.0:  # also rejects nan
+            raise ConfigurationError(f"--ell must be positive, got {args.ell}")
         for s in cfg.scenario.filters:
             if s.kind == "lsigma-ekf":
                 s.ell = args.ell

@@ -25,7 +25,8 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
-from .filters import _SAT_FLOOR, _innovation_gain, _is_psd, _rk4, _symmetrize
+from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _rk4, _saturated_rhs,
+                      _symmetrize)
 from .saturation import BoundParams, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -225,8 +226,10 @@ def _dare_step(sys: LinearSystem, P: np.ndarray):
 
 
 def _dare_stationary(P: np.ndarray, P_next: np.ndarray) -> bool:
-    """The discrete recursion's stopping test on successive iterates."""
-    return np.linalg.norm(P_next - P) <= 1e-12 * (1.0 + np.linalg.norm(P))
+    """The discrete recursion's stopping test on successive iterates.  An
+    overflowed norm of P (entries above about 1.3e154) never passes it."""
+    scale = 1.0 + np.linalg.norm(P)
+    return np.isfinite(scale) and np.linalg.norm(P_next - P) <= 1e-12 * scale
 
 
 def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
@@ -241,7 +244,7 @@ def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
             preds.append(P.copy())
             filts.append(P_filt.copy())
             gains.append(K.copy())
-        if not np.all(np.isfinite(P_next)):
+        if not np.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
             raise CertificationFailure("discrete Riccati recursion diverged")
         if _dare_stationary(P, P_next):
             return _symmetrize(P_next), preds, filts, gains
@@ -734,19 +737,6 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
     return _CovariancePass(_read_only(gains), None, None)
 
 
-def _error_rk4_step(rhs: Callable, z: np.ndarray, t: float, dt: float, n: int,
-                    rejected: bool) -> np.ndarray:
-    """RK4 step of the stacked error state z = [e; sigma; epsilon], e of
-    length n, with sigma and epsilon floored at _SAT_FLOOR after the step.
-    A non-finite step, or one whose covariance step was rejected, raises
-    NumericalFailure."""
-    z_next = _rk4(rhs, z, t, dt)
-    if rejected or not np.isfinite(z_next).all():
-        raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=z[:n])
-    z_next[n:] = np.maximum(z_next[n:], _SAT_FLOOR)
-    return z_next
-
-
 def bound_trajectory_check(
     sys: LinearSystem,
     cand: CertificateCandidate,
@@ -765,8 +755,9 @@ def bound_trajectory_check(
     P and the gain, from cand.P0, which do not depend on the disturbance)
     is shared by every draw on one observer; the error pass then steps
     (e, sigma, eps) on the unchecked clip and bound-map cores, in
-    continuous time with RK4, sigma and eps floored at 1e-12 in every
-    stage and after every step.  A non-finite stepped state, or a failed
+    continuous time with the continuous-time filter's saturated core and
+    floored RK4 step (sigma and eps floored at 1e-12 in every stage and
+    after every step).  A non-finite stepped state, or a failed
     covariance step, raises NumericalFailure at its step.  Raises
     PropertyFailure at the first violation of
     ||e|| <= transient_bound + 1e-9."""
@@ -829,13 +820,14 @@ def bound_trajectory_check(
     cov = _covariance_pass(sys, cand.P0, dt, n_steps)
     stage_gains = iter(cov.gains)
 
+    # e' = A e - K sat(C e - D d), written as A e + K sat(D d - C e): the
+    # clip is odd and negation is exact, so both forms give the same bits
     def rhs(z, t):
         d = disturbance(t)
-        e_vec, sat = z[:n], np.maximum(z[n:], _SAT_FLOOR)
-        sig, eps = sat[:p], sat[p:]
-        innov = C.dot(e_vec) - D.dot(d)
-        e_dot = A.dot(e_vec) - next(stage_gains).dot(_clip(innov, np.sqrt(sig)))
-        return np.concatenate((e_dot,) + _bound_map_core(sig, eps, innov, params), axis=None)
+        e_vec = z[:n]
+        return np.concatenate(_saturated_rhs(A.dot(e_vec), next(stage_gains),
+                                             D.dot(d) - C.dot(e_vec), z[n:], params, p),
+                              axis=None)
 
     z = np.concatenate((e, params.sigma0, params.epsilon0))
     for i in range(n_steps + 1):
@@ -843,7 +835,7 @@ def bound_trajectory_check(
         check(t, z[:n])
         if i == n_steps:
             break
-        z = _error_rk4_step(rhs, z, t, dt, n, i == cov.failed_at)
+        z = _floored_rk4_step(rhs, z, t, dt, n, p, i == cov.failed_at)
     return BoundCheckReport(max_ratio=max_ratio, horizon=float(horizon), samples=n_steps + 1,
                             final_error_norm=float(np.linalg.norm(z[:n])))
 

@@ -11,7 +11,7 @@ import pytest
 
 from isekf import stability
 from isekf.errors import InputDomainError, NumericalFailure, PropertyFailure
-from isekf.filters import _SAT_FLOOR, _joint_rk4_step, _joint_views, _symmetrize
+from isekf.filters import _SAT_FLOOR, _joint_views, _rk4, _symmetrize
 from isekf.saturation import BoundParams, _bound_map_core, _clip
 from isekf.stability import (
     BoundCheckReport,
@@ -102,16 +102,22 @@ def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
         return np.concatenate((e_dot, P_dot) + _bound_map_core(sig, eps, innov, params),
                               axis=None)
 
-    joint = (e, _symmetrize(cand.P0), params.sigma0, params.epsilon0)
+    z = np.concatenate((e, _symmetrize(cand.P0), params.sigma0, params.epsilon0), axis=None)
     n_steps = int(round(float(horizon) / dt))
     for i in range(n_steps + 1):
         t = i * dt
-        check(t, joint[0])
+        check(t, z[:n])
         if i == n_steps:
             break
-        joint = _joint_rk4_step(rhs, joint, t, dt)
+        z_next = _rk4(rhs, z, t, dt)
+        if not np.isfinite(z_next).all():
+            raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=z[:n])
+        z = z_next
+        _, P_mat, sat = _joint_views(z, n)
+        sat[...] = np.maximum(sat, _SAT_FLOOR)
+        P_mat[...] = _symmetrize(P_mat)
     return BoundCheckReport(max_ratio=max_ratio, horizon=float(horizon), samples=n_steps + 1,
-                            final_error_norm=float(np.linalg.norm(joint[0])))
+                            final_error_norm=float(np.linalg.norm(z[:n])))
 
 
 def _outcome(check, sys, cand, cert, d_signal, *args, **kwargs):

@@ -350,6 +350,66 @@ def _clipping_setup():
     return m, params, st, y_of
 
 
+def test_ct_integrate_endpoint_is_pinned():
+    # the clipping run's endpoint, bit for bit, over the shared
+    # continuous-time core
+    m, params, st, y_of = _clipping_setup()
+    end = ct_isekf_integrate(m, st, y_of, 1e-3, 2.0, params)[-1]
+    assert (end.x_hat[0], end.P[0, 0], end.sat.sigma[0], end.sat.epsilon[0]) == (
+        0.07498306904812015, 0.04580058039062151, 0.1590725871955267, 1.2025211404060772)
+
+
+def _ct_failure_case(case):
+    """(params, y_of) of the clipping setup, broken as case says."""
+    _, params, _, y_of = _clipping_setup()
+    if case == "dt-mode params":
+        params = BoundParams(lambda1=[0.5], lambda2=[0.5], gamma1=[0.6], gamma2=[0.9],
+                             sigma0=[0.04], epsilon0=[0.3], mode="dt")
+    elif case == "channel mismatch":
+        params = BoundParams(lambda1=[-0.8, -0.8], lambda2=[-1.5, -1.5], gamma1=[0.6],
+                             gamma2=[0.9], sigma0=[0.04], epsilon0=[0.3], mode="ct")
+    elif case == "nan sample":
+        return params, lambda t: np.array([math.nan]) if t >= 0.05 else y_of(t)
+    elif case == "bound map overflow":
+        return params, lambda t: np.array([1e200])
+    elif case == "y of length 2":
+        return params, lambda t: np.repeat(y_of(t), 2)
+    elif case == "y shaped (1, 1)":
+        return params, lambda t: y_of(t).reshape(1, 1)
+    return params, y_of
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case, error", [
+    ("dt-mode params", ConfigurationError),
+    ("channel mismatch", ConfigurationError),
+    ("nan sample", InputDomainError),
+    ("bound map overflow", NumericalFailure),
+    ("y of length 2", ConfigurationError),
+    ("y shaped (1, 1)", ConfigurationError),
+])
+@pytest.mark.parametrize("entry", ["derivative", "integrate"])
+def test_ct_entry_points_raise_named_errors(entry, case, error):
+    m, _, st, _ = _clipping_setup()
+    params, y_of = _ct_failure_case(case)
+    with pytest.raises(error):
+        if entry == "derivative":
+            ct_isekf_derivative(m, st, y_of(0.1), params)
+        else:
+            ct_isekf_integrate(m, st, y_of, 1e-2, 0.2, params)
+
+
+def test_ct_entry_points_take_a_scalar_measurement_of_one_channel():
+    # a scalar broadcasts against h(x) to the one channel, as a (1,) array
+    m, params, st, y_of = _clipping_setup()
+    for a, b in zip(ct_isekf_derivative(m, st, y_of(0.9)[0], params),
+                    ct_isekf_derivative(m, st, y_of(0.9), params)):
+        assert a.shape == b.shape and (a == b).all()
+    ends = [ct_isekf_integrate(m, st, y, 1e-2, 0.2, params)[-1]
+            for y in (lambda t: y_of(t)[0], y_of)]
+    assert ends[0].x_hat == ends[1].x_hat and ends[0].sat.sigma == ends[1].sat.sigma
+
+
 def test_ct_integrate_self_convergence():
     # halving dt at least halves the terminal difference vs a dt/10 reference
     m, params, st, y_of = _clipping_setup()

@@ -434,6 +434,16 @@ def test_cli_run_filter_subset(tmp_path):
     assert "ekf_px" in header and "is_ekf_px" not in header
 
 
+@pytest.mark.parametrize("ell", ["-1", "0", "nan"])
+def test_cli_run_rejects_an_ell_that_is_not_positive(tmp_path, capsys, ell):
+    out = tmp_path / "gated"
+    code = cli_main(["run", PAPER_CFG, "--seed", "2", "--out", str(out),
+                     "--filters", "lsigma-ekf", "--ell", ell])
+    assert code == 1
+    assert "--ell must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_certify(capsys):
     code = cli_main(["certify", LINEAR_CFG])
     assert code == 0

@@ -16,10 +16,10 @@ from isekf.filters import (
     _SAT_FLOOR,
     FilterState,
     _innovation_gain,
+    _rk4,
     _spd_solve,
     ct_isekf_integrate,
     ekf_step,
-    rk4_step,
     sigma_gate_step,
 )
 from isekf.saturation import (
@@ -60,20 +60,28 @@ def test_rk4_step_is_exact_for_a_cubic_in_t(a, b, t, dt):
     def integral(c, s):
         return c[0] * s + c[1] * s**2 / 2 + c[2] * s**3 / 3 + c[3] * s**4 / 4
 
-    def rhs(y, s):
-        return cubic(a, s) * np.ones(2), cubic(b, s) * np.ones((2, 2))
+    def rhs(z, s):
+        return np.concatenate((cubic(a, s) * np.ones(2), cubic(b, s) * np.ones(4)))
 
     y0 = (np.array([1.0, -2.0]), np.eye(2))
-    y1 = rk4_step(rhs, y0, t, dt)
+    z1 = _rk4(rhs, np.concatenate(y0, axis=None), t, dt)
+    y1 = (z1[:2], z1[2:].reshape(2, 2))
     for c, v0, v1 in zip((a, b), y0, y1):
         exact = v0 + (integral(c, t + dt) - integral(c, t))
         scale = 1.0 + sum(abs(ci) * 6.0**(i + 1) for i, ci in enumerate(c))
         np.testing.assert_allclose(v1, exact, rtol=0.0, atol=1e-12 * scale)
 
 
-# decay rates and a step with |lambda| * dt <= 1/2 (every RK4 stage stays
-# positive); over 60 steps the faster channel decays far below _SAT_FLOOR
+# decay rates and a step with |lambda| * dt up to 4, dt at most 1/2: past 2
+# the RK4 stages of the faster channel undershoot zero, and near 1/2 it
+# decays far below _SAT_FLOOR over 60 steps.  The cap on dt keeps RK4 on
+# the covariance itself stable (at dt = 4 it diverges on both paths).
 decay = st.floats(-200.0, -1.0)
+step_factor = st.floats(0.01, 4.0)
+
+
+def _step(lam1, lam2, factor):
+    return min(factor / max(-lam1, -lam2), 0.5)
 
 
 def _ct_params(lam1, lam2):
@@ -82,9 +90,9 @@ def _ct_params(lam1, lam2):
 
 
 @settings(deadline=None, max_examples=30)
-@given(decay, decay)
-def test_ct_filter_keeps_sigma_and_eps_above_the_floor(lam1, lam2):
-    dt = 0.5 / max(-lam1, -lam2)
+@given(decay, decay, step_factor)
+def test_ct_filter_keeps_sigma_and_eps_above_the_floor(lam1, lam2, factor):
+    dt = _step(lam1, lam2, factor)
     model = linear_model([[-0.4]], [[1.0]], [[0.02]], [[0.5]])
     st0 = FilterState(np.zeros(1), np.array([[0.2]]), sat=SaturationState([0.5], [0.5]))
     traj = ct_isekf_integrate(model, st0, lambda t: np.zeros(1), dt, 60 * dt,
@@ -104,22 +112,22 @@ def ct_certificate():
 
 
 @settings(deadline=None, max_examples=30)
-@given(decay, decay)
-def test_ct_bound_check_keeps_sigma_and_eps_above_the_floor(ct_certificate, lam1, lam2):
+@given(decay, decay, step_factor)
+def test_ct_bound_check_keeps_sigma_and_eps_above_the_floor(ct_certificate, lam1, lam2, factor):
     sys, cand, cert = ct_certificate
     # zero error and disturbance: the envelope holds trivially while the
     # bound state decays under the drawn rates
     cert = dataclasses.replace(cert, params=_ct_params(lam1, lam2))
-    dt = 0.5 / max(-lam1, -lam2)
+    dt = _step(lam1, lam2, factor)
     steps = []
-    step = stability._error_rk4_step
+    step = stability._floored_rk4_step
 
     def recording_step(*args):
         steps.append(step(*args))
         return steps[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_error_rk4_step", recording_step)
+        mp.setattr(stability, "_floored_rk4_step", recording_step)
         stability.bound_trajectory_check(sys, cand, cert, lambda t: np.zeros(1),
                                          horizon=60 * dt, e0=np.zeros(1), dt=dt)
     assert len(steps) == 60

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_system
+from isekf import stability
 from isekf.errors import CertificationFailure, ConfigurationError, InputDomainError
 from isekf.saturation import BoundParams
 from isekf.stability import (
     CertificateCandidate,
     LinearSystem,
     _dare_flow,
+    _dare_stationary,
     bound_trajectory_check,
     build_S,
     build_Z,
@@ -117,6 +119,24 @@ def test_monotone_dare_iterates_from_zero(rng):
         _, preds, _, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)), record=True)
         for Pa, Pb in zip(preds, preds[1:]):
             assert np.linalg.eigvalsh(Pb - Pa).min() >= -1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowed_norm_is_never_stationary():
+    # entries above about 1.3e154 overflow the Frobenius norm of P
+    assert not _dare_stationary(np.array([[1e160]]), np.array([[1e170]]))
+    # unobserved and unstable: P quadruples from 1e155 until it overflows
+    with pytest.raises(CertificationFailure, match="diverged"):
+        _dare_flow(scalar_sys(2.0, 0.0, 1.0, 1.0), np.array([[1e155]]))
+    # unobserved and neutral: P is stationary to the last bit but its norm
+    # has overflowed, which fails at the first step, not after max_iter
+    with pytest.raises(CertificationFailure, match="diverged"):
+        _dare_flow(scalar_sys(1.0, 0.0, 1.0, 1.0), np.array([[1e160]]), record=True)
+    # P jumps from 1.13 to 1.13e200, then to inf, whose gain step fails
+    cov = stability._covariance_pass(scalar_sys(1e100, 0.0, 1.0, 1.0), np.array([[1.13]]),
+                                     None, 50)
+    assert cov.failed_at == 2
+    assert cov.failure[0] == "innovation covariance not finite"
 
 
 # ---------------------------------------------------------------------------
