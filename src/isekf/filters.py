@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, InputDomainError, NumericalFailure
 from .saturation import (
@@ -30,8 +30,7 @@ from .saturation import (
 # under these names.
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_innovation  # noqa: F401
 
-# The LAPACK Cholesky pair behind cho_factor/cho_solve, resolved once
-# (see _spd_solve).
+# The LAPACK Cholesky pair potrf/potrs, resolved once (see _spd_solve).
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 # Positivity floor for sigma/epsilon in every continuous-time RK4 stage and step.
@@ -68,6 +67,14 @@ def jacobian_fd(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h_rel: f
     return jac
 
 
+def _require_finite(obj, names) -> None:
+    """ConfigurationError naming the first of obj's matrices that holds a
+    nan or inf entry."""
+    for name in names:
+        if not np.isfinite(getattr(obj, name)).all():
+            raise ConfigurationError(f"{name} must be finite")
+
+
 @dataclass
 class NonlinearModel:
     """System description used by every filter.
@@ -97,6 +104,7 @@ class NonlinearModel:
             raise ConfigurationError(f"Q must be {self.n}x{self.n}, got {self.Q.shape}")
         if self.R.shape != (self.p, self.p):
             raise ConfigurationError(f"R must be {self.p}x{self.p}, got {self.R.shape}")
+        _require_finite(self, ("Q", "R"))
         if not np.allclose(self.Q, self.Q.T, atol=1e-12 * (1.0 + abs(self.Q).max())):
             raise ConfigurationError("Q must be symmetric")
         if not np.allclose(self.R, self.R.T, atol=1e-12 * (1.0 + abs(self.R).max())):
@@ -104,8 +112,8 @@ class NonlinearModel:
         if not _is_psd(self.Q, 1e-10)[1]:
             raise ConfigurationError("Q must be positive semidefinite")
         try:
-            cho_factor(self.R)
-        except LinAlgError as exc:
+            _spd_solve(self.R, np.eye(self.p), "R")
+        except NumericalFailure as exc:
             raise ConfigurationError("R must be positive definite") from exc
         self.angle_channels = tuple(int(i) for i in self.angle_channels)
 
@@ -169,7 +177,8 @@ def _is_psd(M: np.ndarray, tol_scale: float):
     """(min eigenvalue, passed) of the PSD test on the symmetric part of M:
     the minimum eigenvalue is at least -tol_scale * (1 + max |M_ij|).  The
     scale cannot overflow for a finite M, and a non-finite eigenvalue
-    fails."""
+    fails.  A negative tol_scale asks for positive definiteness with that
+    margin."""
     # halves first: M + M^T overflows for entries near the float limit
     min_eig = float(np.linalg.eigvalsh(0.5 * M + 0.5 * M.T).min())
     return min_eig, min_eig >= -tol_scale * (1.0 + abs(M).max())
@@ -189,10 +198,10 @@ def check_covariance(P: np.ndarray, tol_scale: float = 1e-9) -> float:
 def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     """M^{-1} B for a finite symmetric positive definite M.
 
-    Calls the LAPACK pair behind cho_factor/cho_solve, potrf and potrs,
-    with their flags (upper factor, not cleaned), so the bits are theirs
-    without their per-call checks and copies.  Raises NumericalFailure
-    when M is not positive definite."""
+    Calls LAPACK potrf and potrs with the flags of scipy.linalg's
+    Cholesky factor and solve (upper factor, not cleaned), so the bits are
+    theirs without their per-call checks and copies.  Raises
+    NumericalFailure when M is not positive definite."""
     # positional (lower=0, clean=0) and (lower=0): f2py parses them faster
     c, info = _POTRF(M, 0, 0)
     if info != 0:
@@ -213,30 +222,11 @@ def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
     return K, S
 
 
-# Innovation policies of the discrete-time update: shape(innov, S, sat) is
-# the innovation that corrects the estimate, sat the (sigma, epsilon) pair
-# of the saturated filter or None.
-
-def _raw(innov, S, sat):
-    return innov
-
-
-def _clip_to_bound(innov, S, sat):
-    return _clip(innov, np.sqrt(sat[0]))
-
-
 def _gated(innov, S, ell):
     """Zero channel i where |innov_i| > ell * sqrt(S_ii); innov and S may
     be stacks (channels last), ell a matching column of gate widths."""
     return np.where(np.abs(innov) > ell * np.sqrt(np.diagonal(S, axis1=-2, axis2=-1)),
                     0.0, innov)
-
-
-def _gate(ell: float) -> Callable:
-    """Zero channel i when |innov_i| > ell * sqrt(S_ii)."""
-    def gate(innov, S, sat):
-        return _gated(innov, S, ell)
-    return gate
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -254,15 +244,18 @@ def _predict(model: NonlinearModel, x: np.ndarray, P: np.ndarray, u):
 
 
 def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
-            shape: Callable, sat=None, params: Optional[BoundParams] = None):
+            sat=None, params: Optional[BoundParams] = None, ell: float = np.inf):
     """Update core that every discrete-time filter shares.
 
-    The estimate is corrected with shape(innov, S, sat); the covariance
-    update is P - K (C P C^T + R) K^T, then symmetrization.  A saturated
-    filter's sat = (sigma, epsilon) advances through the bound map on the
-    raw innovation; a clip level that underflows to 0 is a NumericalFailure,
-    so no step hands on a state that the entry checks reject.  Returns
-    (x, P, sat).
+    The innovation policy is data, as in _Lanes: the estimate is corrected
+    with _gated(_clip(innov, bound), S, ell), where the clip level bound is
+    sqrt(sigma) of a saturated filter's sat = (sigma, epsilon) and the
+    gate width ell that of the gated EKF; the policy a filter lacks is
+    +inf, which leaves the innovation unchanged bit for bit.  The
+    covariance update is P - K (C P C^T + R) K^T, then symmetrization.
+    sat advances through the bound map on the raw innovation; a clip level
+    that underflows to 0 is a NumericalFailure, so no step hands on a
+    state that the entry checks reject.  Returns (x, P, sat).
 
     As in _Lanes.step, floating-point warnings are off: a failure is
     reported as its error alone, on both paths."""
@@ -270,7 +263,8 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
         C = model.C_at(x)
         K, S = _innovation_gain(P, C, model.R)
         innov = model.innovation(x, y)
-        x_new = x + K.dot(shape(innov, S, sat))
+        bound = np.inf if sat is None else np.sqrt(sat[0])
+        x_new = x + K.dot(_gated(_clip(innov, bound), S, ell))
         if not np.isfinite(x_new).all():
             raise NumericalFailure("update produced non-finite estimate", context=x)
         P_new = _symmetrize(P - K.dot(S).dot(K.T))
@@ -282,7 +276,7 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
 
 
 def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray, u,
-                 shape: Callable, sat=None, params: Optional[BoundParams] = None):
+                 sat=None, params: Optional[BoundParams] = None, ell: float = np.inf):
     """One predict + update cycle on raw arrays; returns (x, P, sat).
 
     The core behind every discrete-time step.  It checks only what can go
@@ -293,7 +287,7 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
     public steps over this core are the reference simulate is tested
     against."""
     x, P = _predict(model, x, P, u)
-    return _update(model, x, P, y, shape, sat, params)
+    return _update(model, x, P, y, sat, params, ell)
 
 
 class _BoundStack(NamedTuple):
@@ -463,11 +457,10 @@ def dt_update(
     symmetrization.
     """
     if st.sat is None:
-        x, P, _ = _update(model, st.x_hat, st.P, y, _raw)
+        x, P, _ = _update(model, st.x_hat, st.P, y)
         return replace(st, x_hat=x, P=P)
     _check_saturated(model, st.sat, params, "dt_update", y)
-    x, P, sat = _update(model, st.x_hat, st.P, y, _clip_to_bound,
-                        (st.sat.sigma, st.sat.epsilon), params)
+    x, P, sat = _update(model, st.x_hat, st.P, y, (st.sat.sigma, st.sat.epsilon), params)
     return replace(st, x_hat=x, P=P, sat=SaturationState(*sat))
 
 
@@ -481,14 +474,14 @@ def dt_isekf_step(
     """One full saturated-EKF cycle: predict, correct with the clipped
     innovation, advance the bound recursion."""
     _check_saturated(model, st.sat, params, "dt_isekf_step", y)
-    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, _clip_to_bound,
-                             (st.sat.sigma, st.sat.epsilon), params)
+    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, (st.sat.sigma, st.sat.epsilon),
+                             params)
     return replace(st, x_hat=x, P=P, sat=SaturationState(*sat), k=st.k + 1)
 
 
 def ekf_step(model: NonlinearModel, st: FilterState, y: np.ndarray, u=None) -> FilterState:
     """Standard EKF cycle (no innovation clipping)."""
-    x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, _raw)
+    x, P, _ = _filter_step(model, st.x_hat, st.P, y, u)
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 
 
@@ -506,7 +499,7 @@ def sigma_gate_step(
     usual with the gated innovation."""
     if not ell > 0.0:
         raise ConfigurationError(f"ell must be positive, got {ell}")
-    x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, _gate(ell))
+    x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, ell=ell)
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 
 

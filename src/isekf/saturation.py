@@ -54,10 +54,6 @@ class SaturationState:
     def p(self) -> int:
         return self.sigma.shape[0]
 
-    def require_positive(self) -> None:
-        if not (np.all(self.sigma > 0.0) and np.all(self.epsilon > 0.0)):
-            raise InputDomainError("sigma and epsilon must be strictly positive")
-
     def bounds(self) -> np.ndarray:
         """Per-channel clip levels sqrt(sigma)."""
         return np.sqrt(self.sigma)
@@ -147,12 +143,9 @@ def saturate_vector(r: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def saturate_innovation(innov: np.ndarray, sat: SaturationState) -> np.ndarray:
-    """Clip innovation channel i to [-sqrt(sigma_i), +sqrt(sigma_i)]."""
-    innov = np.asarray(innov, dtype=float)
-    if innov.shape != sat.sigma.shape:
-        raise ConfigurationError(
-            f"innovation length {innov.shape} does not match channel count {sat.sigma.shape}"
-        )
+    """Clip innovation channel i to [-sqrt(sigma_i), +sqrt(sigma_i)]:
+    saturate_vector, which checks the innovation, at the bounds of a
+    strictly positive sigma."""
     if np.any(sat.sigma <= 0.0):
         raise InputDomainError("saturate_innovation: sigma must be strictly positive")
     return saturate_vector(innov, sat.bounds())

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_continuous_are
+from scipy.linalg import solve_continuous_are
 
 from .errors import (
     CertificationFailure,
@@ -25,22 +25,29 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
-from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _rk4, _saturated_rhs,
-                      _symmetrize)
+from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite, _rk4,
+                      _saturated_rhs, _spd_solve, _symmetrize)
 from .saturation import BoundParams, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_vector  # noqa: F401
 
 _HAUTUS_TOL = 1e-8
+# Checkpoints of the certification sweep, and its PSD tolerance
+_CHECKPOINTS = 50
+_PSD_TOL = 1e-9
+# Step caps of the continuous and discrete Riccati flows
+_CARE_MAX_ITER = 20000
+_DARE_MAX_ITER = 1000000
 
 
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    try:
-        cf = cho_factor(_symmetrize(M))
-    except LinAlgError as exc:
-        raise NumericalFailure(f"{what} is singular or not positive definite", context=M) from exc
-    return cho_solve(cf, np.eye(M.shape[0]))
+    """Inverse of the symmetric part of an SPD matrix through _spd_solve.
+    The finiteness check comes first: LAPACK potrf factors a matrix
+    holding nan or inf without an error.  Raises NumericalFailure."""
+    if not np.isfinite(M).all():
+        raise NumericalFailure(f"{what} not finite", context=M)
+    return _spd_solve(_symmetrize(M), np.eye(M.shape[0]), what)
 
 
 def sqrtm_psd(M: np.ndarray) -> np.ndarray:
@@ -80,11 +87,12 @@ class LinearSystem:
             raise ConfigurationError("D must have p rows")
         if self.mode not in ("continuous", "discrete"):
             raise ConfigurationError(f"mode must be 'continuous' or 'discrete', got {self.mode!r}")
+        _require_finite(self, ("A", "C", "Q", "R", "D"))
         if not _is_psd(self.Q, 1e-10)[1]:
             raise ConfigurationError("Q must be positive semidefinite")
         try:
-            cho_factor(_symmetrize(self.R))
-        except LinAlgError as exc:
+            _spd_inverse(self.R, "R")
+        except NumericalFailure as exc:
             raise ConfigurationError("R must be positive definite") from exc
 
     @property
@@ -139,7 +147,7 @@ def _care_rhs(sys: LinearSystem, Sbar: np.ndarray, P: np.ndarray) -> np.ndarray:
     return _symmetrize(sys.A @ P + P @ sys.A.T + sys.Q - P @ Sbar @ P)
 
 
-def _care_flow(sys: LinearSystem, P0: np.ndarray, max_iter: int = 20000):
+def _care_flow(sys: LinearSystem, P0: np.ndarray):
     """Follow the Riccati flow dP/dt = A P + P A^T + Q - P C^T R^(-1) C P
     from P0 and record the trajectory, handing over to solve_care once the
     flow is near its fixed point.
@@ -174,7 +182,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray, max_iter: int = 20000):
     Phi = expm(h * M)
     t = 0.0
     steps_at_h = 0
-    for _ in range(max_iter):
+    for _ in range(_CARE_MAX_ITER):
         X = Phi[:n, :n] + Phi[:n, n:] @ P
         Y = Phi[n:, :n] + Phi[n:, n:] @ P
         try:
@@ -232,13 +240,12 @@ def _dare_stationary(P: np.ndarray, P_next: np.ndarray) -> bool:
     return np.isfinite(scale) and np.linalg.norm(P_next - P) <= 1e-12 * scale
 
 
-def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False,
-               max_iter: int = 1000000):
+def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
     """Iterate the prediction-form recursion until successive iterates are
     stationary.  Returns (P_inf, preds, filts, gains)."""
     P = _symmetrize(np.asarray(P0, dtype=float))
     preds, filts, gains = [], [], []
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         P_next, P_filt, K = _dare_step(sys, P)
         if record:
             preds.append(P.copy())
@@ -293,17 +300,17 @@ class CertificateCandidate:
         self.U = np.atleast_2d(np.asarray(self.U, dtype=float))
         self.Gamma2 = np.atleast_2d(np.asarray(self.Gamma2, dtype=float))
         self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
+        _require_finite(self, ("W", "U", "Gamma2", "P0"))
         for name, M in (("W", self.W), ("Gamma2", self.Gamma2)):
             if np.any(np.abs(M - np.diag(np.diag(M))) > 1e-12 * (1.0 + abs(M).max())):
                 raise ConfigurationError(f"{name} must be diagonal")
             if np.any(np.diag(M) <= 0.0):
                 raise ConfigurationError(f"{name} must have strictly positive diagonal")
-        if np.linalg.eigvalsh(_symmetrize(self.U)).min() <= 0.0:
+        if not _is_psd(self.U, 0.0)[0] > 0.0:
             raise ConfigurationError("U must be positive definite")
         if not self.alpha > 0.0:
             raise ConfigurationError("alpha must be positive")
-        lmin = np.linalg.eigvalsh(_symmetrize(self.P0)).min()
-        if lmin < -1e-12 * (1.0 + np.linalg.norm(self.P0)):
+        if not _is_psd(self.P0, 1e-12)[1]:
             raise ConfigurationError("P0 must be positive semidefinite")
 
 
@@ -350,10 +357,9 @@ def build_Z(
     if np.linalg.matrix_rank(sys.A, tol=1e-12 * (1.0 + np.linalg.norm(sys.A))) < n:
         raise CertificationFailure("discrete certification requires invertible A")
     try:
-        Q_cf = cho_factor(_symmetrize(sys.Q))
-    except LinAlgError as exc:
+        Qinv = _spd_inverse(sys.Q, "Q")
+    except NumericalFailure as exc:
         raise CertificationFailure("discrete certification requires invertible Q") from exc
-    Qinv = cho_solve(Q_cf, np.eye(n))
     Rinv = _spd_inverse(sys.R, "R")
     Pf_inv = _spd_inverse(P_filt, "P_filt")
     if eps_cov is None:
@@ -396,13 +402,14 @@ class PsdReport:
 
 
 def is_psd(M: np.ndarray, tol: float = 1e-9) -> PsdReport:
-    """True iff lambda_min(M) >= -tol*(1 + ||M||), after symmetrization."""
-    M = _symmetrize(np.asarray(M, dtype=float))
+    """True iff lambda_min(M) >= -tol*(1 + max|M_ij|), after
+    symmetrization: the public form of filters._is_psd."""
+    M = np.asarray(M, dtype=float)
     try:
-        min_eig = float(np.linalg.eigvalsh(M).min())
-    except LinAlgError as exc:
+        min_eig, ok = _is_psd(M, tol)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigenvalue computation failed", context=M) from exc
-    return PsdReport(bool(min_eig >= -tol * (1.0 + np.linalg.norm(M))), min_eig)
+    return PsdReport(bool(ok), min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +447,24 @@ class StabilityCertificate:
 
     def c2_at(self, t) -> float:
         """Pointwise c2 = lambda_min(P^-1) = 1/lambda_max(P) along the
-        certification trajectory (fixed point beyond it)."""
+        certification trajectory (fixed point beyond it); inf at P = 0."""
         idx = np.searchsorted(self._c2_times, t, side="right") - 1
         if idx < 0:
             idx = 0
         if idx >= len(self._c2_lmax):
             idx = len(self._c2_lmax) - 1
-        return 1.0 / float(self._c2_lmax[idx])
+        lmax = float(self._c2_lmax[idx])
+        return 1.0 / lmax if lmax > 0.0 else math.inf
 
     def initial_v(self, e0: np.ndarray) -> float:
-        """Lyapunov level at the start: e0' P0^-1 e0 + sum(sigma0) + sum(eps0)."""
+        """Lyapunov level at the start: e0' P0^-1 e0 + sum(sigma0) + sum(eps0).
+        A nonzero e0 on a singular P0 (the start certify skips) is an
+        InputDomainError."""
         e0 = np.asarray(e0, dtype=float)
         v = float(np.sum(self.params.sigma0) + np.sum(self.params.epsilon0))
         if np.any(e0 != 0.0):
+            if not _is_psd(self.P0, -1e-12)[1]:
+                raise InputDomainError("P0 is singular: the initial error e0 must be zero")
             v += float(e0 @ np.linalg.solve(self.P0, e0))
         return v
 
@@ -512,8 +524,6 @@ def certify(
     params: BoundParams,
     mu: float,
     variant: str = "theorem",
-    checkpoints: int = 50,
-    psd_tol: float = 1e-9,
 ) -> StabilityCertificate:
     """Attempt a bounded-error certificate.
 
@@ -552,32 +562,28 @@ def certify(
         times = np.arange(len(preds), dtype=float)
         mats = preds
 
-    # geometric checkpoint selection over the recorded trajectory + fixed point
+    # geometric checkpoint selection over the recorded trajectory (both
+    # flows record at least the start) + fixed point
     n_rec = len(mats)
     if n_rec > 1:
-        idx = np.unique(np.round(np.geomspace(1, n_rec - 1, min(checkpoints, n_rec - 1))).astype(int))
+        idx = np.unique(np.round(np.geomspace(1, n_rec - 1, min(_CHECKPOINTS, n_rec - 1))).astype(int))
         idx = np.concatenate([[0], idx])
     else:
         idx = np.array([0])
+    t_inf = float(times[-1]) + (1.0 if sys.mode == "discrete" else 0.0)
 
-    eps_cov = None
+    eps_cov = Pf_inf = None
     if sys.mode == "discrete":
-        filts_all = filts + [_dare_step(sys, P_inf)[1]]
+        Pf_inf = _dare_step(sys, P_inf)[1]
         eps_cov = 1.01 * max(float(np.linalg.eigvalsh(_spd_inverse(Pf, "P_filt")).max())
-                             for Pf in filts_all)
+                             for Pf in filts + [Pf_inf])
 
-    lmin_p0 = float(np.linalg.eigvalsh(_symmetrize(cand.P0)).min())
+    # a singular start has no P^-1; the sweep then begins at the first iterate
+    start = 0 if _is_psd(cand.P0, -1e-12)[1] else 1
+    checks = [(float(times[i]), mats[i], filts[i] if sys.mode == "discrete" else None)
+              for i in idx[start:]] + [(t_inf, P_inf, Pf_inf)]
+
     report = []
-    checks = []
-    for i in idx:
-        if i == 0 and lmin_p0 <= 1e-12 * (1.0 + np.linalg.norm(cand.P0)):
-            continue  # singular start has no P^-1; the sweep begins at the first iterate
-        checks.append((float(times[i]), mats[i], filts[i] if sys.mode == "discrete" else None))
-    if sys.mode == "discrete":
-        checks.append((float(times[-1]) + 1.0 if n_rec else 0.0, P_inf, _dare_step(sys, P_inf)[1]))
-    else:
-        checks.append((float(times[-1]) if n_rec else 0.0, P_inf, None))
-
     t6_top = -np.inf
     for where, P_pred, P_filt in checks:
         if sys.mode == "continuous":
@@ -585,7 +591,7 @@ def certify(
         else:
             Mat, T6 = build_Z(sys, cand, P_pred, P_filt, eps_cov=eps_cov)
             t6_top = max(t6_top, float(np.linalg.eigvalsh(_symmetrize(T6 + cand.U)).max()))
-        rep = is_psd(Mat, tol=psd_tol)
+        rep = is_psd(Mat, tol=_PSD_TOL)
         report.append((where, rep.min_eig))
         if not rep.ok:
             raise CertificationFailure(
@@ -600,7 +606,7 @@ def certify(
     c3 = 1.0 / float(np.linalg.eigvalsh(_symmetrize(P_inf)).max())
 
     lmax_traj = np.array([float(np.linalg.eigvalsh(P).max()) for P in mats] + [float(np.linalg.eigvalsh(P_inf).max())])
-    times_traj = np.concatenate([times, [times[-1] + (1.0 if sys.mode == "discrete" else 0.0)]]) if n_rec else np.array([0.0])
+    times_traj = np.concatenate([times, [t_inf]])
     forcing = c1 * mu**2 + rho
     asym = math.sqrt(forcing / (cand.alpha * c3))
 
@@ -751,8 +757,10 @@ def bound_trajectory_check(
 
     d_signal(k) (discrete) or d_signal(t) (continuous) must be finite with
     ||d|| <= mu; otherwise InputDomainError.  The bound parameters, e0 and
-    dt are checked once at entry.  The covariance pass (_covariance_pass:
-    P and the gain, from cand.P0, which do not depend on the disturbance)
+    dt are checked once at entry, where a nonzero e0 on a singular P0 is
+    an InputDomainError (see initial_v).  The covariance pass
+    (_covariance_pass: P and the gain, from cand.P0, which do not depend
+    on the disturbance)
     is shared by every draw on one observer; the error pass then steps
     (e, sigma, eps) on the unchecked clip and bound-map cores, in
     continuous time with the continuous-time filter's saturated core and

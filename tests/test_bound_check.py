@@ -382,3 +382,26 @@ def test_the_cached_gains_are_read_only(mode, dt_observer, ct_observer):
     assert cov.gains.size and not cov.gains.flags.writeable
     with pytest.raises(ValueError):
         cov.gains[0, 0, 0] = 1.0
+
+
+def test_a_singular_start_takes_only_a_zero_initial_error():
+    # certify skips a singular P0, which has no V0 = e0' P0^-1 e0 for e0 != 0;
+    # at P0 = 0 the envelope starts at 0
+    sys = LinearSystem(A=np.diag([-1.0, -2.0]), C=[[1.0, 1.0]], Q=np.eye(2), R=[[1.0]],
+                       D=[[1.0]], mode="continuous")
+    params = BoundParams(lambda1=[-1.0], lambda2=[-1.0], gamma1=[0.1], gamma2=[1.0],
+                         sigma0=[0.5], epsilon0=[0.5], mode="ct")
+    cand = CertificateCandidate(W=[[1.0]], U=[[2.0]], alpha=0.5, Gamma2=[[1.0]],
+                                P0=np.zeros((2, 2)))
+    cert = certify(sys, cand, params, mu=0.3)
+    read = []
+
+    def d_signal(t):
+        read.append(t)
+        return np.zeros(1)
+
+    with pytest.raises(InputDomainError, match="P0 is singular"):
+        bound_trajectory_check(sys, cand, cert, d_signal, horizon=0.1, e0=np.array([0.1, 0.0]))
+    assert read == []
+    rep = bound_trajectory_check(sys, cand, cert, d_signal, horizon=0.1)
+    assert rep.samples == 101 and rep.final_error_norm == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from isekf.filters import (
 )
 from isekf.saturation import BoundParams, SaturationState
 from isekf.scenario import RobotInput, robot_model
-from isekf.stability import LinearSystem, solve_dare
+from isekf.stability import LinearSystem, is_psd, solve_dare
 
 
 def scalar_state(x, P, sigma=None, eps=1.0):
@@ -272,6 +273,13 @@ def test_robot_covariance_stays_symmetric_psd(rng):
     check_covariance(st.P)
 
 
+@pytest.mark.parametrize("Q, R, name", [([[np.nan]], [[1.0]], "Q"), ([[1.0]], [[np.inf]], "R")])
+def test_model_rejects_non_finite_noise_covariances(Q, R, name):
+    # LAPACK potrf factors an inf R without an error
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
+        linear_model([[1.0]], [[1.0]], Q, R)
+
+
 def test_psd_checks_hold_near_the_float_limit():
     # a tolerance scaled by the norm overflows to -inf here and accepts any
     # eigenvalue; the eigenvalue -1e300 is far outside 1e-9 * 1e308
@@ -284,6 +292,11 @@ def test_psd_checks_hold_near_the_float_limit():
     with pytest.raises(ConfigurationError, match="Q must be positive semidefinite"):
         LinearSystem(A=np.eye(2), C=np.eye(2), Q=M, R=np.eye(2), D=np.zeros((2, 1)),
                      mode="discrete")
+    # finite entries whose Frobenius norm overflows to inf: a scale taken
+    # from that norm accepts the eigenvalue -1e199
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_psd(np.diag([1e200, -1e199]))
 
 
 # ---------------------------------------------------------------------------

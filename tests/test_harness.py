@@ -456,6 +456,19 @@ def test_cli_certify_flag_form(capsys):
     assert cli_main(["certify", "--config", LINEAR_CFG]) == 0
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("system", "A", [[float("nan")]]),
+    ("system", "R", [[float("inf")]]),
+    ("certificate", "U", [[float("nan")]]),
+], ids=["nan-A", "inf-R", "nan-U"])
+def test_cli_certify_rejects_non_finite_matrices(tmp_path, capsys, section, key, value):
+    data = harness.load_yaml(LINEAR_CFG)
+    data[section][key] = value
+    assert cli_main(["certify", write_cfg(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be finite\n"
+
+
 def test_cli_missing_config_path():
     assert cli_main(["run"]) == 2
 

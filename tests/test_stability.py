@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_system
 from isekf import stability
-from isekf.errors import CertificationFailure, ConfigurationError, InputDomainError
+from isekf.errors import (CertificationFailure, ConfigurationError, InputDomainError,
+                          NumericalFailure)
 from isekf.saturation import BoundParams
 from isekf.stability import (
     CertificateCandidate,
@@ -111,6 +112,28 @@ def test_mode_guards():
         solve_care(scalar_sys(0.0, 1.0, 1.0, 1.0, mode="discrete"))
     with pytest.raises(ConfigurationError):
         solve_dare(scalar_sys(0.0, 1.0, 1.0, 1.0, mode="continuous"))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["A", "C", "Q", "R", "D", "W", "U", "Gamma2", "P0"])
+def test_non_finite_matrices_rejected_at_construction(name, value):
+    system = dict(A=[[-1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]], mode="continuous")
+    candidate = dict(W=[[1.0]], U=[[2.0]], alpha=0.5, Gamma2=[[1.0]], P0=[[0.01]])
+    kind, kw = (LinearSystem, system) if name in system else (CertificateCandidate, candidate)
+    kw[name] = [[value]]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
+        kind(**kw)
+
+
+@pytest.mark.parametrize("M, message", [
+    ([[np.inf]], "^M not finite$"),
+    ([[np.nan]], "^M not finite$"),
+    ([[1.0, 0.0], [0.0, -1.0]], r"^M not factorizable \(cond ~"),
+], ids=["inf", "nan", "indefinite"])
+def test_spd_inverse_names_its_failure(M, message):
+    # potrf returns info 0 on nan and inf input, so finiteness is checked first
+    with pytest.raises(NumericalFailure, match=message):
+        stability._spd_inverse(np.array(M), "M")
 
 
 def test_monotone_dare_iterates_from_zero(rng):
