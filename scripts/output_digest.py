@@ -1,0 +1,144 @@
+"""Digest of the deterministic outputs of the isekf package on the import path.
+
+    PYTHONPATH=src python scripts/output_digest.py > digest.txt
+
+prints one line per artifact:
+
+- the sha256 of trace.csv, of the 7 SVGs and of metrics.txt (without its
+  wall-clock lines) of `isekf run paper.cfg --seed S` for S in 1, 7, 1001;
+- the stdout of `isekf sweep paper.cfg --seeds 20` and of
+  `isekf certify linear.cfg`, line by line;
+- max_ratio, samples and final_error_norm (floats in hex) of draws 0-2 of
+  the bench's bound-dt and bound-ct workloads at seed 1;
+- the endpoint (hex) of a 3-state, 2-channel ct_isekf_integrate run with a
+  clipped outlier.
+
+The configs and bench/workloads.py are read from this checkout (the latter
+loaded by path, read only); the package is whatever `import isekf` finds, so
+`PYTHONPATH=<other checkout>/src python scripts/output_digest.py` digests
+another checkout's code on the same inputs, and two digests can be diffed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import math
+import os
+import sys
+import tempfile
+from typing import Optional
+
+import numpy as np
+
+from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
+from isekf.harness import cli_main
+from isekf.saturation import BoundParams, SaturationState
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAPER_CFG = os.path.join(ROOT, "paper.cfg")
+LINEAR_CFG = os.path.join(ROOT, "linear.cfg")
+RUN_SEEDS = (1, 7, 1001)
+DRAWS = 3
+
+
+def _cli_stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise RuntimeError(f"isekf {' '.join(argv)} exited {rc}")
+    return buf.getvalue()
+
+
+def _sha256(path: str, drop: Optional[str] = None) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if drop is not None:
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if drop.encode() not in line)
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_lines() -> list[str]:
+    lines = []
+    for seed in RUN_SEEDS:
+        with tempfile.TemporaryDirectory() as out:
+            _cli_stdout(["run", PAPER_CFG, "--seed", str(seed), "--out", out])
+            for name in sorted(os.listdir(out)):
+                drop = "wall clock" if name == "metrics.txt" else None
+                lines.append(f"run seed={seed} {name} {_sha256(os.path.join(out, name), drop)}")
+    return lines
+
+
+def _stdout_lines(argv, label: str) -> list[str]:
+    return [f"{label} | {line}" for line in _cli_stdout(argv).splitlines()]
+
+
+def sweep_lines() -> list[str]:
+    return _stdout_lines(["sweep", PAPER_CFG, "--seeds", "20"], "sweep paper.cfg --seeds 20")
+
+
+def certify_lines() -> list[str]:
+    return _stdout_lines(["certify", LINEAR_CFG], "certify linear.cfg")
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound_lines() -> list[str]:
+    workloads = _bench_workloads()
+    lines = []
+    for name in ("bound-dt", "bound-ct"):
+        wl = workloads.WORKLOADS[name](ROOT, None, workloads.DEFAULT_SEED)
+        wl.setup()
+        for i in range(DRAWS):
+            rep = wl.run(wl.prepare(i, "digest"))
+            lines.append(f"{name} draw {i} max_ratio={rep.max_ratio.hex()} "
+                         f"samples={rep.samples} "
+                         f"final_error_norm={rep.final_error_norm.hex()}")
+    return lines
+
+
+def ct_endpoint_lines() -> list[str]:
+    A = np.array([[-0.5, 0.2, 0.0], [0.0, -0.3, 0.1], [0.1, 0.0, -0.4]])
+    C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    model = NonlinearModel(
+        f=lambda x, u: A @ x, h=lambda x: C @ x,
+        Q=[[0.02, 0.005, 0.0], [0.005, 0.03, 0.0], [0.0, 0.0, 0.01]], R=np.diag([0.5, 0.3]),
+        n=3, p=2, jac_f=lambda x, u: A, jac_h=lambda x: C)
+    params = BoundParams(lambda1=[-0.8, -0.8], lambda2=[-1.5, -1.5], gamma1=[0.6, 0.6],
+                         gamma2=[0.9, 0.9], sigma0=[0.04, 0.04], epsilon0=[0.3, 0.3],
+                         mode="ct")
+    st = FilterState(np.zeros(3), np.diag([0.2, 0.1, 0.3]),
+                     sat=SaturationState([0.04, 0.04], [0.3, 0.3]))
+
+    def y_of(t):
+        outlier = 3.0 if 0.8 <= t < 1.2 else 0.0
+        return np.array([math.exp(-0.5 * t) + outlier, 0.5 * math.exp(-0.3 * t)])
+
+    end = ct_isekf_integrate(model, st, y_of, 1e-3, 2.0, params)[-1]
+    return [f"ct_isekf_integrate 3-state {name}=[{' '.join(float(v).hex() for v in vals)}]"
+            for name, vals in (("x", end.x_hat), ("P", end.P.ravel()),
+                               ("sigma", end.sat.sigma), ("epsilon", end.sat.epsilon))]
+
+
+SECTIONS = (run_lines, sweep_lines, certify_lines, bound_lines, ct_endpoint_lines)
+
+
+def main() -> int:
+    for section in SECTIONS:
+        for line in section():
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -75,6 +75,17 @@ def _require_finite(obj, names) -> None:
             raise ConfigurationError(f"{name} must be finite")
 
 
+def _require_symmetric(obj, names) -> None:
+    """ConfigurationError naming the first of obj's matrices that is not
+    square, or not symmetric up to 1e-12 * (1 + max |M_ij|)."""
+    for name in names:
+        M = getattr(obj, name)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ConfigurationError(f"{name} must be square, got shape {M.shape}")
+        if not np.allclose(M, M.T, atol=1e-12 * (1.0 + abs(M).max())):
+            raise ConfigurationError(f"{name} must be symmetric")
+
+
 @dataclass
 class NonlinearModel:
     """System description used by every filter.
@@ -105,10 +116,7 @@ class NonlinearModel:
         if self.R.shape != (self.p, self.p):
             raise ConfigurationError(f"R must be {self.p}x{self.p}, got {self.R.shape}")
         _require_finite(self, ("Q", "R"))
-        if not np.allclose(self.Q, self.Q.T, atol=1e-12 * (1.0 + abs(self.Q).max())):
-            raise ConfigurationError("Q must be symmetric")
-        if not np.allclose(self.R, self.R.T, atol=1e-12 * (1.0 + abs(self.R).max())):
-            raise ConfigurationError("R must be symmetric")
+        _require_symmetric(self, ("Q", "R"))
         if not _is_psd(self.Q, 1e-10)[1]:
             raise ConfigurationError("Q must be positive semidefinite")
         try:
@@ -184,12 +192,12 @@ def _is_psd(M: np.ndarray, tol_scale: float):
     return min_eig, min_eig >= -tol_scale * (1.0 + abs(M).max())
 
 
-def check_covariance(P: np.ndarray, tol_scale: float = 1e-9) -> float:
-    """Assert P is symmetric PSD up to tol_scale*(1+max|P_ij|); returns the
+def check_covariance(P: np.ndarray) -> float:
+    """Assert P is symmetric PSD up to 1e-9*(1+max|P_ij|); returns the
     minimum eigenvalue."""
     if not np.allclose(P, P.T, atol=1e-9 * (1.0 + abs(P).max())):
         raise NumericalFailure("covariance lost symmetry", context=P)
-    min_eig, psd = _is_psd(P, tol_scale)
+    min_eig, psd = _is_psd(P, 1e-9)
     if not psd:
         raise NumericalFailure(f"covariance not PSD, min eigenvalue {min_eig:.3e}", context=P)
     return min_eig
@@ -514,16 +522,24 @@ def _saturated_rhs(drift: np.ndarray, K: np.ndarray, innov: np.ndarray, sat: np.
     return drift + K.dot(_clip(innov, np.sqrt(sigma))), sigma_dot, eps_dot
 
 
+def _riccati_rhs(A: np.ndarray, Q: np.ndarray, C: np.ndarray, K: np.ndarray,
+                 P: np.ndarray) -> np.ndarray:
+    """The Riccati right-hand side A P + P A^T + Q - K C P, symmetrized, for
+    the gain K = P C^T R^{-1} and an exactly symmetric P: P A^T = (A P)^T."""
+    # ndarray.dot: on tiny operands it dispatches in about half the time of @
+    AP = A.dot(P)
+    return _symmetrize(AP + AP.T + Q - K.dot(C).dot(P))
+
+
 def _ct_rhs(model: NonlinearModel, x: np.ndarray, P: np.ndarray, sat: np.ndarray,
             y: np.ndarray, params: BoundParams):
-    """ct_isekf_derivative on raw arrays (sat = [sigma; epsilon]), checking
-    only the model maps: _saturated_rhs with K = P C^T R^{-1}, and P_dot."""
+    """ct_isekf_derivative on raw arrays (sat = [sigma; epsilon], P symmetric),
+    checking only the model maps: _saturated_rhs with K = P C^T R^{-1}, and P_dot."""
     A, C = model.A_at(x), model.C_at(x)
     K = _spd_solve(model.R, C @ P, "R").T
     innov = model.innovation(x, y)
     x_dot, sigma_dot, eps_dot = _saturated_rhs(model.f_at(x), K, innov, sat, params, model.p)
-    P_dot = _symmetrize(A @ P + P @ A.T + model.Q - K @ model.R @ K.T)
-    return x_dot, P_dot, sigma_dot, eps_dot
+    return x_dot, _riccati_rhs(A, model.Q, C, K, P), sigma_dot, eps_dot
 
 
 def ct_isekf_derivative(
@@ -536,11 +552,11 @@ def ct_isekf_derivative(
 
     Returns (x_dot, P_dot, sigma_dot, eps_dot) with
     x_dot = f(x) + K sat(y - h(x)), K = P C^T R^{-1},
-    P_dot = A P + P A^T + Q - K R K^T (returned symmetric).  The checked
-    form of _ct_rhs; a non-finite result raises NumericalFailure."""
+    P_dot = A P + P A^T + Q - K C P at sym(P) (returned symmetric).  The
+    checked form of _ct_rhs; a non-finite result raises NumericalFailure."""
     _check_saturated(model, st.sat, params, "ct_isekf_derivative", y, mode="ct")
-    out = _ct_rhs(model, st.x_hat, st.P, np.concatenate((st.sat.sigma, st.sat.epsilon)),
-                  np.asarray(y, dtype=float), params)
+    sat = np.concatenate((st.sat.sigma, st.sat.epsilon))
+    out = _ct_rhs(model, st.x_hat, _symmetrize(st.P), sat, np.asarray(y, dtype=float), params)
     if not all(np.isfinite(v).all() for v in out):
         raise NumericalFailure("derivative evaluation non-finite", context=st.x_hat)
     return out
@@ -588,7 +604,7 @@ def ct_isekf_integrate(
     at the RK4 stage times (it may be held between samples).  Stages run the
     unchecked core _ct_rhs on the flat [x; vec(P); sigma; eps].  Floor policy:
     sigma/eps floored at 1e-12 in every stage and after every step; P is
-    re-symmetrized after every step.  Returns the trajectory including st."""
+    symmetrized at entry and after every step.  Returns the trajectory including st."""
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     _check_saturated(model, st.sat, params, "ct_isekf_integrate", mode="ct")
@@ -601,7 +617,7 @@ def ct_isekf_integrate(
         return np.concatenate(_ct_rhs(model, x, P, sat, y, params), axis=None)
 
     out = [replace(st, t=0.0)]
-    z = np.concatenate((st.x_hat, st.P, st.sat.sigma, st.sat.epsilon), axis=None)
+    z = np.concatenate((st.x_hat, _symmetrize(st.P), st.sat.sigma, st.sat.epsilon), axis=None)
     for i in range(int(round(horizon / dt))):
         z = _floored_rk4_step(stage, z, i * dt, dt, n, p)
         x, P, sat = _joint_views(z, n)

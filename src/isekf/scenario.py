@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .filters import NonlinearModel, _check_saturated, _is_psd, _Lanes, _matvec, wrap_angle
+from .filters import (NonlinearModel, _check_saturated, _is_psd, _Lanes, _matvec,
+                      _require_finite, _require_symmetric, wrap_angle)
 # The public FilterState steps over _filter_step; bench/tracer.py wraps
 # them under these names.
 from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
@@ -278,10 +279,8 @@ class FilterSpec:
         if self.kind == "lsigma-ekf" and not self.ell > 0.0:
             raise ConfigurationError("lsigma-ekf requires ell > 0")
         P0 = self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
-        if P0.ndim != 2 or P0.shape[0] != P0.shape[1] or not np.all(np.isfinite(P0)):
-            raise ConfigurationError("P0 must be a finite square matrix")
-        if not np.allclose(P0, P0.T, atol=1e-12 * (1.0 + abs(P0).max())):
-            raise ConfigurationError("P0 must be symmetric")
+        _require_finite(self, ("P0",))
+        _require_symmetric(self, ("P0",))
         if not _is_psd(P0, 1e-10)[1]:
             raise ConfigurationError("P0 must be positive semidefinite")
         if self.label is None:

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are
 
 from .errors import (
     CertificationFailure,
@@ -25,8 +25,9 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
-from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite, _rk4,
-                      _saturated_rhs, _spd_solve, _symmetrize)
+from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite,
+                      _require_symmetric, _riccati_rhs, _rk4, _saturated_rhs, _spd_solve,
+                      _symmetrize)
 from .saturation import BoundParams, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -88,6 +89,7 @@ class LinearSystem:
         if self.mode not in ("continuous", "discrete"):
             raise ConfigurationError(f"mode must be 'continuous' or 'discrete', got {self.mode!r}")
         _require_finite(self, ("A", "C", "Q", "R", "D"))
+        _require_symmetric(self, ("Q", "R"))
         if not _is_psd(self.Q, 1e-10)[1]:
             raise ConfigurationError("Q must be positive semidefinite")
         try:
@@ -124,12 +126,12 @@ def _hautus_ok(A: np.ndarray, B: np.ndarray, mode: str, tol: float) -> bool:
     return True
 
 
-def is_stabilizable(sys: LinearSystem, tol: float = _HAUTUS_TOL) -> bool:
-    return _hautus_ok(sys.A, sqrtm_psd(sys.Q), sys.mode, tol)
+def is_stabilizable(sys: LinearSystem) -> bool:
+    return _hautus_ok(sys.A, sqrtm_psd(sys.Q), sys.mode, _HAUTUS_TOL)
 
 
-def is_detectable(sys: LinearSystem, tol: float = _HAUTUS_TOL) -> bool:
-    return _hautus_ok(sys.A.T, sys.C.T, sys.mode, tol)
+def is_detectable(sys: LinearSystem) -> bool:
+    return _hautus_ok(sys.A.T, sys.C.T, sys.mode, _HAUTUS_TOL)
 
 
 def assert_regular(sys: LinearSystem) -> None:
@@ -143,10 +145,6 @@ def assert_regular(sys: LinearSystem) -> None:
 # ---------------------------------------------------------------------------
 # Riccati solvers
 
-def _care_rhs(sys: LinearSystem, Sbar: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return _symmetrize(sys.A @ P + P @ sys.A.T + sys.Q - P @ Sbar @ P)
-
-
 def _care_flow(sys: LinearSystem, P0: np.ndarray):
     """Follow the Riccati flow dP/dt = A P + P A^T + Q - P C^T R^(-1) C P
     from P0 and record the trajectory, handing over to solve_care once the
@@ -158,19 +156,16 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
     Phi = expm(h M).  h is doubled periodically so slow closed-loop modes
     converge in a bounded number of steps.  Returns (P_inf, samples) with
     samples a list of (t, P) including the start."""
-    from scipy.linalg import expm
-
     n = sys.n
-    Rinv = _spd_inverse(sys.R, "R")
-    Sbar = _symmetrize(sys.C.T @ Rinv @ sys.C)
-    M = np.block([[-sys.A.T, Sbar], [sys.Q, sys.A]])
+    CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
+    M = np.block([[-sys.A.T, _symmetrize(CtRinv @ sys.C)], [sys.Q, sys.A]])
     P = _symmetrize(np.asarray(P0, dtype=float))
     samples = [(0.0, P.copy())]
 
     def stationary(P_mat, nd_val):
         return nd_val <= 1e-12 * (1.0 + np.linalg.norm(P_mat))
 
-    nd = np.linalg.norm(_care_rhs(sys, Sbar, P))
+    nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
     if stationary(P, nd):
         return P, samples
 
@@ -199,7 +194,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
         t += h
         steps_at_h += 1
         samples.append((t, P.copy()))
-        nd = np.linalg.norm(_care_rhs(sys, Sbar, P))
+        nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
         if stationary(P, nd):
             return P, samples
         if nd <= 1e-3 * (1.0 + np.linalg.norm(P)):
@@ -242,19 +237,18 @@ def _dare_stationary(P: np.ndarray, P_next: np.ndarray) -> bool:
 
 def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
     """Iterate the prediction-form recursion until successive iterates are
-    stationary.  Returns (P_inf, preds, filts, gains)."""
+    stationary.  Returns (P_inf, preds, filts)."""
     P = _symmetrize(np.asarray(P0, dtype=float))
-    preds, filts, gains = [], [], []
+    preds, filts = [], []
     for _ in range(_DARE_MAX_ITER):
-        P_next, P_filt, K = _dare_step(sys, P)
+        P_next, P_filt, _ = _dare_step(sys, P)
         if record:
             preds.append(P.copy())
             filts.append(P_filt.copy())
-            gains.append(K.copy())
         if not np.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
             raise CertificationFailure("discrete Riccati recursion diverged")
         if _dare_stationary(P, P_next):
-            return _symmetrize(P_next), preds, filts, gains
+            return _symmetrize(P_next), preds, filts
         P = P_next
     raise CertificationFailure("discrete Riccati recursion did not converge")
 
@@ -265,7 +259,7 @@ def solve_dare(sys: LinearSystem) -> np.ndarray:
     if sys.mode != "discrete":
         raise ConfigurationError("solve_dare requires a discrete-mode system")
     assert_regular(sys)
-    P, _, _, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)))
+    P, _, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)))
     return P
 
 
@@ -301,6 +295,7 @@ class CertificateCandidate:
         self.Gamma2 = np.atleast_2d(np.asarray(self.Gamma2, dtype=float))
         self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
         _require_finite(self, ("W", "U", "Gamma2", "P0"))
+        _require_symmetric(self, ("U", "P0"))
         for name, M in (("W", self.W), ("Gamma2", self.Gamma2)):
             if np.any(np.abs(M - np.diag(np.diag(M))) > 1e-12 * (1.0 + abs(M).max())):
                 raise ConfigurationError(f"{name} must be diagonal")
@@ -314,6 +309,11 @@ class CertificateCandidate:
             raise ConfigurationError("P0 must be positive semidefinite")
 
 
+def _sym_blocks(B11, B12, B13, B22, B23, B33) -> np.ndarray:
+    """The symmetric 3x3 block matrix with upper blocks B_ij, symmetrized."""
+    return _symmetrize(np.block([[B11, B12, B13], [B12.T, B22, B23], [B13.T, B23.T, B33]]))
+
+
 def build_S(sys: LinearSystem, cand: CertificateCandidate, P_t: np.ndarray) -> np.ndarray:
     """Continuous-time certificate matrix, size (n+p+m) square:
 
@@ -322,21 +322,12 @@ def build_S(sys: LinearSystem, cand: CertificateCandidate, P_t: np.ndarray) -> n
         [     *                *                U       ]
 
     with M = P^-1 Q P^-1 + C'(R^-1 - G2)C."""
-    n, p, m = sys.n, sys.p, sys.m
     Pinv = _spd_inverse(P_t, "P_t")
     Rinv = _spd_inverse(sys.R, "R")
     M = Pinv @ sys.Q @ Pinv + sys.C.T @ (Rinv - cand.Gamma2) @ sys.C
-    S = np.zeros((n + p + m, n + p + m))
-    S[:n, :n] = M - cand.alpha * Pinv
-    S[:n, n:n + p] = -sys.C.T @ (Rinv + cand.W)
-    S[:n, n + p:] = sys.C.T @ (cand.Gamma2 - Rinv) @ sys.D
-    S[n:n + p, n:n + p] = 2.0 * cand.W
-    S[n:n + p, n + p:] = cand.W @ sys.D
-    S[n + p:, n + p:] = cand.U
-    S[n:n + p, :n] = S[:n, n:n + p].T
-    S[n + p:, :n] = S[:n, n + p:].T
-    S[n + p:, n:n + p] = S[n:n + p, n + p:].T
-    return _symmetrize(S)
+    return _sym_blocks(M - cand.alpha * Pinv, -sys.C.T @ (Rinv + cand.W),
+                       sys.C.T @ (cand.Gamma2 - Rinv) @ sys.D,
+                       2.0 * cand.W, cand.W @ sys.D, cand.U)
 
 
 def build_Z(
@@ -353,7 +344,7 @@ def build_Z(
     invertible A and positive definite Q."""
     if sys.mode != "discrete":
         raise ConfigurationError("build_Z requires a discrete-mode system")
-    n, p, m = sys.n, sys.p, sys.m
+    n = sys.n
     if np.linalg.matrix_rank(sys.A, tol=1e-12 * (1.0 + np.linalg.norm(sys.A))) < n:
         raise CertificationFailure("discrete certification requires invertible A")
     try:
@@ -379,17 +370,8 @@ def build_Z(
     T6 = _symmetrize(sys.D.T @ (G + cand.Gamma2) @ sys.D)
 
     Pp_inv = _spd_inverse(P_pred, "P_pred")
-    Z = np.zeros((n + p + m, n + p + m))
-    Z[:n, :n] = T1 - cand.alpha * Pp_inv
-    Z[:n, n:n + p] = T2 - sys.C.T @ cand.W
-    Z[:n, n + p:] = T3
-    Z[n:n + p, n:n + p] = T4 + 2.0 * cand.W
-    Z[n:n + p, n + p:] = T5 + cand.W @ sys.D
-    Z[n + p:, n + p:] = cand.U
-    Z[n:n + p, :n] = Z[:n, n:n + p].T
-    Z[n + p:, :n] = Z[:n, n + p:].T
-    Z[n + p:, n:n + p] = Z[n:n + p, n + p:].T
-    return _symmetrize(Z), T6
+    return _sym_blocks(T1 - cand.alpha * Pp_inv, T2 - sys.C.T @ cand.W, T3,
+                       T4 + 2.0 * cand.W, T5 + cand.W @ sys.D, cand.U), T6
 
 
 @dataclass(frozen=True)
@@ -443,7 +425,6 @@ class StabilityCertificate:
     checkpoints: list = field(default_factory=list)  # (time-or-step, min_eig)
     _c2_times: np.ndarray = None
     _c2_lmax: np.ndarray = None
-    trajectory_sampled: bool = True
 
     def c2_at(self, t) -> float:
         """Pointwise c2 = lambda_min(P^-1) = 1/lambda_max(P) along the
@@ -500,8 +481,10 @@ class StabilityCertificate:
         return "\n".join(lines)
 
 
-def _check_bound_params(sys: LinearSystem, params: BoundParams) -> None:
-    """The bound dynamics must match the system's time domain and channels."""
+def _check_against_system(sys: LinearSystem, cand: CertificateCandidate,
+                          params: BoundParams) -> None:
+    """The bound dynamics must match the system's time domain and channels,
+    and the candidate's W and Gamma2 be p x p, U m x m and P0 n x n."""
     expected_mode = "ct" if sys.mode == "continuous" else "dt"
     if params.mode != expected_mode:
         raise ConfigurationError(
@@ -509,6 +492,10 @@ def _check_bound_params(sys: LinearSystem, params: BoundParams) -> None:
         )
     if params.p != sys.p:
         raise ConfigurationError("bound parameters channel count != p")
+    for name, k in (("W", sys.p), ("Gamma2", sys.p), ("U", sys.m), ("P0", sys.n)):
+        shape = getattr(cand, name).shape
+        if shape != (k, k):
+            raise ConfigurationError(f"{name} must be {k}x{k} for this system, got {shape}")
 
 
 def _alpha_ceiling(params: BoundParams, mode: str, variant: str) -> float:
@@ -535,9 +522,9 @@ def certify(
     naming the first violated condition."""
     if variant not in ("theorem", "corollary"):
         raise ConfigurationError(f"unknown variant {variant!r}")
-    if not mu >= 0.0:
-        raise InputDomainError("mu must be nonnegative")
-    _check_bound_params(sys, params)
+    if not 0.0 <= mu < math.inf:
+        raise InputDomainError("mu must be finite and nonnegative")
+    _check_against_system(sys, cand, params)
     if not np.allclose(np.diag(cand.Gamma2), params.gamma2, rtol=1e-12, atol=0.0):
         raise CertificationFailure(
             "Gamma2 of the candidate must equal diag(gamma2) of the running bound dynamics"
@@ -558,7 +545,7 @@ def certify(
         times = np.array([t for t, _ in samples])
         mats = [P for _, P in samples]
     else:
-        P_inf, preds, filts, gains = _dare_flow(sys, cand.P0, record=True)
+        P_inf, preds, filts = _dare_flow(sys, cand.P0, record=True)
         times = np.arange(len(preds), dtype=float)
         mats = preds
 
@@ -722,18 +709,15 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
             P = P_next
         return _CovariancePass(_read_only(np.array(gains)), None, None)
 
-    A, C, Q = plant.A, plant.C, plant.Q
-    CtRinv = C.T @ _spd_inverse(plant.R, "R")
+    CtRinv = plant.C.T @ _spd_inverse(plant.R, "R")
     gains = np.empty((4 * steps,) + CtRinv.shape)
     slots = iter(gains)
 
-    # ndarray.dot rather than @: the operands are tiny, and dot dispatches
-    # in about half the time
     def rhs(P_mat, t):
+        # exactly symmetric, as _riccati_rhs needs: P is symmetrized every step
         K = P_mat.dot(CtRinv)
         next(slots)[...] = K
-        AP = A.dot(P_mat)  # P_mat is exactly symmetric: P A^T = (A P)^T
-        return _symmetrize(AP + AP.T + Q - K.dot(C).dot(P_mat))
+        return _riccati_rhs(plant.A, plant.Q, plant.C, K, P_mat)
 
     for i in range(steps):
         P = _rk4(rhs, P, i * dt, dt)
@@ -756,8 +740,8 @@ def bound_trajectory_check(
     certified envelope pointwise.
 
     d_signal(k) (discrete) or d_signal(t) (continuous) must be finite with
-    ||d|| <= mu; otherwise InputDomainError.  The bound parameters, e0 and
-    dt are checked once at entry, where a nonzero e0 on a singular P0 is
+    ||d|| <= mu; otherwise InputDomainError.  The bound parameters, the
+    candidate's shapes, e0 and dt are checked once at entry, where a nonzero e0 on a singular P0 is
     an InputDomainError (see initial_v).  The covariance pass
     (_covariance_pass: P and the gain, from cand.P0, which do not depend
     on the disturbance)
@@ -770,7 +754,7 @@ def bound_trajectory_check(
     PropertyFailure at the first violation of
     ||e|| <= transient_bound + 1e-9."""
     params = cert.params
-    _check_bound_params(sys, params)
+    _check_against_system(sys, cand, params)
     e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float)
     if e.shape != (sys.n,):
         raise ConfigurationError(f"e0 must have length {sys.n}, got shape {e.shape}")

@@ -469,6 +469,25 @@ def test_cli_certify_rejects_non_finite_matrices(tmp_path, capsys, section, key,
     assert err == f"error: {key} must be finite\n"
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"certificate": {"U": [[2.0, 0.0], [0.0, 2.0]]}},
+     "U must be 1x1 for this system, got (2, 2)"),
+    ({"certificate": {"W": [0.3, 0.3]}}, "W must be 1x1 for this system, got (2, 2)"),
+    ({"certificate": {"P0": [[1.0, 0.0]]}}, "P0 must be square, got shape (1, 2)"),
+    ({"certificate": {"P0": [[1.0, 0.0], [0.0, 1.0]]}},
+     "P0 must be 1x1 for this system, got (2, 2)"),
+    ({"bounds": {"mu": float("inf")}}, "mu must be finite and nonnegative"),
+    ({"system": {"A": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0]],
+                 "Q": [[1.0, 0.5], [0.0, 1.0]]}}, "Q must be symmetric"),
+], ids=["U-2x2", "W-2", "P0-1x2", "P0-2x2", "mu-inf", "asymmetric-Q"])
+def test_cli_certify_names_a_bad_input(tmp_path, capsys, edits, message):
+    data = harness.load_yaml(LINEAR_CFG)
+    for section, values in edits.items():
+        data[section].update(values)
+    assert cli_main(["certify", write_cfg(tmp_path, data)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_missing_config_path():
     assert cli_main(["run"]) == 2
 

@@ -7,7 +7,9 @@ from conftest import random_system
 from isekf import stability
 from isekf.errors import (CertificationFailure, ConfigurationError, InputDomainError,
                           NumericalFailure)
+from isekf.filters import NonlinearModel
 from isekf.saturation import BoundParams
+from isekf.scenario import FilterSpec
 from isekf.stability import (
     CertificateCandidate,
     LinearSystem,
@@ -125,6 +127,55 @@ def test_non_finite_matrices_rejected_at_construction(name, value):
         kind(**kw)
 
 
+ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("NonlinearModel", "Q"), ("NonlinearModel", "R"), ("FilterSpec", "P0"),
+    ("LinearSystem", "Q"), ("LinearSystem", "R"),
+    ("CertificateCandidate", "U"), ("CertificateCandidate", "P0"),
+])
+def test_asymmetric_matrices_rejected_at_construction(kind, name):
+    eye = np.eye(2)
+    builders = {
+        "NonlinearModel": (NonlinearModel, dict(f=lambda x, u: x, h=lambda x: x, Q=eye, R=eye,
+                                                n=2, p=2)),
+        "FilterSpec": (FilterSpec, dict(kind="ekf", P0=eye)),
+        "LinearSystem": (LinearSystem, dict(A=-eye, C=eye, Q=eye, R=eye, D=eye,
+                                            mode="continuous")),
+        "CertificateCandidate": (CertificateCandidate, dict(W=eye, U=eye, alpha=0.5,
+                                                            Gamma2=eye, P0=eye)),
+    }
+    build, kw = builders[kind]
+    build(**kw)
+    kw[name] = ASYMMETRIC
+    with pytest.raises(ConfigurationError, match=f"^{name} must be symmetric$"):
+        build(**kw)
+
+
+@pytest.mark.parametrize("entry", ["certify", "bound_trajectory_check"])
+@pytest.mark.parametrize("name", ["W", "Gamma2", "U", "P0"])
+def test_candidate_shapes_are_checked_against_the_system(entry, name):
+    sys, cand, params = ct_cert_setup()
+    fields = dict(W=cand.W, U=cand.U, alpha=cand.alpha, Gamma2=cand.Gamma2, P0=cand.P0)
+    fields[name] = np.eye(2)
+    bad = CertificateCandidate(**fields)
+    message = rf"^{name} must be 1x1 for this system, got \(2, 2\)$"
+    with pytest.raises(ConfigurationError, match=message):
+        if entry == "certify":
+            certify(sys, bad, params, mu=0.3)
+        else:
+            cert = certify(sys, cand, params, mu=0.3)
+            bound_trajectory_check(sys, bad, cert, lambda t: np.zeros(1), horizon=0.01)
+
+
+@pytest.mark.parametrize("mu", [np.inf, np.nan, -0.1])
+def test_certify_rejects_a_mu_that_is_not_finite_and_nonnegative(mu):
+    sys, cand, params = ct_cert_setup()
+    with pytest.raises(InputDomainError, match="^mu must be finite and nonnegative$"):
+        certify(sys, cand, params, mu=mu)
+
+
 @pytest.mark.parametrize("M, message", [
     ([[np.inf]], "^M not finite$"),
     ([[np.nan]], "^M not finite$"),
@@ -139,7 +190,7 @@ def test_spd_inverse_names_its_failure(M, message):
 def test_monotone_dare_iterates_from_zero(rng):
     for _ in range(20):
         sys = random_system(rng, "discrete")
-        _, preds, _, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)), record=True)
+        _, preds, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)), record=True)
         for Pa, Pb in zip(preds, preds[1:]):
             assert np.linalg.eigvalsh(Pb - Pa).min() >= -1e-12
 
