@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, InputDomainError, NumericalFailure
 from .saturation import (
@@ -29,9 +28,6 @@ from .saturation import (
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_innovation  # noqa: F401
-
-# The LAPACK Cholesky pair potrf/potrs, resolved once (see _spd_solve).
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 # Positivity floor for sigma/epsilon in every continuous-time RK4 stage and step.
 _SAT_FLOOR = 1.0e-12
@@ -86,6 +82,17 @@ def _require_symmetric(obj, names) -> None:
             raise ConfigurationError(f"{name} must be symmetric")
 
 
+def _require_noise_covariances(obj) -> None:
+    """ConfigurationError unless obj's finite Q is symmetric PSD and R symmetric PD."""
+    _require_symmetric(obj, ("Q", "R"))
+    if not _is_psd(obj.Q, 1e-10)[1]:
+        raise ConfigurationError("Q must be positive semidefinite")
+    try:
+        _spd_solve(obj.R, np.eye(len(obj.R)), "R")
+    except NumericalFailure as exc:
+        raise ConfigurationError("R must be positive definite") from exc
+
+
 @dataclass
 class NonlinearModel:
     """System description used by every filter.
@@ -116,13 +123,7 @@ class NonlinearModel:
         if self.R.shape != (self.p, self.p):
             raise ConfigurationError(f"R must be {self.p}x{self.p}, got {self.R.shape}")
         _require_finite(self, ("Q", "R"))
-        _require_symmetric(self, ("Q", "R"))
-        if not _is_psd(self.Q, 1e-10)[1]:
-            raise ConfigurationError("Q must be positive semidefinite")
-        try:
-            _spd_solve(self.R, np.eye(self.p), "R")
-        except NumericalFailure as exc:
-            raise ConfigurationError("R must be positive definite") from exc
+        _require_noise_covariances(self)
         self.angle_channels = tuple(int(i) for i in self.angle_channels)
 
     def f_at(self, x: np.ndarray, u=None) -> np.ndarray:
@@ -204,18 +205,19 @@ def check_covariance(P: np.ndarray) -> float:
 
 
 def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    """M^{-1} B for a finite symmetric positive definite M.
-
-    Calls LAPACK potrf and potrs with the flags of scipy.linalg's
-    Cholesky factor and solve (upper factor, not cleaned), so the bits are
-    theirs without their per-call checks and copies.  Raises
-    NumericalFailure when M is not positive definite."""
-    # positional (lower=0, clean=0) and (lower=0): f2py parses them faster
-    c, info = _POTRF(M, 0, 0)
-    if info != 0:
-        raise NumericalFailure(f"{what} not factorizable (cond ~ {np.linalg.cond(M):.3e})",
-                               context=M)
-    return _POTRS(c, B, 0)[0]
+    """M^{-1} B for a finite SPD M, or for stacks of M and B (last two axes):
+    U^{-1} (U^{-T} B), U numpy's upper Cholesky factor (LAPACK potrf's bits).
+    A stack gets the 2-D solve's bits slice by slice and potrs's layout: a
+    Fortran-order X, so the gain X^T is C-contiguous.  Raises NumericalFailure
+    when M is not positive definite."""
+    try:
+        U = np.linalg.cholesky(M, upper=True)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"{what} not factorizable (cond ~ {np.max(np.linalg.cond(M)):.3e})",
+                               context=M) from None
+    Ui = np.linalg.inv(U)
+    X = np.matmul(Ui, np.matmul(Ui.swapaxes(-1, -2), B))
+    return np.ascontiguousarray(X.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
@@ -320,12 +322,11 @@ class _Lanes:
 
     step runs the arithmetic of _filter_step on every lane at once, with
     the same bits lane by lane: stacked matmul makes the BLAS calls that
-    ndarray.dot makes, and S is factored per lane with _spd_solve, since a
-    batched or closed-form Cholesky rounds differently.  Each per-step
-    check of _filter_step is made per lane.  A lane that fails one is dead
-    from then on: it holds its last estimate, covariance and bound state,
-    and it never changes another lane.  The model maps must accept a stack
-    of states (robot_model's do).
+    ndarray.dot makes, and one stacked _spd_solve factors every lane's S.
+    Each per-step check of _filter_step is made per lane.  A lane that
+    fails one is dead from then on: it holds its last estimate, covariance
+    and bound state, and it never changes another lane.  The model maps
+    must accept a stack of states (robot_model's do).
     """
 
     def __init__(self, model: NonlinearModel, x: np.ndarray, P: np.ndarray,
@@ -373,18 +374,23 @@ class _Lanes:
             x = np.asarray(model.f(self.x, u), dtype=float)
             fail(np.isfinite(x), "state map produced non-finite values", self.x)
             P = _symmetrize(np.matmul(np.matmul(A, self.P), A.swapaxes(-1, -2)) + model.Q)
-            # _update, with _innovation_gain per lane
+            # _update, with _innovation_gain stacked
             C = model.C_at(x)
             CP = np.matmul(C, P)
             S = _symmetrize(np.matmul(CP, C.swapaxes(-1, -2)) + model.R)
             fail(np.isfinite(S), "innovation covariance not finite", S)
-            K = np.zeros((len(x), model.n, model.p))
-            for l in np.flatnonzero(live).tolist():
-                try:
-                    K[l] = _spd_solve(S[l], CP[l], "innovation covariance").T
-                except NumericalFailure as exc:
-                    live[l] = False
-                    failures[l] = exc
+            if not live.all():  # a dead lane's S (discarded) must not fail the stack
+                S = np.where(live[:, None, None], S, np.eye(model.p))
+            try:
+                K = _spd_solve(S, CP, "innovation covariance").swapaxes(-1, -2)
+            except NumericalFailure:  # lane by lane: each failing lane gets its own message
+                K = np.zeros((len(x), model.n, model.p))
+                for l in np.flatnonzero(live).tolist():
+                    try:
+                        K[l] = _spd_solve(S[l], CP[l], "innovation covariance").T
+                    except NumericalFailure as exc:
+                        live[l] = False
+                        failures[l] = exc
             hx = np.asarray(model.h(x), dtype=float)
             fail(np.isfinite(hx), "measurement map produced non-finite values", x)
             innov = model.wrap_channels(y - hx)

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_are
 
 from .errors import (
     CertificationFailure,
@@ -26,8 +25,8 @@ from .errors import (
     PropertyFailure,
 )
 from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite,
-                      _require_symmetric, _riccati_rhs, _rk4, _saturated_rhs, _spd_solve,
-                      _symmetrize)
+                      _require_noise_covariances, _require_symmetric, _riccati_rhs, _rk4,
+                      _saturated_rhs, _spd_solve, _symmetrize)
 from .saturation import BoundParams, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -44,8 +43,8 @@ _DARE_MAX_ITER = 1000000
 
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     """Inverse of the symmetric part of an SPD matrix through _spd_solve.
-    The finiteness check comes first: LAPACK potrf factors a matrix
-    holding nan or inf without an error.  Raises NumericalFailure."""
+    The finiteness check comes first: the Cholesky factor of a matrix
+    holding nan or inf comes back without an error.  Raises NumericalFailure."""
     if not np.isfinite(M).all():
         raise NumericalFailure(f"{what} not finite", context=M)
     return _spd_solve(_symmetrize(M), np.eye(M.shape[0]), what)
@@ -72,6 +71,7 @@ class LinearSystem:
     R: np.ndarray
     D: np.ndarray
     mode: str
+    _regular: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("A", "C", "Q", "R", "D"):
@@ -89,13 +89,7 @@ class LinearSystem:
         if self.mode not in ("continuous", "discrete"):
             raise ConfigurationError(f"mode must be 'continuous' or 'discrete', got {self.mode!r}")
         _require_finite(self, ("A", "C", "Q", "R", "D"))
-        _require_symmetric(self, ("Q", "R"))
-        if not _is_psd(self.Q, 1e-10)[1]:
-            raise ConfigurationError("Q must be positive semidefinite")
-        try:
-            _spd_inverse(self.R, "R")
-        except NumericalFailure as exc:
-            raise ConfigurationError("R must be positive definite") from exc
+        _require_noise_covariances(self)
 
     @property
     def n(self) -> int:
@@ -135,11 +129,17 @@ def is_detectable(sys: LinearSystem) -> bool:
 
 
 def assert_regular(sys: LinearSystem) -> None:
-    """Raise unless (A, Q^(1/2)) is stabilizable and (A, C) detectable."""
+    """Raise unless (A, Q^(1/2)) is stabilizable and (A, C) detectable.
+    A pass is kept on sys, keyed by the values of its mode, A, C and Q, so
+    a fixed-point solve and then certify run the Hautus tests once."""
+    key = (sys.mode, sys.A.tobytes(), sys.C.tobytes(), sys.Q.tobytes())
+    if sys._regular == key:
+        return
     if not is_stabilizable(sys):
         raise CertificationFailure("(A, Q^(1/2)) is not stabilizable")
     if not is_detectable(sys):
         raise CertificationFailure("(A, C) is not detectable")
+    sys._regular = key
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
     Phi = expm(h M).  h is doubled periodically so slow closed-loop modes
     converge in a bounded number of steps.  Returns (P_inf, samples) with
     samples a list of (t, P) including the start."""
+    from scipy.linalg import expm  # only continuous-time certification loads scipy
     n = sys.n
     CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
     M = np.block([[-sys.A.T, _symmetrize(CtRinv @ sys.C)], [sys.Q, sys.A]])
@@ -215,6 +216,7 @@ def solve_care(sys: LinearSystem) -> np.ndarray:
     ||residual||_F <= 1e-10 * (1 + ||P||_F)."""
     if sys.mode != "continuous":
         raise ConfigurationError("solve_care requires a continuous-mode system")
+    from scipy.linalg import solve_continuous_are  # see _care_flow
     assert_regular(sys)
     return _symmetrize(solve_continuous_are(sys.A.T, sys.C.T, sys.Q, sys.R))
 

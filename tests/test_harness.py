@@ -1,13 +1,20 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
 from conftest import benchmark_config
-from isekf import harness, svgplot
-from isekf.errors import ConfigurationError, InputDomainError, UndefinedMetricError
+from isekf import harness, stability, svgplot
+from isekf.errors import (
+    CertificationFailure,
+    ConfigurationError,
+    InputDomainError,
+    UndefinedMetricError,
+)
 from isekf.harness import (
     OutputConfig,
     cli_main,
@@ -454,6 +461,117 @@ def test_cli_certify(capsys):
 
 def test_cli_certify_flag_form(capsys):
     assert cli_main(["certify", "--config", LINEAR_CFG]) == 0
+
+
+LINEAR_CERTIFICATE = """\
+certificate mode=discrete variant=theorem (trajectory-sampled)
+alpha = 0.2   mu = 0.5   rho = 0.018394
+c1 = 2.26636   c3 = 0.882782
+asymptotic bound = 1.82025
+P_inf =
+[[1.13278222]]
+W diag = [0.3]
+U =
+[[2.]]
+Gamma2 diag = [0.2]
+checkpoint min eigenvalues:
+  at 0: 9.729e-02
+  at 1: 9.729e-02
+"""
+
+
+def test_fixed_point_certification_runs_the_hautus_tests_once(monkeypatch, capsys):
+    # solve_dare checks regularity for P0: fixed_point; certify reuses the pass
+    calls = []
+    hautus_ok = stability._hautus_ok
+    monkeypatch.setattr(stability, "_hautus_ok", lambda *a: calls.append(a) or hautus_ok(*a))
+    assert cli_main(["certify", LINEAR_CFG]) == 0
+    assert len(calls) == 2  # one stabilizability and one detectability test
+    assert capsys.readouterr().out == LINEAR_CERTIFICATE
+
+
+def test_a_changed_system_is_tested_for_regularity_again():
+    sys_ = stability.LinearSystem(A=[[0.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]],
+                                  mode="discrete")
+    stability.assert_regular(sys_)
+    sys_.C[0, 0] = 0.0
+    sys_.A[0, 0] = 2.0
+    with pytest.raises(CertificationFailure, match="not detectable"):
+        stability.assert_regular(sys_)
+
+
+def _run_python(code: str) -> str:
+    """stdout of code run by a fresh interpreter that imports this isekf."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_run_and_discrete_certify_load_no_scipy(tmp_path):
+    out = _run_python(f"""
+import sys
+import isekf.harness
+from isekf.harness import cli_main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert scipy_modules() == [], scipy_modules()
+assert cli_main(["run", {PAPER_CFG!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+assert cli_main(["certify", {LINEAR_CFG!r}]) == 0
+assert scipy_modules() == [], scipy_modules()
+""")
+    assert out.endswith(LINEAR_CERTIFICATE)
+
+
+CONTINUOUS_CERTIFICATE = """\
+certificate mode=continuous variant=theorem (trajectory-sampled)
+alpha = 0.5   mu = 0.3   rho = 0.0367879
+c1 = 3   c3 = 2.41421
+asymptotic bound = 0.504134
+P_inf =
+[[0.41421356]]
+W diag = [1.]
+U =
+[[2.]]
+Gamma2 diag = [1.]
+checkpoint min eigenvalues:
+  at 0: 9.998e-01
+  at 0.207107: 9.292e-01
+  at 0.414214: 7.934e-01
+  at 0.62132: 6.608e-01
+  at 0.828427: 5.635e-01
+  at 1.03553: 5.017e-01
+  at 1.24264: 4.651e-01
+  at 1.65685: 4.321e-01
+  at 2.48528: 4.184e-01
+  at 2.48528: 4.169e-01
+"""
+
+
+def test_continuous_certify_loads_scipy_on_demand(tmp_path):
+    # the scalar observer of acceptance criterion 5: the Riccati flow from
+    # P0 = 0.01 needs expm and hands its fixed point to solve_care
+    cfg = write_cfg(tmp_path, {
+        "system": {"mode": "continuous", "A": [[-1.0]], "C": [[1.0]], "Q": [[1.0]],
+                   "R": [[1.0]], "D": [[1.0]]},
+        "certificate": {"W": [1.0], "U": [[2.0]], "alpha": 0.5, "P0": [[0.01]]},
+        "bounds": {"lambda1": [-1.0], "lambda2": [-1.0], "gamma1": [0.1], "gamma2": [1.0],
+                   "sigma0": [0.5], "epsilon0": [0.5], "mu": 0.3, "variant": "theorem"},
+    })
+    out = _run_python(f"""
+import sys
+from isekf.harness import cli_main
+
+assert "scipy" not in sys.modules
+assert cli_main(["certify", {cfg!r}]) == 0
+assert "scipy.linalg" in sys.modules
+""")
+    assert out == CONTINUOUS_CERTIFICATE
 
 
 @pytest.mark.parametrize("section, key, value", [

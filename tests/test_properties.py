@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from conftest import linear_model
 from isekf import stability
@@ -159,15 +161,62 @@ def _spd(n):
     return _matrix(n, n).map(lambda L: L @ L.T + 0.1 * np.eye(n))
 
 
+def _spd_stack(n, k):
+    # a stack of 1-64 SPD n x n matrices and a matching stack of n x k right-hand sides
+    return st.integers(1, 64).flatmap(lambda L: st.tuples(
+        arrays(np.float64, (L, n, n), elements=st.floats(-10.0, 10.0)).map(
+            lambda F: F @ F.swapaxes(-1, -2) + 0.1 * np.eye(n)),
+        arrays(np.float64, (L, n, k), elements=st.floats(-10.0, 10.0))))
+
+
+stacks = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda d: _spd_stack(*d))
+
+
+@given(stacks)
+def test_numpy_cholesky_factor_equals_lapack_potrf_bit_for_bit(case):
+    M, _ = case
+    U = np.linalg.cholesky(M, upper=True)
+    for Ml, Ul in zip(M, U):
+        c, info = dpotrf(Ml, lower=0, clean=1)
+        assert info == 0
+        assert np.array_equal(Ul, c)
+
+
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda dims: st.tuples(_spd(dims[0]), _matrix(dims[1], dims[0]), _spd(dims[1]))))
-def test_innovation_gain_equals_scipy_cholesky_bit_for_bit(case):
+def test_innovation_gain_agrees_with_scipy_cho_solve(case):
+    def agree(X, X_ref, M):
+        # 1e-12 relative up to cond(M) = 1e3; beyond, two stable solves
+        # differ by O(cond(M) eps), so the tolerance grows with cond(M)
+        tol = 1e-12 * max(1.0, np.linalg.cond(M) / 1e3)
+        return np.abs(X - X_ref).max() <= tol * np.abs(X_ref).max()
+
     P, C, R = case
     M = C @ P @ C.T + R
     S_ref = 0.5 * (M + M.T)
-    K_ref = cho_solve(cho_factor(S_ref), C @ P).T
     K, S = _innovation_gain(P, C, R)
     assert np.array_equal(S, S_ref)
-    assert np.array_equal(K, K_ref)
+    assert agree(K, cho_solve(cho_factor(S_ref), C @ P).T, S)
     # the solve on its own, as ct_isekf_derivative uses it with R
-    assert np.array_equal(_spd_solve(R, C, "R"), cho_solve(cho_factor(R), C))
+    assert agree(_spd_solve(R, C, "R"), cho_solve(cho_factor(R), C), R)
+
+
+@given(_spd_stack(1, 4))
+def test_scalar_spd_solve_equals_lapack_potrs_bit_for_bit(case):
+    M, B = case
+    for Ml, Bl in zip(M, B):
+        c, _ = dpotrf(Ml, lower=0, clean=0)
+        assert np.array_equal(_spd_solve(Ml, Bl, "M"), dpotrs(c, Bl, lower=0)[0])
+
+
+@given(stacks)
+def test_stacked_spd_solve_equals_the_2d_solve_slice_by_slice(case):
+    M, B = case
+    X = _spd_solve(M, B, "M")
+    # _Lanes reads the stacked gain as X^T: C-contiguous, as each 2-D gain is
+    assert X.swapaxes(-1, -2).flags.c_contiguous
+    for Ml, Bl, Xl in zip(M, B, X):
+        ref = _spd_solve(Ml, Bl, "M")
+        assert np.array_equal(Xl, ref)
+        assert ref.flags.f_contiguous and Xl.flags.f_contiguous
+        assert Xl.strides == ref.strides

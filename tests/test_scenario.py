@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import benchmark_config, paper_bound_params, robot_filter_p0
+from isekf import filters
 from isekf.errors import ConfigurationError, NumericalFailure
 from isekf.filters import FilterState, dt_isekf_step, ekf_step, sigma_gate_step
 from isekf.harness import DEFAULT_BOUND, parse_config
@@ -359,25 +360,43 @@ def test_failures_raise_no_floating_point_warnings(caplog):
                             for lbl, (k, msg) in expected.items())
 
 
-def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(caplog):
+def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(caplog, monkeypatch):
     # P0 passes the PSD test within its tolerance, but its heading variance
     # is more negative than R's: S stays finite and not positive definite on
-    # the held state, so the dead lane must not be factored (and reported)
-    # again
+    # the held state, so the dead lane's S must not be factored again: it
+    # would be reported again and push the live lanes off the stacked solve
     P0 = robot_filter_p0()
     bad = FilterSpec("ekf", P0=np.diag([1e6, 1e6, -9e-5]), label="ekf-indefinite")
     cfg = benchmark_config(horizon=30, filters=[
         FilterSpec("is-ekf", P0=P0, bound_params=paper_bound_params()), bad,
         FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
+    solves = []
+
+    def counted(M, B, what):
+        if what == "innovation covariance":
+            solves.append(M.ndim)
+        return spd_solve(M, B, what)
+
+    spd_solve = filters._spd_solve
+    monkeypatch.setattr(filters, "_spd_solve", counted)
     with caplog.at_level(logging.WARNING, logger="isekf"):
         tr = simulate(cfg, 1)
+    monkeypatch.undo()
     assert tr.failed_at == {"is-ekf": None, "ekf-indefinite": 1, "lsigma-ekf": None}
     assert np.all(tr.estimates["ekf-indefinite"] == tr.estimates["ekf-indefinite"][0])
     logged = [r.getMessage() for r in caplog.records
                 if r.name == "isekf" and r.levelno == logging.WARNING]
-    assert len(logged) == 1
-    assert "ekf-indefinite" in logged[0] and "step 1:" in logged[0]
-    assert "innovation covariance not factorizable" in logged[0]
+    assert logged == ["filter ekf-indefinite (seed 1) failed at step 1: "
+                      "innovation covariance not factorizable (cond ~ 3.883e+10)"]
+    # one stacked solve per step; lane by lane (3 lanes) only in step 1
+    assert sorted(solves) == [2] * 3 + [3] * 30
+    # the surviving lanes replay the public steps bit for bit after it dies
+    estimates, sqrt_sigma, failed_at, reasons = _replay(cfg, tr)
+    assert failed_at == tr.failed_at
+    assert logged == [f"filter ekf-indefinite (seed 1) failed at step 1: {reasons['ekf-indefinite']}"]
+    for label in ("is-ekf", "lsigma-ekf"):
+        np.testing.assert_array_equal(tr.estimates[label], estimates[label])
+    np.testing.assert_array_equal(tr.sqrt_sigma["is-ekf"], sqrt_sigma["is-ekf"])
 
 
 @pytest.mark.parametrize("horizon", [200, 0])
