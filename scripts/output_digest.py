@@ -10,6 +10,9 @@ prints one line per artifact:
   `isekf certify linear.cfg`, line by line;
 - max_ratio, samples and final_error_norm (floats in hex) of draws 0-2 of
   the bench's bound-dt and bound-ct workloads at seed 1;
+- for the certificates of those two workloads at their V0, the sha256 of
+  the hex of transient_bound at every sample of an op (2,001 steps,
+  4,001 times);
 - the endpoint (hex) of a 3-state, 2-channel ct_isekf_integrate run with a
   clipped outlier.
 
@@ -107,6 +110,32 @@ def bound_lines() -> list[str]:
     return lines
 
 
+# the initial error of each bound workload's op (see their run methods)
+BOUND_E0 = {"bound-dt": 0.3, "bound-ct": 0.05}
+
+
+def envelope_inputs():
+    """(name, certificate, V0, samples) of each bound workload's op."""
+    workloads = _bench_workloads()
+    for name, e0 in BOUND_E0.items():
+        wl = workloads.WORKLOADS[name](ROOT, None, workloads.DEFAULT_SEED)
+        wl.setup()
+        steps = range(wl.steps_per_op + 1)
+        samples = list(steps) if wl.cert.mode == "discrete" else [i * wl.dt for i in steps]
+        yield name, wl.cert, wl.cert.initial_v(np.array([e0])), samples
+
+
+def hex_sha256(values) -> str:
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def envelope_lines() -> list[str]:
+    # the public scalar call, which every checkout has
+    return [f"{name} envelope V0={V0.hex()} samples={len(samples)} "
+            f"sha256={hex_sha256(cert.transient_bound(t, V0) for t in samples)}"
+            for name, cert, V0, samples in envelope_inputs()]
+
+
 def ct_endpoint_lines() -> list[str]:
     A = np.array([[-0.5, 0.2, 0.0], [0.0, -0.3, 0.1], [0.1, 0.0, -0.4]])
     C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
@@ -130,7 +159,8 @@ def ct_endpoint_lines() -> list[str]:
                                ("sigma", end.sat.sigma), ("epsilon", end.sat.epsilon))]
 
 
-SECTIONS = (run_lines, sweep_lines, certify_lines, bound_lines, ct_endpoint_lines)
+SECTIONS = (run_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
+            ct_endpoint_lines)
 
 
 def main() -> int:

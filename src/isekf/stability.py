@@ -39,6 +39,8 @@ _PSD_TOL = 1e-9
 # Step caps of the continuous and discrete Riccati flows
 _CARE_MAX_ITER = 20000
 _DARE_MAX_ITER = 1000000
+# Samples per envelope evaluation of a bound check
+_ENVELOPE_BLOCK = 256
 
 
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
@@ -47,7 +49,8 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     holding nan or inf comes back without an error.  Raises NumericalFailure."""
     if not np.isfinite(M).all():
         raise NumericalFailure(f"{what} not finite", context=M)
-    return _spd_solve(_symmetrize(M), np.eye(M.shape[0]), what)
+    # halves first, as in _is_psd: M + M^T overflows for entries near the float limit
+    return _spd_solve(0.5 * M + 0.5 * M.T, np.eye(M.shape[0]), what)
 
 
 def sqrtm_psd(M: np.ndarray) -> np.ndarray:
@@ -403,8 +406,9 @@ def is_psd(M: np.ndarray, tol: float = 1e-9) -> PsdReport:
 class StabilityCertificate:
     """Outcome of a successful certification sweep.
 
-    transient_bound(t, V0) evaluates the closed-form envelope with the
-    pointwise covariance floor; asymptotic_bound is its limit.  The
+    envelope(times, V0) evaluates the closed-form envelope with the
+    pointwise covariance floor at a sequence of samples, transient_bound(t,
+    V0) at one; asymptotic_bound is its limit.  The
     certificate is trajectory-sampled: positive semidefiniteness was
     checked at the recorded checkpoints plus the fixed point, not proven
     on the continuum.
@@ -428,17 +432,6 @@ class StabilityCertificate:
     _c2_times: np.ndarray = None
     _c2_lmax: np.ndarray = None
 
-    def c2_at(self, t) -> float:
-        """Pointwise c2 = lambda_min(P^-1) = 1/lambda_max(P) along the
-        certification trajectory (fixed point beyond it); inf at P = 0."""
-        idx = np.searchsorted(self._c2_times, t, side="right") - 1
-        if idx < 0:
-            idx = 0
-        if idx >= len(self._c2_lmax):
-            idx = len(self._c2_lmax) - 1
-        lmax = float(self._c2_lmax[idx])
-        return 1.0 / lmax if lmax > 0.0 else math.inf
-
     def initial_v(self, e0: np.ndarray) -> float:
         """Lyapunov level at the start: e0' P0^-1 e0 + sum(sigma0) + sum(eps0).
         A nonzero e0 on a singular P0 (the start certify skips) is an
@@ -454,15 +447,28 @@ class StabilityCertificate:
     def forcing(self) -> float:
         return self.c1 * self.mu**2 + self.rho
 
+    def envelope(self, times, V0: float) -> list[float]:
+        """Envelope on ||e|| at each of a sequence of continuous times or steps:
+        sqrt(level / c2) with level = decay V0 + (1 - decay) forcing / alpha
+        and the pointwise c2 = 1 / lambda_max(P) along the certification
+        trajectory (the fixed point beyond it; inf at P = 0).  The decay is
+        math.exp (or a float power) per sample, whose bits np.exp does not
+        always have; the rest is elementwise."""
+        if self.mode == "continuous":
+            decay = np.array([math.exp(-self.alpha * float(t)) for t in times])
+        else:
+            decay = np.array([(1.0 - self.alpha) ** int(t) for t in times])
+        idx = np.searchsorted(self._c2_times, times, side="right") - 1
+        lmax = self._c2_lmax[np.clip(idx, 0, len(self._c2_lmax) - 1)]
+        with np.errstate(all="ignore"):  # as quiet as Python's float arithmetic
+            level = decay * V0 + (1.0 - decay) * self.forcing() / self.alpha
+            c2 = np.where(lmax > 0.0, 1.0 / lmax, math.inf)
+            # max(level, 0.0) as Python takes it, keeping nan and -0.0
+            return np.sqrt(np.where(0.0 > level, 0.0, level) / c2).tolist()
+
     def transient_bound(self, t, V0: float) -> float:
         """Envelope on ||e|| at continuous time t (or step k)."""
-        f = self.forcing()
-        if self.mode == "continuous":
-            decay = math.exp(-self.alpha * float(t))
-        else:
-            decay = (1.0 - self.alpha) ** int(t)
-        level = decay * V0 + (1.0 - decay) * f / self.alpha
-        return math.sqrt(max(level, 0.0) / self.c2_at(t))
+        return self.envelope([t], V0)[0]
 
     def report_text(self) -> str:
         lines = [
@@ -729,6 +735,40 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
     return _CovariancePass(_read_only(gains), None, None)
 
 
+def _step_count(mode: str, horizon, dt) -> int:
+    """The steps of a bound check: a whole-number horizon >= 0 in discrete
+    time, round(horizon / dt) for a finite horizon >= 0 and a finite dt > 0
+    in continuous time (dt is not read in discrete time).  Raises
+    ConfigurationError."""
+    try:
+        h = float(horizon)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"horizon must be a number, got {horizon!r}") from None
+    if not 0.0 <= h < math.inf:
+        raise ConfigurationError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if mode == "discrete":
+        if h != int(h):
+            raise ConfigurationError(f"a discrete horizon must be a whole number of steps, "
+                                     f"got {horizon!r}")
+        return int(h)
+    if not 0.0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    steps = h / dt
+    if not steps < math.inf:
+        raise ConfigurationError(f"horizon / dt overflows: {horizon!r} / {dt!r}")
+    return int(round(steps))
+
+
+def _envelope_blocks(cert: StabilityCertificate, samples: int, dt: Optional[float],
+                     V0: float):
+    """cert.envelope at the steps 0 .. samples - 1 (at the times i * dt in
+    continuous time), evaluated _ENVELOPE_BLOCK samples at a time: a list
+    of every sample would raise the peak memory of a long check."""
+    for start in range(0, samples, _ENVELOPE_BLOCK):
+        steps = range(start, min(start + _ENVELOPE_BLOCK, samples))
+        yield from cert.envelope(steps if dt is None else [i * dt for i in steps], V0)
+
+
 def bound_trajectory_check(
     sys: LinearSystem,
     cand: CertificateCandidate,
@@ -743,7 +783,8 @@ def bound_trajectory_check(
 
     d_signal(k) (discrete) or d_signal(t) (continuous) must be finite with
     ||d|| <= mu; otherwise InputDomainError.  The bound parameters, the
-    candidate's shapes, e0 and dt are checked once at entry, where a nonzero e0 on a singular P0 is
+    candidate's shapes, e0, horizon and dt (_step_count) are checked once at
+    entry, where a nonzero e0 on a singular P0 is
     an InputDomainError (see initial_v).  The covariance pass
     (_covariance_pass: P and the gain, from cand.P0, which do not depend
     on the disturbance)
@@ -752,16 +793,16 @@ def bound_trajectory_check(
     continuous time with the continuous-time filter's saturated core and
     floored RK4 step (sigma and eps floored at 1e-12 in every stage and
     after every step).  A non-finite stepped state, or a failed
-    covariance step, raises NumericalFailure at its step.  Raises
-    PropertyFailure at the first violation of
-    ||e|| <= transient_bound + 1e-9."""
+    covariance step, raises NumericalFailure at its step.  The envelope
+    is evaluated once per sample and call, in blocks (_envelope_blocks); raises
+    PropertyFailure at the first violation of ||e|| <= envelope + 1e-9."""
     params = cert.params
     _check_against_system(sys, cand, params)
-    e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float)
+    # C order: a strided e0 would take another summation order in e.dot(e)
+    e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float, order="C")
     if e.shape != (sys.n,):
         raise ConfigurationError(f"e0 must have length {sys.n}, got shape {e.shape}")
-    if sys.mode == "continuous" and not dt > 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    n_steps = _step_count(sys.mode, horizon, dt)
     A, C, D = sys.A, sys.C, sys.D
     V0 = cert.initial_v(e)
     max_ratio = 0.0
@@ -777,10 +818,9 @@ def bound_trajectory_check(
             raise InputDomainError(f"||d|| {what} at {where:.6g}")
         return d
 
-    def check(where, e_vec):
+    def check(where, bound, e_vec):
         nonlocal max_ratio
-        bound = cert.transient_bound(where, V0)
-        norm_e = float(np.linalg.norm(e_vec))
+        norm_e = math.sqrt(e_vec.dot(e_vec))  # np.linalg.norm's arithmetic on a vector
         if not norm_e <= bound + tol:
             raise PropertyFailure(
                 f"certified bound violated at {where:.6g}: ||e|| = {norm_e:.6g} > {bound:.6g}",
@@ -791,26 +831,26 @@ def bound_trajectory_check(
 
     if sys.mode == "discrete":
         sigma, eps = params.sigma0, params.epsilon0
-        n_steps = int(horizon)
         cov = _covariance_pass(sys, cand.P0, None, n_steps + 1)
-        last = len(cov.gains) - 1
-        for k in range(n_steps + 1):
+        gains = list(cov.gains)
+        last = len(gains) - 1
+        for k, bound in enumerate(_envelope_blocks(cert, n_steps + 1, None, V0)):
             d = disturbance(k)
-            check(k, e)
+            check(k, bound, e)
             if k == cov.failed_at:
                 raise NumericalFailure(*cov.failure)
-            K = cov.gains[min(k, last)]
+            K = gains[min(k, last)]
             innov = C.dot(e) - D.dot(d)
             e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sigma))))
             sigma, eps = _bound_map_core(sigma, eps, innov, params)
-            if not (np.isfinite(e).all() and np.isfinite(sigma).all() and np.isfinite(eps).all()):
+            # sigma, eps >= 0: one sum is finite iff both are, below half the float range
+            if not (np.isfinite(e).all() and np.isfinite(sigma + eps).all()):
                 raise NumericalFailure(f"error system non-finite after step {k}", context=e)
         return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps), samples=n_steps + 1,
                                 final_error_norm=float(np.linalg.norm(e)))
 
     # continuous time: RK4 on (e, sigma, eps), reading each stage's gain
     n, p = sys.n, sys.p
-    n_steps = int(round(float(horizon) / dt))
     cov = _covariance_pass(sys, cand.P0, dt, n_steps)
     stage_gains = iter(cov.gains)
 
@@ -824,9 +864,9 @@ def bound_trajectory_check(
                               axis=None)
 
     z = np.concatenate((e, params.sigma0, params.epsilon0))
-    for i in range(n_steps + 1):
+    for i, bound in enumerate(_envelope_blocks(cert, n_steps + 1, dt, V0)):
         t = i * dt
-        check(t, z[:n])
+        check(t, bound, z[:n])
         if i == n_steps:
             break
         z = _floored_rk4_step(rhs, z, t, dt, n, p, i == cov.failed_at)

@@ -1,16 +1,21 @@
 """bound_trajectory_check against the one-pass joint-vector form it
-replaced, and the memo of its covariance pass."""
+replaced, the certificate's envelope against the scalar formula it
+replaced, the memo of the covariance pass, and the entry checks."""
 
 import dataclasses
+import functools
 import importlib.util
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isekf import stability
-from isekf.errors import InputDomainError, NumericalFailure, PropertyFailure
+from isekf.errors import ConfigurationError, InputDomainError, NumericalFailure, PropertyFailure
 from isekf.filters import _SAT_FLOOR, _joint_views, _rk4, _symmetrize
 from isekf.saturation import BoundParams, _bound_map_core, _clip
 from isekf.stability import (
@@ -37,6 +42,21 @@ def _bench_workloads():
     return module
 
 
+def _oracle_bound(cert, t, V0):
+    """The envelope at one time or step, as the scalar formula that
+    StabilityCertificate.envelope replaced."""
+    f = cert.c1 * cert.mu**2 + cert.rho
+    if cert.mode == "continuous":
+        decay = math.exp(-cert.alpha * float(t))
+    else:
+        decay = (1.0 - cert.alpha) ** int(t)
+    level = decay * V0 + (1.0 - decay) * f / cert.alpha
+    idx = np.searchsorted(cert._c2_times, t, side="right") - 1
+    lmax = float(cert._c2_lmax[min(max(idx, 0), len(cert._c2_lmax) - 1)])
+    c2 = 1.0 / lmax if lmax > 0.0 else math.inf
+    return math.sqrt(max(level, 0.0) / c2)
+
+
 def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
     """bound_trajectory_check as one pass: the discrete covariance recursion
     interleaved with the error steps, and RK4 on the stacked
@@ -58,7 +78,7 @@ def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
 
     def check(where, e_vec):
         nonlocal max_ratio
-        bound = cert.transient_bound(where, V0)
+        bound = _oracle_bound(cert, where, V0)
         norm_e = float(np.linalg.norm(e_vec))
         if not norm_e <= bound + 1e-9:
             raise PropertyFailure(
@@ -173,6 +193,40 @@ def ct_observer():
     return _ct_observer()
 
 
+@functools.lru_cache(maxsize=None)
+def _certificates():
+    """Certificates of both modes: the two observers; the continuous one
+    from P0 = 0, whose envelope starts at c2 = inf; and a discrete one on
+    a recorded trajectory that rises from lambda_max = 0 over seven steps."""
+    (_, _, dt_cert), (ct_sys, ct_cand, ct_cert) = _dt_observer(), _ct_observer()
+    zero_start = certify(ct_sys, dataclasses.replace(ct_cand, P0=np.zeros((1, 1))),
+                         ct_cert.params, mu=ct_cert.mu)
+    rising = dataclasses.replace(dt_cert, alpha=0.35, _c2_times=np.arange(8.0),
+                                 _c2_lmax=np.array([0.0, 0.4, 0.7, 0.9, 1.0, 1.1, 1.13, 1.13]))
+    return dt_cert, rising, ct_cert, zero_start
+
+
+@st.composite
+def _envelope_case(draw):
+    """A certificate and samples before, inside and after its recorded
+    trajectory: integer steps and float times in both modes, and the
+    recorded times themselves."""
+    cert = draw(st.sampled_from(_certificates()))
+    end = float(cert._c2_times[-1])
+    sample = st.one_of(st.integers(-3, int(end) + 20), st.floats(-1.0, end + 20.0),
+                       st.sampled_from(cert._c2_times.tolist()))
+    return cert, draw(st.lists(sample, max_size=40))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_envelope_case(), V0=st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+def test_the_envelope_is_the_scalar_formula_bit_for_bit(case, V0):
+    cert, times = case
+    expected = [_oracle_bound(cert, t, V0).hex() for t in times]
+    assert [b.hex() for b in cert.envelope(times, V0)] == expected
+    assert [cert.transient_bound(t, V0).hex() for t in times] == expected
+
+
 def _held(hold, width=0.05):
     last = len(hold) - 1
     return lambda t: np.array([hold[min(int(t / width), last)]])
@@ -247,6 +301,25 @@ def test_larger_systems_match_the_oracle(mode):
         else:
             rep = assert_matches_oracle(sys, cand, cert, lambda k: np.array([d[k]]),
                                         horizon=300, e0=rng.uniform(-0.1, 0.1, 3))
+        assert isinstance(rep, BoundCheckReport)
+
+
+def test_a_strided_initial_error_matches_the_oracle():
+    # n = 5: BLAS sums a strided vector's dot product in another order
+    # than a contiguous one's, and np.linalg.norm takes a contiguous copy
+    rng = np.random.default_rng(25)
+    L = rng.standard_normal((5, 5))
+    sys = LinearSystem(A=rng.standard_normal((5, 5)) / 5.0, C=rng.standard_normal((1, 5)),
+                       Q=L @ L.T + 0.1 * np.eye(5), R=[[1.0]], D=[[1.0]], mode="discrete")
+    _, cand, cert = _dt_observer()
+    cand = dataclasses.replace(cand, P0=0.5 * np.eye(5))
+    cert = dataclasses.replace(cert, P0=cand.P0)
+    for _ in range(5):
+        d = rng.uniform(-cert.mu, cert.mu, 31)
+        e0 = rng.uniform(-0.1, 0.1, 10)[::2]
+        assert not e0.flags.c_contiguous
+        rep = assert_matches_oracle(sys, cand, cert, lambda k: np.array([d[k]]), horizon=30,
+                                    e0=e0)
         assert isinstance(rep, BoundCheckReport)
 
 
@@ -405,3 +478,44 @@ def test_a_singular_start_takes_only_a_zero_initial_error():
     assert read == []
     rep = bound_trajectory_check(sys, cand, cert, d_signal, horizon=0.1)
     assert rep.samples == 101 and rep.final_error_norm == 0.0
+
+
+# the horizon and dt, checked at entry
+
+@pytest.mark.parametrize("mode, kwargs, message", [
+    ("discrete", dict(horizon=-5), "finite and nonnegative, got -5"),
+    ("discrete", dict(horizon=2.7), "whole number of steps, got 2.7"),
+    ("discrete", dict(horizon=math.nan), "finite and nonnegative, got nan"),
+    ("discrete", dict(horizon=math.inf), "finite and nonnegative, got inf"),
+    ("discrete", dict(horizon="ten"), "must be a number, got 'ten'"),
+    ("continuous", dict(horizon=-0.5), "finite and nonnegative, got -0.5"),
+    ("continuous", dict(horizon=math.nan), "finite and nonnegative, got nan"),
+    ("continuous", dict(horizon=math.inf), "finite and nonnegative, got inf"),
+    ("continuous", dict(horizon=1.0, dt=math.inf), "dt must be positive and finite, got inf"),
+    ("continuous", dict(horizon=1.0, dt=math.nan), "dt must be positive and finite, got nan"),
+    ("continuous", dict(horizon=1.0, dt=0.0), "dt must be positive and finite, got 0.0"),
+    ("continuous", dict(horizon=1.0, dt=-1e-3), "dt must be positive and finite, got -0.001"),
+    ("continuous", dict(horizon=1e308, dt=1e-3), "horizon / dt overflows"),
+], ids=["dt-negative", "dt-fraction", "dt-nan", "dt-inf", "dt-string", "ct-negative",
+        "ct-nan", "ct-inf", "ct-dt-inf", "ct-dt-nan", "ct-dt-zero", "ct-dt-negative",
+        "ct-steps-overflow"])
+def test_a_bad_horizon_or_dt_is_rejected_at_entry(mode, kwargs, message, dt_observer,
+                                                  ct_observer):
+    sys, cand, cert = dt_observer if mode == "discrete" else ct_observer
+    read = []
+
+    def d_signal(where):
+        read.append(where)
+        return np.zeros(1)
+
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        bound_trajectory_check(sys, cand, cert, d_signal, e0=np.array([0.05]), **kwargs)
+    assert read == []
+
+
+def test_a_whole_number_float_horizon_is_taken_as_its_steps(dt_observer):
+    sys, cand, cert = dt_observer
+    d = np.random.default_rng(24).uniform(-cert.mu, cert.mu, 51)
+    reports = [bound_trajectory_check(sys, cand, cert, lambda k: np.array([d[k]]),
+                                      horizon=h, e0=np.array([0.3])) for h in (50, 50.0)]
+    assert reports[0] == reports[1] and reports[0].samples == 51

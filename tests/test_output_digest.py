@@ -23,3 +23,16 @@ def test_the_certify_section_is_the_certify_stdout(capsys):
     stdout = capsys.readouterr().out
     assert lines == [f"certify linear.cfg | {line}" for line in stdout.splitlines()]
     assert len(lines) > 10
+
+
+def test_the_envelope_section_digests_the_envelope_at_every_sample():
+    # the section calls transient_bound per sample; the certificate's
+    # envelope over all samples at once must give the same digest
+    digest = _output_digest()
+    lines = digest.envelope_lines()
+    inputs = list(digest.envelope_inputs())
+    assert [name for name, *_ in inputs] == ["bound-dt", "bound-ct"]
+    assert [len(samples) for *_, samples in inputs] == [2001, 4001]
+    for line, (name, cert, V0, samples) in zip(lines, inputs, strict=True):
+        assert line == (f"{name} envelope V0={V0.hex()} samples={len(samples)} "
+                        f"sha256={digest.hex_sha256(cert.envelope(samples, V0))}")

@@ -187,6 +187,14 @@ def test_spd_inverse_names_its_failure(M, message):
         stability._spd_inverse(np.array(M), "M")
 
 
+def test_spd_inverse_holds_near_the_float_limit():
+    # the symmetric part is taken in halves: M + M^T would overflow to inf
+    # (a RuntimeWarning, which pytest turns into an error) and invert to 0
+    assert stability._spd_inverse(np.array([[1e308]]), "R").tolist() == [[1e-308]]
+    assert stability._spd_inverse(np.diag([1e308, 4.0]), "R").tolist() == [[1e-308, 0.0],
+                                                                            [0.0, 0.25]]
+
+
 def test_monotone_dare_iterates_from_zero(rng):
     for _ in range(20):
         sys = random_system(rng, "discrete")
