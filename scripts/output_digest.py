@@ -13,6 +13,11 @@ prints one line per artifact:
 - for the certificates of those two workloads at their V0, the sha256 of
   the hex of transient_bound at every sample of an op (2,001 steps,
   4,001 times);
+- c1, c3, rho and the asymptotic bound (hex) of four certificates, with the
+  sha256 of their checkpoints (hex) and of the bytes of the recorded
+  trajectory's times and lambda_max: linear.cfg at its fixed point, its
+  system from P0 = 1 (sweep_candidates at alpha 0.2), and the bound-ct
+  observer from P0 = 0.01 and from the singular P0 = 0;
 - the endpoint (hex) of a 3-state, 2-channel ct_isekf_integrate run with a
   clipped outlier.
 
@@ -25,6 +30,7 @@ another checkout's code on the same inputs, and two digests can be diffed.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -38,6 +44,7 @@ import numpy as np
 
 from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
 from isekf.harness import cli_main
+from isekf.stability import certify, sweep_candidates
 from isekf.saturation import BoundParams, SaturationState
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -136,6 +143,35 @@ def envelope_lines() -> list[str]:
             for name, cert, V0, samples in envelope_inputs()]
 
 
+def certificates():
+    """(label, certificate) of the four certificates of certificate_lines."""
+    workloads = _bench_workloads()
+    dt_wl, ct_wl = (workloads.WORKLOADS[name](ROOT, None, workloads.DEFAULT_SEED)
+                    for name in ("bound-dt", "bound-ct"))
+    dt_wl.setup()
+    ct_wl.setup()
+    dt, ct = dt_wl.cert, ct_wl.cert
+    yield "linear.cfg P0=fixed_point", dt
+    yield "linear.cfg P0=1", sweep_candidates(dt_wl.sys, dt.params, dt.mu, dt.alpha,
+                                              P0=[[1.0]])
+    yield "bound-ct P0=0.01", ct
+    yield "bound-ct P0=0", certify(ct_wl.sys, dataclasses.replace(ct_wl.cand, P0=[[0.0]]),
+                                   ct.params, ct.mu)
+
+
+def _bytes_sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def certificate_lines() -> list[str]:
+    return [f"certificate {label} c1={cert.c1.hex()} c3={cert.c3.hex()} "
+            f"rho={cert.rho.hex()} asymptotic_bound={cert.asymptotic_bound.hex()} "
+            f"checkpoints={len(cert.checkpoints)} "
+            f"sha256={hex_sha256(v for point in cert.checkpoints for v in point)} "
+            f"c2_times={_bytes_sha256(cert._c2_times)} c2_lmax={_bytes_sha256(cert._c2_lmax)}"
+            for label, cert in certificates()]
+
+
 def ct_endpoint_lines() -> list[str]:
     A = np.array([[-0.5, 0.2, 0.0], [0.0, -0.3, 0.1], [0.1, 0.0, -0.4]])
     C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
@@ -160,7 +196,7 @@ def ct_endpoint_lines() -> list[str]:
 
 
 SECTIONS = (run_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
-            ct_endpoint_lines)
+            certificate_lines, ct_endpoint_lines)
 
 
 def main() -> int:

@@ -148,6 +148,14 @@ def assert_regular(sys: LinearSystem) -> None:
 # ---------------------------------------------------------------------------
 # Riccati solvers
 
+def _stationary(P: np.ndarray, step_norm: float) -> bool:
+    """The one stopping test of the Riccati flows: a step (the norm of the
+    continuous right-hand side, or of P_next - P) within 1e-12 (1 + ||P||).
+    An overflowed norm of P (entries above about 1.3e154) never passes it."""
+    scale = 1.0 + np.linalg.norm(P)
+    return np.isfinite(scale) and step_norm <= 1e-12 * scale
+
+
 def _care_flow(sys: LinearSystem, P0: np.ndarray):
     """Follow the Riccati flow dP/dt = A P + P A^T + Q - P C^T R^(-1) C P
     from P0 and record the trajectory, handing over to solve_care once the
@@ -165,12 +173,8 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
     M = np.block([[-sys.A.T, _symmetrize(CtRinv @ sys.C)], [sys.Q, sys.A]])
     P = _symmetrize(np.asarray(P0, dtype=float))
     samples = [(0.0, P.copy())]
-
-    def stationary(P_mat, nd_val):
-        return nd_val <= 1e-12 * (1.0 + np.linalg.norm(P_mat))
-
     nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
-    if stationary(P, nd):
+    if _stationary(P, nd):
         return P, samples
 
     # Step cap keeps expm and the flow-step solve well conditioned; the
@@ -199,7 +203,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
         steps_at_h += 1
         samples.append((t, P.copy()))
         nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
-        if stationary(P, nd):
+        if _stationary(P, nd):
             return P, samples
         if nd <= 1e-3 * (1.0 + np.linalg.norm(P)):
             # close to the fixed point: the Schur solution meets the
@@ -233,13 +237,6 @@ def _dare_step(sys: LinearSystem, P: np.ndarray):
     return P_next, P_filt, K
 
 
-def _dare_stationary(P: np.ndarray, P_next: np.ndarray) -> bool:
-    """The discrete recursion's stopping test on successive iterates.  An
-    overflowed norm of P (entries above about 1.3e154) never passes it."""
-    scale = 1.0 + np.linalg.norm(P)
-    return np.isfinite(scale) and np.linalg.norm(P_next - P) <= 1e-12 * scale
-
-
 def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
     """Iterate the prediction-form recursion until successive iterates are
     stationary.  Returns (P_inf, preds, filts)."""
@@ -252,7 +249,7 @@ def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
             filts.append(P_filt.copy())
         if not np.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
             raise CertificationFailure("discrete Riccati recursion diverged")
-        if _dare_stationary(P, P_next):
+        if _stationary(P, np.linalg.norm(P_next - P)):
             return _symmetrize(P_next), preds, filts
         P = P_next
     raise CertificationFailure("discrete Riccati recursion did not converge")
@@ -547,61 +544,54 @@ def certify(
 
     assert_regular(sys)
     rho = 0.0 if variant == "corollary" else float(np.sum(params.gamma1)) / math.e
-
-    if sys.mode == "continuous":
-        P_inf, samples = _care_flow(sys, cand.P0)
-        times = np.array([t for t, _ in samples])
-        mats = [P for _, P in samples]
-    else:
-        P_inf, preds, filts = _dare_flow(sys, cand.P0, record=True)
-        times = np.arange(len(preds), dtype=float)
-        mats = preds
-
-    # geometric checkpoint selection over the recorded trajectory (both
-    # flows record at least the start) + fixed point
-    n_rec = len(mats)
-    if n_rec > 1:
-        idx = np.unique(np.round(np.geomspace(1, n_rec - 1, min(_CHECKPOINTS, n_rec - 1))).astype(int))
-        idx = np.concatenate([[0], idx])
-    else:
-        idx = np.array([0])
-    t_inf = float(times[-1]) + (1.0 if sys.mode == "discrete" else 0.0)
-
-    eps_cov = Pf_inf = None
-    if sys.mode == "discrete":
-        Pf_inf = _dare_step(sys, P_inf)[1]
-        eps_cov = 1.01 * max(float(np.linalg.eigvalsh(_spd_inverse(Pf, "P_filt")).max())
-                             for Pf in filts + [Pf_inf])
-
     # a singular start has no P^-1; the sweep then begins at the first iterate
     start = 0 if _is_psd(cand.P0, -1e-12)[1] else 1
-    checks = [(float(times[i]), mats[i], filts[i] if sys.mode == "discrete" else None)
-              for i in idx[start:]] + [(t_inf, P_inf, Pf_inf)]
+
+    # the recorded trajectory with the fixed point as its last sample, the
+    # certificate matrix at sample i, and c1
+    if sys.mode == "continuous":
+        P_inf, samples = _care_flow(sys, cand.P0)
+        times = np.array([t for t, _ in samples] + [samples[-1][0]])
+        mats = [P for _, P in samples] + [P_inf]
+        c1 = float(np.linalg.eigvalsh(_symmetrize(cand.U + sys.D.T @ cand.Gamma2 @ sys.D)).max())
+
+        def certificate(i):
+            return build_S(sys, cand, mats[i])
+    else:
+        P_inf, mats, filts = _dare_flow(sys, cand.P0, record=True)
+        times = np.arange(len(mats) + 1, dtype=float)
+        mats.append(P_inf)
+        filts.append(_dare_step(sys, P_inf)[1])
+        eps_cov = 1.01 * max(float(np.linalg.eigvalsh(_spd_inverse(Pf, "P_filt")).max())
+                             for Pf in filts[start:])
+        c1 = -math.inf
+
+        def certificate(i):
+            nonlocal c1
+            Z, T6 = build_Z(sys, cand, mats[i], filts[i], eps_cov=eps_cov)
+            c1 = max(c1, float(np.linalg.eigvalsh(_symmetrize(T6 + cand.U)).max()))
+            return Z
+
+    # geometric checkpoints over the recorded samples (both flows record at
+    # least the start), then the fixed point
+    last = len(mats) - 1
+    idx = [0]
+    if last > 1:
+        idx += np.unique(np.round(np.geomspace(1, last - 1, min(_CHECKPOINTS, last - 1)))
+                         .astype(int)).tolist()
 
     report = []
-    t6_top = -np.inf
-    for where, P_pred, P_filt in checks:
-        if sys.mode == "continuous":
-            Mat = build_S(sys, cand, P_pred)
-        else:
-            Mat, T6 = build_Z(sys, cand, P_pred, P_filt, eps_cov=eps_cov)
-            t6_top = max(t6_top, float(np.linalg.eigvalsh(_symmetrize(T6 + cand.U)).max()))
-        rep = is_psd(Mat, tol=_PSD_TOL)
-        report.append((where, rep.min_eig))
+    for i in idx[start:] + [last]:
+        rep = is_psd(certificate(i), tol=_PSD_TOL)
+        report.append((float(times[i]), rep.min_eig))
         if not rep.ok:
             raise CertificationFailure(
-                f"certificate matrix not PSD at checkpoint {where:.6g} "
+                f"certificate matrix not PSD at checkpoint {times[i]:.6g} "
                 f"(min eigenvalue {rep.min_eig:.3e})"
             )
 
-    if sys.mode == "continuous":
-        c1 = float(np.linalg.eigvalsh(_symmetrize(cand.U + sys.D.T @ cand.Gamma2 @ sys.D)).max())
-    else:
-        c1 = t6_top
-    c3 = 1.0 / float(np.linalg.eigvalsh(_symmetrize(P_inf)).max())
-
-    lmax_traj = np.array([float(np.linalg.eigvalsh(P).max()) for P in mats] + [float(np.linalg.eigvalsh(P_inf).max())])
-    times_traj = np.concatenate([times, [t_inf]])
+    lmax_traj = np.array([float(np.linalg.eigvalsh(P).max()) for P in mats])
+    c3 = 1.0 / float(lmax_traj[-1])
     forcing = c1 * mu**2 + rho
     asym = math.sqrt(forcing / (cand.alpha * c3))
 
@@ -621,7 +611,7 @@ def certify(
         P0=cand.P0,
         asymptotic_bound=asym,
         checkpoints=report,
-        _c2_times=times_traj,
+        _c2_times=times,
         _c2_lmax=lmax_traj,
     )
 
@@ -712,7 +702,7 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
                 return _CovariancePass(_read_only(np.array(gains)), k,
                                        (str(exc), _read_only(exc.context)))
             gains.append(K)
-            if _dare_stationary(P, P_next):
+            if _stationary(P, np.linalg.norm(P_next - P)):
                 break
             P = P_next
         return _CovariancePass(_read_only(np.array(gains)), None, None)
@@ -877,8 +867,7 @@ def bound_trajectory_check(
 def gain_identity_residuals(C: np.ndarray, R: np.ndarray, P_pred: np.ndarray):
     """Residuals of the three filtered-covariance/gain identities:
     Pf^-1 = Pp^-1 + C'R^-1 C;  Pf^-1 K = C'R^-1;  K'Pf^-1 K = R^-1 C Pf C' R^-1."""
-    S = _symmetrize(C @ P_pred @ C.T + R)
-    K = np.linalg.solve(S, C @ P_pred).T
+    K, S = _innovation_gain(P_pred, C, R)
     P_filt = _symmetrize(P_pred - K @ S @ K.T)
     Rinv = _spd_inverse(R, "R")
     Pf_inv = _spd_inverse(P_filt, "P_filt")

@@ -23,12 +23,13 @@ from isekf.stability import (
     CertificateCandidate,
     LinearSystem,
     _covariance_pass_of,
-    _dare_stationary,
     _dare_step,
     _spd_inverse,
+    _stationary,
     bound_trajectory_check,
     certify,
     solve_dare,
+    sweep_candidates,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,7 +98,7 @@ def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
             check(k, e)
             if P is not None:
                 P_next, _, K = _dare_step(sys, P)
-                P = None if _dare_stationary(P, P_next) else P_next
+                P = None if _stationary(P, np.linalg.norm(P_next - P)) else P_next
             innov = C.dot(e) - D.dot(d)
             e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sigma))))
             sigma, eps = _bound_map_core(sigma, eps, innov, params)
@@ -478,6 +479,21 @@ def test_a_singular_start_takes_only_a_zero_initial_error():
     assert read == []
     rep = bound_trajectory_check(sys, cand, cert, d_signal, horizon=0.1)
     assert rep.samples == 101 and rep.final_error_norm == 0.0
+
+
+def test_a_singular_discrete_start_is_skipped_as_a_continuous_one(dt_observer):
+    # eps_cov is taken over the swept filtered covariances only: the
+    # singular one at P0 = 0, which has no inverse, is skipped with the start
+    sys, cand, cert = dt_observer
+    zero = dataclasses.replace(cand, P0=np.zeros((1, 1)))
+    cert0 = certify(sys, zero, cert.params, mu=cert.mu)
+    assert [where for where, _ in cert0.checkpoints] == [1, 2, 3, 4, 5, 6, 8, 10, 11]
+    assert cert0.c1 == pytest.approx(2.2906, abs=1e-4)
+    d = np.random.default_rng(23).uniform(-cert.mu, cert.mu, 2001)
+    rep = assert_matches_oracle(sys, zero, cert0, lambda k: np.array([d[k]]), horizon=2000)
+    assert rep.samples == 2001 and 0.0 < rep.max_ratio < 1.0
+    swept = sweep_candidates(sys, cert.params, cert.mu, cert.alpha, P0=[[0.0]])
+    assert [where for where, _ in swept.checkpoints] == [1, 2, 3, 4, 5, 6, 8, 10, 11]
 
 
 # the horizon and dt, checked at entry

@@ -1,8 +1,11 @@
 """scripts/output_digest.py, the digest of the package's deterministic
 outputs that a change is compared against its parent with."""
 
+import hashlib
 import importlib.util
 import os
+
+import pytest
 
 from isekf.harness import cli_main
 
@@ -36,3 +39,23 @@ def test_the_envelope_section_digests_the_envelope_at_every_sample():
     for line, (name, cert, V0, samples) in zip(lines, inputs, strict=True):
         assert line == (f"{name} envelope V0={V0.hex()} samples={len(samples)} "
                         f"sha256={digest.hex_sha256(cert.envelope(samples, V0))}")
+
+
+def test_the_certificate_section_digests_four_certificates():
+    digest = _output_digest()
+    certs = list(digest.certificates())
+    assert [label for label, _ in certs] == ["linear.cfg P0=fixed_point", "linear.cfg P0=1",
+                                             "bound-ct P0=0.01", "bound-ct P0=0"]
+    assert [len(cert.checkpoints) for _, cert in certs] == [2, 9, 10, 9]
+    swept = certs[1][1]
+    assert (swept.W[0, 0], swept.U[0, 0], swept.alpha) == pytest.approx((0.1, 10**-0.5, 0.2))
+    # the singular start is skipped: the sweep begins at the first sample
+    assert certs[3][1].checkpoints[0][0] == certs[3][1]._c2_times[1] > 0.0
+    lines = digest.certificate_lines()
+    for line, (label, cert) in zip(lines, certs, strict=True):
+        points = [v for point in cert.checkpoints for v in point]
+        assert line.startswith(f"certificate {label} c1={cert.c1.hex()} c3={cert.c3.hex()} ")
+        assert f" sha256={digest.hex_sha256(points)} " in line
+        assert line.endswith(
+            f" c2_times={hashlib.sha256(cert._c2_times.tobytes()).hexdigest()}"
+            f" c2_lmax={hashlib.sha256(cert._c2_lmax.tobytes()).hexdigest()}")

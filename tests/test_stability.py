@@ -13,8 +13,9 @@ from isekf.scenario import FilterSpec
 from isekf.stability import (
     CertificateCandidate,
     LinearSystem,
+    _care_flow,
     _dare_flow,
-    _dare_stationary,
+    _stationary,
     bound_trajectory_check,
     build_S,
     build_Z,
@@ -206,7 +207,17 @@ def test_monotone_dare_iterates_from_zero(rng):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowed_norm_is_never_stationary():
     # entries above about 1.3e154 overflow the Frobenius norm of P
-    assert not _dare_stationary(np.array([[1e160]]), np.array([[1e170]]))
+    P, P_next = np.array([[1e160]]), np.array([[1e170]])
+    assert not _stationary(P, np.linalg.norm(P_next - P))
+    assert not _stationary(P, 0.0)
+    # the continuous flow from an overflowed start, whose first rhs norm and
+    # tolerance are both inf, runs on to the fixed point sqrt(2) - 1
+    ct_sys = scalar_sys(-1.0, 1.0, 1.0, 1.0, mode="continuous")
+    for p0 in (1e155, 1e200):
+        P_inf, samples = _care_flow(ct_sys, np.array([[p0]]))
+        assert len(samples) == 13
+        assert P_inf[0, 0] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
+        assert care_residual(ct_sys, P_inf) <= 1e-10
     # unobserved and unstable: P quadruples from 1e155 until it overflows
     with pytest.raises(CertificationFailure, match="diverged"):
         _dare_flow(scalar_sys(2.0, 0.0, 1.0, 1.0), np.array([[1e155]]))
