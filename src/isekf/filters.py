@@ -471,6 +471,7 @@ def dt_update(
     symmetrization.
     """
     if st.sat is None:
+        _check_measurement(y, model.p, "dt_update")
         x, P, _ = _update(model, st.x_hat, st.P, y)
         return replace(st, x_hat=x, P=P)
     _check_saturated(model, st.sat, params, "dt_update", y)
@@ -495,6 +496,7 @@ def dt_isekf_step(
 
 def ekf_step(model: NonlinearModel, st: FilterState, y: np.ndarray, u=None) -> FilterState:
     """Standard EKF cycle (no innovation clipping)."""
+    _check_measurement(y, model.p, "ekf_step")
     x, P, _ = _filter_step(model, st.x_hat, st.P, y, u)
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 
@@ -513,6 +515,7 @@ def sigma_gate_step(
     usual with the gated innovation."""
     if not ell > 0.0:
         raise ConfigurationError(f"ell must be positive, got {ell}")
+    _check_measurement(y, model.p, "sigma_gate_step")
     x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, ell=ell)
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
 

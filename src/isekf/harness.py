@@ -1,7 +1,7 @@
 """Experiment front-end: YAML configs, metric reports, CSV/SVG export and
 the command-line interface (subcommands: run, certify, sweep).
 
-Config grammar (YAML, unknown keys rejected)::
+Config grammar (YAML; unknown keys are rejected, see also README.md)::
 
     scenario:
       horizon: 700            # steps; trace has horizon+1 rows
@@ -13,7 +13,7 @@ Config grammar (YAML, unknown keys rejected)::
       initial_guess_offset: [..3..]
       input: {eta: 1.0, delta_amp: 0.1, delta_freq: 0.02}
       outliers: paper | none | [{k_lo, k_hi, kind, value|scale}, ...]
-      d_routing: p x m matrix (rows: measurement channels)
+      d_routing: 3 x m matrix (rows: measurement channels)
     filters:
       is-ekf: {P0: diag list, lambda1/lambda2/gamma1/gamma2/sigma0/epsilon0: lists}
       ekf: {P0: diag list}
@@ -25,12 +25,16 @@ Config grammar (YAML, unknown keys rejected)::
       metrics: metrics.txt
 
 The ``certify`` subcommand reads a ``system``/``certificate``/``bounds``
-config instead (see cmd_certify).
+config instead (see certify_from_config).  Both grammars are read by
+_section and _read: a section that is not a mapping, or a value of the
+wrong type, is a ConfigurationError that names it (``scenario.horizon:
+must be a whole number, got 2.5``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -98,64 +102,131 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _require_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
+def _section(data: dict, key, allowed, where: str) -> dict:
+    """The mapping data[key] (data itself for key None; {} when absent or
+    null) after checking that every key of it is in allowed; where names it
+    in the errors."""
+    value = data if key is None else data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {type(value).__name__}")
+    unknown = set(value) - set(allowed)
     if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown, key=str)}")
+    return value
 
 
-def _vec(value, where: str, length: int = 3) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (length,):
-        raise ConfigurationError(f"{where} must be a list of {length} numbers")
+def _read(section: dict, key: str, where: str, kind, default=...):
+    """section[key] converted by kind, or default (unconverted) when the
+    key is absent; a required key has no default.  A value kind cannot
+    convert is a ConfigurationError naming <where>.<key>."""
+    if key not in section:
+        if default is ...:
+            raise ConfigurationError(f"{where}.{key} is required")
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{where}.{key}: {exc}") from exc
+
+
+# Value kinds of _read.  float is the kind of a real number.
+_floats = functools.partial(np.asarray, dtype=float)
+
+
+def _whole(value) -> int:
+    """An integer, or a float with a whole value (700.0); not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _vec3(value) -> np.ndarray:
+    arr = _floats(value)
+    if arr.shape != (3,):
+        raise ValueError("must be a list of 3 numbers")
     return arr
 
 
-def _parse_schedule(spec, routing, where: str) -> Optional[OutlierSchedule]:
+def _matrix(value) -> np.ndarray:
+    return np.atleast_2d(_floats(value))
+
+
+def _diagonal_or_matrix(value) -> np.ndarray:
+    """diag(value) of a list, else value as a matrix."""
+    arr = _floats(value)
+    return np.diag(arr) if arr.ndim == 1 else np.atleast_2d(arr)
+
+
+# scenario keys read by a kind alone; the dataclass defaults are the paper's
+_SCENARIO_KINDS = {
+    "horizon": _whole, "T": float, "process_std": _vec3, "meas_std": _vec3,
+    "filter_process_std": _vec3, "filter_meas_std": _vec3, "initial_guess_offset": _vec3,
+    "initial_truth": lambda value: RobotState(*_vec3(value)),
+}
+# (kind, default) of each outlier segment key
+_SEGMENT_KINDS = {"k_lo": (_whole, ...), "k_hi": (_whole, ...), "kind": (str, "constant"),
+                  "value": (_floats, None), "scale": (_floats, None)}
+_OUTPUT_KINDS = {"dir": str, "csv": str, "plots": _flag, "metrics": str}
+_FILTER_KINDS = ("is-ekf", "ekf", "lsigma-ekf")
+
+
+def _build(where: str, cls, *args, **kw):
+    """cls(*args, **kw); a ConfigurationError or InputDomainError it raises
+    comes out as a ConfigurationError prefixed with where."""
+    try:
+        return cls(*args, **kw)
+    except (ConfigurationError, InputDomainError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+def _parse_schedule(sc: dict) -> Optional[OutlierSchedule]:
     """The paper schedule, no schedule, or an explicit segment list; the
     routing matrix defaults to the paper's."""
+    spec = sc.get("outliers")
     if spec == "none":
         return None
     paper = paper_schedule()
-    D = paper.D if routing is None else np.asarray(routing, dtype=float)
+    D = _read(sc, "d_routing", "scenario", _matrix, paper.D)
     if spec is None or spec == "paper":
-        return OutlierSchedule(segments=paper.segments, D=D)
-    if not isinstance(spec, list):
-        raise ConfigurationError(f"{where}.outliers must be 'paper', 'none' or a list")
-    segs = []
-    for i, raw in enumerate(spec):
-        _require_keys(raw, {"k_lo", "k_hi", "kind", "value", "scale"}, f"{where}.outliers[{i}]")
-        try:
-            segs.append(OutlierSegment(
-                k_lo=int(raw["k_lo"]), k_hi=int(raw["k_hi"]), kind=raw.get("kind", "constant"),
-                value=raw.get("value"), scale=raw.get("scale"),
-            ))
-        except (KeyError, ConfigurationError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{where}.outliers[{i}]: {exc}") from exc
-    return OutlierSchedule(segments=segs, D=D)
+        segs = paper.segments
+    elif isinstance(spec, list):
+        segs = []
+        for i, raw in enumerate(spec):
+            where = f"scenario.outliers[{i}]"
+            seg = _section(raw, None, _SEGMENT_KINDS, where)
+            segs.append(_build(where, OutlierSegment, **{
+                key: _read(seg, key, where, kind, default)
+                for key, (kind, default) in _SEGMENT_KINDS.items()}))
+    else:
+        raise ConfigurationError("scenario.outliers must be 'paper', 'none' or a list")
+    return _build("scenario", OutlierSchedule, segments=segs, D=D)
 
 
-def _parse_filters(section: dict) -> list[FilterSpec]:
-    _require_keys(section, {"is-ekf", "ekf", "lsigma-ekf"}, "filters")
+def _parse_filters(data: dict) -> list[FilterSpec]:
+    section = _section(data, "filters", _FILTER_KINDS, "filters")
     specs = []
-    for kind in ("is-ekf", "ekf", "lsigma-ekf"):
+    for kind in _FILTER_KINDS:
         if kind not in section:
             continue
-        sub = section[kind] or {}
         where = f"filters.{kind}"
-        allowed = {"P0", "ell"} | set(DEFAULT_BOUND) if kind == "is-ekf" else {"P0", "ell"}
-        _require_keys(sub, allowed, where)
-        try:
-            kw = {"P0": np.diag(_vec(sub.get("P0", DEFAULT_P0_DIAG), "P0"))}
-            if kind == "is-ekf":
-                bound = {name: _vec(sub.get(name, default), name)
-                         for name, default in DEFAULT_BOUND.items()}
-                kw["bound_params"] = BoundParams(mode="dt", **bound)
-            elif kind == "lsigma-ekf" and "ell" in sub:
-                kw["ell"] = float(sub["ell"])
-            specs.append(FilterSpec(kind, **kw))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{where}: {exc}") from exc
+        sub = _section(section, kind, {"P0", "ell", *(DEFAULT_BOUND if kind == "is-ekf" else ())},
+                       where)
+        kw = {"P0": np.diag(_read(sub, "P0", where, _vec3, DEFAULT_P0_DIAG))}
+        if kind == "is-ekf":
+            kw["bound_params"] = _build(where, BoundParams, mode="dt", **{
+                name: _read(sub, name, where, _vec3, default)
+                for name, default in DEFAULT_BOUND.items()})
+        elif kind == "lsigma-ekf" and "ell" in sub:
+            kw["ell"] = _read(sub, "ell", where, float)
+        specs.append(_build(where, FilterSpec, kind, **kw))
     return specs
 
 
@@ -178,40 +249,22 @@ def load_yaml(path: str) -> dict:
 def parse_config(path: str) -> ExperimentConfig:
     """Load and validate an experiment config; defaults are applied for
     missing values and unknown keys are rejected."""
-    data = load_yaml(path)
-    _require_keys(data, {"scenario", "filters", "output"}, "config")
-    sc = data.get("scenario", {}) or {}
-    _require_keys(sc, {"horizon", "T", "seed", "process_std", "meas_std",
-                       "filter_process_std", "filter_meas_std", "initial_truth",
-                       "initial_guess_offset", "input", "outliers", "d_routing"}, "scenario")
-
-    inp = sc.get("input", {}) or {}
-    _require_keys(inp, {"eta", "delta_amp", "delta_freq"}, "scenario.input")
+    data = _section(load_yaml(path), None, {"scenario", "filters", "output"}, "config")
+    sc = _section(data, "scenario", {*_SCENARIO_KINDS, "seed", "input", "outliers", "d_routing"},
+                  "scenario")
+    inp = _section(sc, "input", {"eta", "delta_amp", "delta_freq"}, "scenario.input")
     # only the keys present are passed: the dataclass defaults are the paper's
-    kw = {"input_profile": InputProfile(**{k: float(v) for k, v in inp.items()})}
-    if "horizon" in sc:
-        kw["horizon"] = int(sc["horizon"])
-    if "T" in sc:
-        kw["T"] = float(sc["T"])
-    for key in ("process_std", "meas_std", "filter_process_std", "filter_meas_std",
-                "initial_guess_offset"):
-        if key in sc:
-            kw[key] = _vec(sc[key], f"scenario.{key}")
-    if "initial_truth" in sc:
-        kw["initial_truth"] = RobotState(*_vec(sc["initial_truth"], "scenario.initial_truth"))
+    kw = {key: _read(sc, key, "scenario", kind) for key, kind in _SCENARIO_KINDS.items()
+          if key in sc}
+    kw["input_profile"] = InputProfile(**{key: _read(inp, key, "scenario.input", float)
+                                          for key in inp})
     if "outliers" in sc or "d_routing" in sc:
-        kw["schedule"] = _parse_schedule(sc.get("outliers"), sc.get("d_routing"), "scenario")
-    kw["filters"] = _parse_filters(data.get("filters", {}) or {})
-    try:
-        scenario = ScenarioConfig(**kw)
-        seed = check_seed(sc.get("seed", 1))
-    except (InputDomainError, ConfigurationError) as exc:
-        raise ConfigurationError(f"scenario: {exc}") from exc
-
-    out = data.get("output", {}) or {}
-    _require_keys(out, {"dir", "csv", "plots", "metrics"}, "output")
-    convert = {"dir": str, "csv": str, "plots": bool, "metrics": str}
-    output = OutputConfig(**{key: convert[key](value) for key, value in out.items()})
+        kw["schedule"] = _parse_schedule(sc)
+    kw["filters"] = _parse_filters(data)
+    scenario = _build("scenario", ScenarioConfig, **kw)
+    seed = _read(sc, "seed", "scenario", check_seed, 1)
+    out = _section(data, "output", _OUTPUT_KINDS, "output")
+    output = OutputConfig(**{key: _read(out, key, "output", _OUTPUT_KINDS[key]) for key in out})
     return ExperimentConfig(scenario=scenario, seed=seed, output=output)
 
 
@@ -369,61 +422,32 @@ def render_plots(trace: SimulationTrace, outdir: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # certify config
 
-def _parse_matrix(section, key, where, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigurationError(f"{where}.{key} is required")
-        return np.atleast_2d(np.asarray(default, dtype=float))
-    return np.atleast_2d(np.asarray(section[key], dtype=float))
-
-
 def certify_from_config(path: str):
     """Build the linear system, candidate and bound parameters from a
     certify config and run the certification."""
-    data = load_yaml(path)
-    _require_keys(data, {"system", "certificate", "bounds"}, "config")
-    sysc = data.get("system", {}) or {}
-    _require_keys(sysc, {"mode", "A", "C", "Q", "R", "D"}, "system")
-    mode = sysc.get("mode")
-    if mode not in ("continuous", "discrete"):
-        raise ConfigurationError("system.mode must be 'continuous' or 'discrete'")
+    data = _section(load_yaml(path), None, {"system", "certificate", "bounds"}, "config")
+    sysc = _section(data, "system", {"mode", "A", "C", "Q", "R", "D"}, "system")
     system = stability.LinearSystem(
-        A=_parse_matrix(sysc, "A", "system"),
-        C=_parse_matrix(sysc, "C", "system"),
-        Q=_parse_matrix(sysc, "Q", "system"),
-        R=_parse_matrix(sysc, "R", "system"),
-        D=_parse_matrix(sysc, "D", "system"),
-        mode=mode,
-    )
-    bc = data.get("bounds", {}) or {}
-    _require_keys(bc, {"lambda1", "lambda2", "gamma1", "gamma2", "sigma0", "epsilon0",
-                       "mu", "variant"}, "bounds")
-    try:
-        params = BoundParams(
-            lambda1=bc["lambda1"], lambda2=bc["lambda2"],
-            gamma1=bc["gamma1"], gamma2=bc["gamma2"],
-            sigma0=bc["sigma0"], epsilon0=bc["epsilon0"],
-            mode="ct" if mode == "continuous" else "dt",
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"bounds.{exc.args[0]} is required")
-    cc = data.get("certificate", {}) or {}
-    _require_keys(cc, {"W", "U", "alpha", "P0"}, "certificate")
-    if "P0" in cc and cc["P0"] == "fixed_point":
+        mode=_read(sysc, "mode", "system", str),
+        **{key: _read(sysc, key, "system", _matrix) for key in ("A", "C", "Q", "R", "D")})
+    mode = system.mode
+    bc = _section(data, "bounds", {*DEFAULT_BOUND, "mu", "variant"}, "bounds")
+    params = BoundParams(mode="ct" if mode == "continuous" else "dt",
+                         **{name: _read(bc, name, "bounds", _floats) for name in DEFAULT_BOUND})
+    cc = _section(data, "certificate", {"W", "U", "alpha", "P0"}, "certificate")
+    if cc.get("P0") == "fixed_point":
         P0 = stability.solve_care(system) if mode == "continuous" else stability.solve_dare(system)
     else:
-        P0 = _parse_matrix(cc, "P0", "certificate")
+        P0 = _read(cc, "P0", "certificate", _matrix)
     cand = stability.CertificateCandidate(
-        W=np.diag(np.atleast_1d(np.asarray(cc.get("W"), dtype=float)))
-        if np.asarray(cc.get("W")).ndim == 1 else _parse_matrix(cc, "W", "certificate"),
-        U=_parse_matrix(cc, "U", "certificate"),
-        alpha=float(cc.get("alpha", 0.0)),
+        W=_read(cc, "W", "certificate", _diagonal_or_matrix),
+        U=_read(cc, "U", "certificate", _matrix),
+        alpha=_read(cc, "alpha", "certificate", float, 0.0),
         Gamma2=np.diag(params.gamma2),
         P0=P0,
     )
-    mu = float(bc.get("mu", 0.0))
-    variant = bc.get("variant", "theorem")
-    return stability.certify(system, cand, params, mu, variant=variant)
+    return stability.certify(system, cand, params, _read(bc, "mu", "bounds", float, 0.0),
+                             variant=_read(bc, "variant", "bounds", str, "theorem"))
 
 
 # ---------------------------------------------------------------------------

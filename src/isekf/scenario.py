@@ -146,7 +146,7 @@ class OutlierSegment:
         if self.kind == "constant":
             if self.value is None:
                 raise ConfigurationError("constant segment requires a value")
-            object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
+            object.__setattr__(self, "value", np.atleast_1d(np.asarray(self.value, dtype=float)))
             if not np.all(np.isfinite(self.value)):
                 raise ConfigurationError("value must be finite")
         else:
@@ -171,6 +171,14 @@ class OutlierSchedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "D", np.atleast_2d(np.asarray(self.D, dtype=float)))
+        if not np.isfinite(self.D).all():
+            raise ConfigurationError("D must be finite")
+        m = self.m
+        for seg in self.segments:
+            name, want = ("value", (m,)) if seg.kind == "constant" else ("scale", (m, m))
+            got = getattr(seg, name).shape
+            if got != want:
+                raise ConfigurationError(f"segment {name} must have shape {want}, got {got}")
         spans = sorted((s.k_lo, s.k_hi) for s in self.segments)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             if lo < hi:
@@ -319,6 +327,9 @@ class ScenarioConfig:
             setattr(self, name, std)
         if self.schedule is None:
             self.schedule = OutlierSchedule(segments=(), D=np.zeros((3, 2)))
+        if self.schedule.D.ndim != 2 or len(self.schedule.D) != 3:
+            raise ConfigurationError("D must have 3 rows, one per measurement channel, got "
+                                     f"shape {self.schedule.D.shape}")
 
     @property
     def Q(self) -> np.ndarray:
@@ -487,5 +498,8 @@ def _truth_and_measurements(cfg: ScenarioConfig, model: NonlinearModel, seeds: l
         if not np.isfinite(nxt).all():
             raise ConfigurationError("robot state must be finite")
         truth[:, k] = nxt
-    y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
+    with np.errstate(all="ignore"):  # a D d that overflows is reported as its error alone
+        y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
+    if not np.isfinite(y).all():
+        raise ConfigurationError("measurement must be finite")
     return truth, d, y

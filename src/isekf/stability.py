@@ -332,6 +332,16 @@ def build_S(sys: LinearSystem, cand: CertificateCandidate, P_t: np.ndarray) -> n
                        2.0 * cand.W, cand.W @ sys.D, cand.U)
 
 
+def _discrete_q_inverse(sys: LinearSystem) -> np.ndarray:
+    """Q^-1; CertificationFailure unless A and Q are invertible."""
+    if np.linalg.matrix_rank(sys.A, tol=1e-12 * (1.0 + np.linalg.norm(sys.A))) < sys.n:
+        raise CertificationFailure("discrete certification requires invertible A")
+    try:
+        return _spd_inverse(sys.Q, "Q")
+    except NumericalFailure as exc:
+        raise CertificationFailure("discrete certification requires invertible Q") from exc
+
+
 def build_Z(
     sys: LinearSystem,
     cand: CertificateCandidate,
@@ -347,12 +357,7 @@ def build_Z(
     if sys.mode != "discrete":
         raise ConfigurationError("build_Z requires a discrete-mode system")
     n = sys.n
-    if np.linalg.matrix_rank(sys.A, tol=1e-12 * (1.0 + np.linalg.norm(sys.A))) < n:
-        raise CertificationFailure("discrete certification requires invertible A")
-    try:
-        Qinv = _spd_inverse(sys.Q, "Q")
-    except NumericalFailure as exc:
-        raise CertificationFailure("discrete certification requires invertible Q") from exc
+    Qinv = _discrete_q_inverse(sys)
     Rinv = _spd_inverse(sys.R, "R")
     Pf_inv = _spd_inverse(P_filt, "P_filt")
     if eps_cov is None:
@@ -558,6 +563,7 @@ def certify(
         def certificate(i):
             return build_S(sys, cand, mats[i])
     else:
+        _discrete_q_inverse(sys)  # build_Z's requirements, before eps_cov inverts P_filt
         P_inf, mats, filts = _dare_flow(sys, cand.P0, record=True)
         times = np.arange(len(mats) + 1, dtype=float)
         mats.append(P_inf)
@@ -785,7 +791,12 @@ def bound_trajectory_check(
     after every step).  A non-finite stepped state, or a failed
     covariance step, raises NumericalFailure at its step.  The envelope
     is evaluated once per sample and call, in blocks (_envelope_blocks); raises
-    PropertyFailure at the first violation of ||e|| <= envelope + 1e-9."""
+    PropertyFailure at the first violation of ||e|| <= envelope + 1e-9.
+
+    The discrete check steps once past the horizon: it reads d(N) and
+    reports final_error_norm = ||e_(N+1)||, a state the envelope is never
+    checked at, where the continuous check stops at t = N dt.  The bench's
+    recorded bound-dt final norm (bench/workloads.py) depends on this."""
     params = cert.params
     _check_against_system(sys, cand, params)
     # C order: a strided e0 would take another summation order in e.dot(e)

@@ -412,6 +412,31 @@ def test_ct_entry_points_raise_named_errors(entry, case, error):
             ct_isekf_integrate(m, st, y_of, 1e-2, 0.2, params)
 
 
+_DT_STEPS = {
+    "dt_update": lambda m, st, y, params, u: dt_update(m, st, y),
+    "dt_isekf_step": lambda m, st, y, params, u: dt_isekf_step(m, st, y, params, u),
+    "ekf_step": lambda m, st, y, params, u: ekf_step(m, st, y, u),
+    "sigma_gate_step": lambda m, st, y, params, u: sigma_gate_step(m, st, y, 3.0, u),
+}
+
+
+@pytest.mark.parametrize("y, error", [
+    (np.array([math.nan, 0.0, 0.0]), InputDomainError),
+    (np.zeros(2), ConfigurationError),
+    (np.zeros((3, 1)), ConfigurationError),
+], ids=["nan", "length-2", "shaped-(3, 1)"])
+@pytest.mark.parametrize("step", list(_DT_STEPS))
+def test_dt_entry_points_raise_named_errors(step, y, error):
+    # every discrete step that takes a measurement checks it at entry, named
+    # after the step
+    m = robot_model(0.1, np.eye(3) * 1e-4, np.eye(3) * 0.01)
+    params = paper_bound_params()
+    sat = params.initial_state() if step == "dt_isekf_step" else None
+    st = FilterState(np.zeros(3), robot_filter_p0(), sat=sat)
+    with pytest.raises(error, match=step):
+        _DT_STEPS[step](m, st, y, params, np.array([1.0, 0.0]))
+
+
 def test_ct_entry_points_take_a_scalar_measurement_of_one_channel():
     # a scalar broadcasts against h(x) to the one channel, as a (1,) array
     m, params, st, y_of = _clipping_setup()

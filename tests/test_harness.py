@@ -173,9 +173,18 @@ NAN, INF = float("nan"), float("inf")
     ("P0", {}, {"ekf": {"P0": [1e308, -1e300, 5.0e-5]}}),
     ("seed", {"seed": -1}, None),
     ("seed", {"seed": "one"}, None),
+    ("D", {"d_routing": [[1.0, 0.0], [0.0, 1.0]]}, None),
+    ("value", {"d_routing": [[1.0], [0.0], [0.0]]}, None),
+    ("D", {"d_routing": [[NAN, 0.0], [0.0, 0.0], [0.0, 1.0]]}, None),
+    ("value", {"outliers": [{"k_lo": 5, "k_hi": 10, "kind": "constant",
+                             "value": [1.0, 2.0, 3.0]}]}, None),
+    ("scale", {"outliers": [{"k_lo": 5, "k_hi": 10, "kind": "uniform",
+                             "scale": [[1.0, 0.0, 0.0]]}]}, None),
 ], ids=["T-zero", "T-nan", "meas_std-nan", "process_std-negative", "filter_meas_std-inf",
         "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd",
-        "P0-not-psd-near-float-limit", "seed-negative", "seed-not-integer"])
+        "P0-not-psd-near-float-limit", "seed-negative", "seed-not-integer",
+        "d_routing-2-rows", "d_routing-1-column-under-the-paper-schedule", "d_routing-nan",
+        "value-of-length-3", "scale-1x3"])
 def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters):
     data = minimal_cfg_dict(**scenario)
     if filters is not None:
@@ -184,6 +193,51 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
     with pytest.raises(ConfigurationError, match=rf"\b{key}\b"):
         parse_config(path)
     assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("command, section, key, value, message", [
+    ("certify", "system", "A", "abc", "system.A: could not convert string to float: 'abc'\n"),
+    ("certify", "system", "A", [[1.0], [1.0, 2.0]], "system.A: "),
+    ("certify", "certificate", "alpha", "x",
+     "certificate.alpha: could not convert string to float: 'x'\n"),
+    ("certify", "bounds", "mu", None, "bounds.mu: "),
+    ("certify", "bounds", "lambda1", "q", "bounds.lambda1: could not convert string to float: 'q'\n"),
+    ("certify", "system", None, [1, 2], "system must be a mapping, got list\n"),
+    ("run", "scenario", "horizon", "abc", "scenario.horizon: must be a whole number, got 'abc'\n"),
+    ("run", "scenario", "input", {"eta": "abc"},
+     "scenario.input.eta: could not convert string to float: 'abc'\n"),
+    ("run", "scenario", None, 5, "scenario must be a mapping, got int\n"),
+    ("run", "scenario", "outliers", [5], "scenario.outliers[0] must be a mapping, got int\n"),
+    ("run", "scenario", "horizon", 2.5, "scenario.horizon: must be a whole number, got 2.5\n"),
+    ("run", "scenario", "outliers", [{"k_lo": 5.7, "k_hi": 10, "value": [1.0, 2.0]}],
+     "scenario.outliers[0].k_lo: must be a whole number, got 5.7\n"),
+    ("run", "output", "plots", "false", "output.plots: must be true or false, got 'false'\n"),
+], ids=["A-string", "A-ragged", "alpha-string", "mu-null", "lambda1-string", "system-list",
+        "horizon-string", "eta-string", "scenario-int", "outliers-int",
+        "horizon-fraction", "k_lo-fraction", "plots-string"])
+def test_a_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, command, section, key,
+                                                     value, message):
+    data = harness.load_yaml(LINEAR_CFG if command == "certify" else PAPER_CFG)
+    if key is None:
+        data[section] = value
+    else:
+        data[section][key] = value
+    out = tmp_path / "out"
+    argv = [command, write_cfg(tmp_path, data)] + (["--out", str(out)] if command == "run" else [])
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_whole_number_floats_are_read_as_integers(tmp_path):
+    data = minimal_cfg_dict(horizon=40.0, outliers=[
+        {"k_lo": 5.0, "k_hi": 10, "kind": "constant", "value": [1.0, 2.0]}])
+    cfg = parse_config(write_cfg(tmp_path, data))
+    assert type(cfg.scenario.horizon) is int and cfg.scenario.horizon == 40
+    seg = cfg.scenario.schedule.segments[0]
+    assert type(seg.k_lo) is int and (seg.k_lo, seg.k_hi) == (5, 10)
+    assert cfg.output.plots is False  # minimal_cfg_dict's YAML false
 
 
 @pytest.mark.parametrize("argv", [

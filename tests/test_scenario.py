@@ -316,6 +316,18 @@ def test_clip_level_underflow_fails_only_that_filter(caplog):
     assert "is-ekf" in warnings[0].getMessage() and "underflowed" in warnings[0].getMessage()
 
 
+def test_a_measurement_that_overflows_is_rejected_without_a_warning():
+    # D d = 2e308 overflows: simulate names it next to the truth check,
+    # before any filter steps on it
+    huge = OutlierSegment(5, 10, "constant", value=[1e308, 0.0])
+    cfg = benchmark_config(horizon=20,
+                           schedule=OutlierSchedule((huge,), D=2.0 * paper_schedule().D))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="^measurement must be finite$"):
+            simulate(cfg, 1)
+
+
 @pytest.mark.parametrize("make_cfg, seed", [
     (lambda: parse_config(PAPER_CFG).scenario, 1),
     (lambda: parse_config(PAPER_CFG).scenario, 7),

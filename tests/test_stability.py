@@ -328,6 +328,21 @@ def test_build_Z_rejects_singular_A_or_Q():
         build_Z(sys_q, cand, np.array([[1.0]]), np.array([[0.5]]))
 
 
+@pytest.mark.parametrize("P0", [0.0, 1.0], ids=["singular-start", "regular-start"])
+def test_a_singular_q_fails_certification_from_every_start(P0):
+    # from P0 = 0 the recursion under Q = 0 is stationary at once, with a zero
+    # filtered covariance; A and Q are checked before eps_cov inverts it
+    sys, cand, params = dt_cert_setup()
+    sys_q = scalar_sys(0.5, 1.0, 0.0, 1.0)
+    cand = CertificateCandidate(W=cand.W, U=cand.U, alpha=cand.alpha, Gamma2=cand.Gamma2,
+                                P0=[[P0]])
+    with pytest.raises(CertificationFailure, match="^discrete certification requires invertible Q$"):
+        certify(sys_q, cand, params, mu=0.5)
+    with pytest.raises(CertificationFailure, match=r"^no certificate found on the \(W, U\) grid; "
+                                                   r"last failure: .*invertible Q$"):
+        sweep_candidates(sys_q, params, mu=0.5, alpha=0.2, P0=np.array([[P0]]))
+
+
 def test_is_psd_examples(rng):
     rep = is_psd(np.eye(3))
     assert rep and rep.min_eig == pytest.approx(1.0)
