@@ -142,6 +142,13 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _text(value) -> str:
+    """A string; YAML's null, numbers and dates are not read as their str."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
@@ -172,10 +179,11 @@ _SCENARIO_KINDS = {
     "initial_truth": lambda value: RobotState(*_vec3(value)),
 }
 # (kind, default) of each outlier segment key
-_SEGMENT_KINDS = {"k_lo": (_whole, ...), "k_hi": (_whole, ...), "kind": (str, "constant"),
+_SEGMENT_KINDS = {"k_lo": (_whole, ...), "k_hi": (_whole, ...), "kind": (_text, "constant"),
                   "value": (_floats, None), "scale": (_floats, None)}
-_OUTPUT_KINDS = {"dir": str, "csv": str, "plots": _flag, "metrics": str}
-_FILTER_KINDS = ("is-ekf", "ekf", "lsigma-ekf")
+_OUTPUT_KINDS = {"dir": _text, "csv": _text, "plots": _flag, "metrics": _text}
+# the keys of each filter section besides P0; only the gate takes ell
+_FILTER_KEYS = {"is-ekf": tuple(DEFAULT_BOUND), "ekf": (), "lsigma-ekf": ("ell",)}
 
 
 def _build(where: str, cls, *args, **kw):
@@ -211,20 +219,19 @@ def _parse_schedule(sc: dict) -> Optional[OutlierSchedule]:
 
 
 def _parse_filters(data: dict) -> list[FilterSpec]:
-    section = _section(data, "filters", _FILTER_KINDS, "filters")
+    section = _section(data, "filters", _FILTER_KEYS, "filters")
     specs = []
-    for kind in _FILTER_KINDS:
+    for kind in _FILTER_KEYS:
         if kind not in section:
             continue
         where = f"filters.{kind}"
-        sub = _section(section, kind, {"P0", "ell", *(DEFAULT_BOUND if kind == "is-ekf" else ())},
-                       where)
+        sub = _section(section, kind, {"P0", *_FILTER_KEYS[kind]}, where)
         kw = {"P0": np.diag(_read(sub, "P0", where, _vec3, DEFAULT_P0_DIAG))}
         if kind == "is-ekf":
             kw["bound_params"] = _build(where, BoundParams, mode="dt", **{
                 name: _read(sub, name, where, _vec3, default)
                 for name, default in DEFAULT_BOUND.items()})
-        elif kind == "lsigma-ekf" and "ell" in sub:
+        elif "ell" in sub:
             kw["ell"] = _read(sub, "ell", where, float)
         specs.append(_build(where, FilterSpec, kind, **kw))
     return specs
@@ -428,7 +435,7 @@ def certify_from_config(path: str):
     data = _section(load_yaml(path), None, {"system", "certificate", "bounds"}, "config")
     sysc = _section(data, "system", {"mode", "A", "C", "Q", "R", "D"}, "system")
     system = stability.LinearSystem(
-        mode=_read(sysc, "mode", "system", str),
+        mode=_read(sysc, "mode", "system", _text),
         **{key: _read(sysc, key, "system", _matrix) for key in ("A", "C", "Q", "R", "D")})
     mode = system.mode
     bc = _section(data, "bounds", {*DEFAULT_BOUND, "mu", "variant"}, "bounds")
@@ -447,7 +454,7 @@ def certify_from_config(path: str):
         P0=P0,
     )
     return stability.certify(system, cand, params, _read(bc, "mu", "bounds", float, 0.0),
-                             variant=_read(bc, "variant", "bounds", str, "theorem"))
+                             variant=_read(bc, "variant", "bounds", _text, "theorem"))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ _PSD_TOL = 1e-9
 # Step caps of the continuous and discrete Riccati flows
 _CARE_MAX_ITER = 20000
 _DARE_MAX_ITER = 1000000
+# Step cap of the Newton-Kleinman refinement of the continuous fixed point
+_NEWTON_MAX_ITER = 20
 # Samples per envelope evaluation of a bound check
 _ENVELOPE_BLOCK = 256
 
@@ -156,18 +158,92 @@ def _stationary(P: np.ndarray, step_norm: float) -> bool:
     return np.isfinite(scale) and step_norm <= 1e-12 * scale
 
 
+# Degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which the
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13_THETA = 5.371920351148152
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant: M / 2^s has 1-norm at most theta_13, one solve
+    (V - U) R = V + U gives the approximant, and s squarings undo the
+    scaling."""
+    norm = np.linalg.norm(M, 1)
+    s = max(0, math.ceil(math.log2(norm / _PADE13_THETA))) if norm > 0.0 else 0
+    A = M / 2.0**s
+    b = _PADE13
+    ident = np.eye(M.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _care_newton(sys: LinearSystem, P: np.ndarray, CtRinv: np.ndarray) -> np.ndarray:
+    """Newton-Kleinman refinement of the CARE fixed point from a
+    stabilizing P (Kleinman, IEEE TAC 1968): with the closed loop
+    A_k = A - P C^T R^-1 C, the Lyapunov equation
+    A_k X + X A_k^T = -(Q + P C^T R^-1 C P) gives the next iterate X,
+    symmetrized, solved as one n^2 x n^2 Kronecker system: O(n^6), fine
+    for the small n of this package.
+
+    As _dare_flow returns P_next, this returns the X of the first P that
+    _stationary passes on either measure of a step: ||X - P||, or the
+    norm of the continuous right-hand side at P (the flow's own test).
+    The second is needed where the Lyapunov operator is ill-conditioned
+    (cond ~ 1e6): there successive iterates keep differing by rounding at
+    1e-11 (1 + ||P||) while the right-hand side is at its floor.  Raises
+    CertificationFailure when a closed loop is not Hurwitz (the start was
+    not stabilizing), when the Lyapunov operator is singular, or without
+    convergence in _NEWTON_MAX_ITER steps."""
+    n = sys.n
+    ident = np.eye(n)
+    for _ in range(_NEWTON_MAX_ITER):
+        K = P @ CtRinv
+        A_k = sys.A - K @ sys.C
+        if not np.linalg.eigvals(A_k).real.max() < 0.0:
+            raise CertificationFailure(
+                "Newton-Kleinman step from a P whose closed loop A - P C^T R^-1 C "
+                "is not Hurwitz")
+        lyapunov = np.kron(A_k, ident) + np.kron(ident, A_k)
+        try:
+            X = np.linalg.solve(lyapunov, -(sys.Q + K @ sys.C @ P).ravel())
+        except np.linalg.LinAlgError:
+            raise CertificationFailure("singular Lyapunov operator in the Newton-Kleinman "
+                                       "refinement of the continuous Riccati fixed point") from None
+        X = _symmetrize(X.reshape(n, n))
+        if (_stationary(P, np.linalg.norm(X - P))
+                or _stationary(P, np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, K, P)))):
+            return X
+        P = X
+    raise CertificationFailure("Newton-Kleinman refinement of the continuous Riccati "
+                               "fixed point did not converge")
+
+
 def _care_flow(sys: LinearSystem, P0: np.ndarray):
     """Follow the Riccati flow dP/dt = A P + P A^T + Q - P C^T R^(-1) C P
-    from P0 and record the trajectory, handing over to solve_care once the
-    flow is near its fixed point.
+    from P0 and record the trajectory, refining the fixed point by
+    Newton-Kleinman (_care_newton) once the flow is near it.
 
     Each step propagates the flow exactly over a horizon h through the
     associated linear system d/dt [X; Y] = [[-A', S], [Q, A]] [X; Y] with
     P = Y X^(-1): P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^(-1) where
-    Phi = expm(h M).  h is doubled periodically so slow closed-loop modes
-    converge in a bounded number of steps.  Returns (P_inf, samples) with
-    samples a list of (t, P) including the start."""
-    from scipy.linalg import expm  # only continuous-time certification loads scipy
+    Phi = _expm(h M).  h is doubled periodically so slow closed-loop modes
+    converge in a bounded number of steps.  The hand-over happens at the
+    first recorded P whose right-hand side is within 1e-3 (1 + ||P||) and
+    whose closed loop A - P C^T R^-1 C is Hurwitz.  Returns (P_inf,
+    samples) with samples a list of (t, P) including the start."""
     n = sys.n
     CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
     M = np.block([[-sys.A.T, _symmetrize(CtRinv @ sys.C)], [sys.Q, sys.A]])
@@ -177,12 +253,12 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
     if _stationary(P, nd):
         return P, samples
 
-    # Step cap keeps expm and the flow-step solve well conditioned; the
+    # Step cap keeps _expm and the flow-step solve well conditioned; the
     # growth rate is the largest real part among the Hamiltonian modes.
     max_re = max(1e-6, float(np.linalg.eigvals(M).real.max()))
     h_max = 4.5 / max_re
     h = min(0.5 / (1.0 + np.linalg.norm(M, 2)), h_max)
-    Phi = expm(h * M)
+    Phi = _expm(h * M)
     t = 0.0
     steps_at_h = 0
     for _ in range(_CARE_MAX_ITER):
@@ -195,7 +271,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
         if not np.all(np.isfinite(P_new)):
             # step too aggressive; halve and retry
             h *= 0.5
-            Phi = expm(h * M)
+            Phi = _expm(h * M)
             steps_at_h = 0
             continue
         P = P_new
@@ -205,27 +281,28 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
         nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
         if _stationary(P, nd):
             return P, samples
-        if nd <= 1e-3 * (1.0 + np.linalg.norm(P)):
-            # close to the fixed point: the Schur solution meets the
-            # stationarity contract past the flow steps' rounding floor
-            return solve_care(sys), samples
+        if (nd <= 1e-3 * (1.0 + np.linalg.norm(P))
+                and np.linalg.eigvals(sys.A - P @ CtRinv @ sys.C).real.max() < 0.0):
+            # close to the fixed point: Newton's quadratic convergence meets
+            # the stationarity contract past the flow steps' rounding floor
+            return _care_newton(sys, P, CtRinv), samples
         if steps_at_h >= 8 and h < h_max:
             h = min(2.0 * h, h_max)
-            Phi = expm(h * M)
+            Phi = _expm(h * M)
             steps_at_h = 0
     raise CertificationFailure("continuous Riccati flow did not reach stationarity")
 
 
 def solve_care(sys: LinearSystem) -> np.ndarray:
-    """Stabilizing solution of A P + P A^T + Q - P C^T R^(-1) C P = 0 by
-    the Schur method (Arnold & Laub, Proc. IEEE 1984).  The returned
+    """Stabilizing solution of A P + P A^T + Q - P C^T R^(-1) C P = 0: the
+    fixed point of the Riccati flow from P0 = 0 (_care_flow, refined by
+    Newton-Kleinman), as solve_dare follows its recursion.  The returned
     matrix satisfies the residual contract
     ||residual||_F <= 1e-10 * (1 + ||P||_F)."""
     if sys.mode != "continuous":
         raise ConfigurationError("solve_care requires a continuous-mode system")
-    from scipy.linalg import solve_continuous_are  # see _care_flow
     assert_regular(sys)
-    return _symmetrize(solve_continuous_are(sys.A.T, sys.C.T, sys.Q, sys.R))
+    return _care_flow(sys, np.zeros((sys.n, sys.n)))[0]
 
 
 def _dare_step(sys: LinearSystem, P: np.ndarray):

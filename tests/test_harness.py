@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.metadata
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -180,11 +183,13 @@ NAN, INF = float("nan"), float("inf")
                              "value": [1.0, 2.0, 3.0]}]}, None),
     ("scale", {"outliers": [{"k_lo": 5, "k_hi": 10, "kind": "uniform",
                              "scale": [[1.0, 0.0, 0.0]]}]}, None),
+    ("ell", {}, {"ekf": {"ell": 0.001}}),
+    ("ell", {}, {"is-ekf": {"ell": 3.0}}),
 ], ids=["T-zero", "T-nan", "meas_std-nan", "process_std-negative", "filter_meas_std-inf",
         "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd",
         "P0-not-psd-near-float-limit", "seed-negative", "seed-not-integer",
         "d_routing-2-rows", "d_routing-1-column-under-the-paper-schedule", "d_routing-nan",
-        "value-of-length-3", "scale-1x3"])
+        "value-of-length-3", "scale-1x3", "ell-under-ekf", "ell-under-is-ekf"])
 def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters):
     data = minimal_cfg_dict(**scenario)
     if filters is not None:
@@ -212,9 +217,13 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
     ("run", "scenario", "outliers", [{"k_lo": 5.7, "k_hi": 10, "value": [1.0, 2.0]}],
      "scenario.outliers[0].k_lo: must be a whole number, got 5.7\n"),
     ("run", "output", "plots", "false", "output.plots: must be true or false, got 'false'\n"),
+    ("run", "output", "csv", None, "output.csv: must be a string, got None\n"),
+    ("run", "output", "dir", 5, "output.dir: must be a string, got 5\n"),
+    ("run", "output", "metrics", ["m.txt"], "output.metrics: must be a string, got ['m.txt']\n"),
 ], ids=["A-string", "A-ragged", "alpha-string", "mu-null", "lambda1-string", "system-list",
         "horizon-string", "eta-string", "scenario-int", "outliers-int",
-        "horizon-fraction", "k_lo-fraction", "plots-string"])
+        "horizon-fraction", "k_lo-fraction", "plots-string", "csv-null", "dir-int",
+        "metrics-list"])
 def test_a_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, command, section, key,
                                                      value, message):
     data = harness.load_yaml(LINEAR_CFG if command == "certify" else PAPER_CFG)
@@ -582,6 +591,41 @@ assert scipy_modules() == [], scipy_modules()
     assert out.endswith(LINEAR_CERTIFICATE)
 
 
+def _distribution(name: str) -> str:
+    """A distribution name in its normalized form (PEP 503)."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_commands_load_only_the_declared_runtime_dependencies(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(PKG_ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {_distribution(re.match(r"[A-Za-z0-9._-]+", dep).group())
+                for dep in project["dependencies"]}
+    ct_cfg = _criterion_5_cfg(tmp_path, [[0.01]], "ct.cfg")
+    # the top-level modules that importing isekf and the four commands load
+    loaded = json.loads(_run_python(f"""
+import contextlib, io, json, sys
+before = set(sys.modules)
+from isekf.harness import cli_main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_main(["run", {PAPER_CFG!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+    assert cli_main(["sweep", {PAPER_CFG!r}, "--seeds", "2"]) == 0
+    assert cli_main(["certify", {LINEAR_CFG!r}]) == 0
+    assert cli_main(["certify", {ct_cfg!r}]) == 0
+print(json.dumps(sorted({{m.partition(".")[0] for m in set(sys.modules) - before}})))
+"""))
+    assert {"isekf", "numpy", "yaml"} <= set(loaded)
+    # third party is what an installed distribution provides; the standard
+    # library and synthetic modules (the runtime module of Cython
+    # extensions) belong to none
+    owners = importlib.metadata.packages_distributions()
+    undeclared = {module: sorted(owners[module]) for module in loaded
+                  if module != "isekf" and module in owners
+                  and not {_distribution(d) for d in owners[module]} & declared}
+    assert undeclared == {}, f"loaded outside {sorted(declared)}: {undeclared}"
+
+
 CONTINUOUS_CERTIFICATE = """\
 certificate mode=continuous variant=theorem (trajectory-sampled)
 alpha = 0.5   mu = 0.3   rho = 0.0367879
@@ -607,25 +651,45 @@ checkpoint min eigenvalues:
 """
 
 
-def test_continuous_certify_loads_scipy_on_demand(tmp_path):
-    # the scalar observer of acceptance criterion 5: the Riccati flow from
-    # P0 = 0.01 needs expm and hands its fixed point to solve_care
-    cfg = write_cfg(tmp_path, {
+# the same observer certified from its Riccati fixed point (P0: fixed_point,
+# solved by solve_care): the sweep is the fixed point twice
+FIXED_POINT_CERTIFICATE = CONTINUOUS_CERTIFICATE.split("  at 0:")[0] + """\
+  at 0: 4.169e-01
+  at 0: 4.169e-01
+"""
+
+
+def _criterion_5_cfg(tmp_path, P0, name):
+    """The scalar observer of acceptance criterion 5, certified from P0."""
+    return write_cfg(tmp_path, {
         "system": {"mode": "continuous", "A": [[-1.0]], "C": [[1.0]], "Q": [[1.0]],
                    "R": [[1.0]], "D": [[1.0]]},
-        "certificate": {"W": [1.0], "U": [[2.0]], "alpha": 0.5, "P0": [[0.01]]},
+        "certificate": {"W": [1.0], "U": [[2.0]], "alpha": 0.5, "P0": P0},
         "bounds": {"lambda1": [-1.0], "lambda2": [-1.0], "gamma1": [0.1], "gamma2": [1.0],
                    "sigma0": [0.5], "epsilon0": [0.5], "mu": 0.3, "variant": "theorem"},
-    })
+    }, name=name)
+
+
+def test_continuous_certify_loads_no_scipy(tmp_path):
+    # the Riccati flow from P0 = 0.01 (the Pade expm, then the Newton-Kleinman
+    # refinement of its fixed point), and solve_care for P0: fixed_point
+    flow_cfg = _criterion_5_cfg(tmp_path, [[0.01]], "flow.cfg")
+    fixed_cfg = _criterion_5_cfg(tmp_path, "fixed_point", "fixed.cfg")
     out = _run_python(f"""
 import sys
 from isekf.harness import cli_main
 
-assert "scipy" not in sys.modules
-assert cli_main(["certify", {cfg!r}]) == 0
-assert "scipy.linalg" in sys.modules
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert cli_main(["certify", {flow_cfg!r}]) == 0
+print("--")
+assert cli_main(["certify", {fixed_cfg!r}]) == 0
+assert scipy_modules() == [], scipy_modules()
 """)
-    assert out == CONTINUOUS_CERTIFICATE
+    flow_out, fixed_out = out.split("--\n")
+    assert flow_out == CONTINUOUS_CERTIFICATE
+    assert fixed_out == FIXED_POINT_CERTIFICATE
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -110,6 +110,39 @@ def test_random_residual_contracts(rng):
         assert dare_residual(ds, Pd) <= 1e-10 * (1.0 + np.linalg.norm(Pd))
 
 
+def test_solve_care_agrees_with_the_schur_solver(rng):
+    from scipy.linalg import solve_continuous_are  # the reference, at test time only
+    eps = np.finfo(float).eps
+    for _ in range(30):
+        cs = random_system(rng, "continuous")
+        P = solve_care(cs)
+        P_ref = solve_continuous_are(cs.A.T, cs.C.T, cs.Q, cs.R)
+        for X in (P, P_ref):
+            assert care_residual(cs, X) <= 1e-10 * (1.0 + np.linalg.norm(X))
+        # two stable solvers differ by O(kappa eps) relative, kappa the condition
+        # number of the closed-loop Lyapunov operator at the solution; the gap
+        # was at most 23 kappa eps on 999 of 1,000 random systems (the other,
+        # with ||P|| = 2.5e8, fails solve_care's stopping test, and the Schur
+        # solution its residual contract)
+        A_cl = cs.A - P_ref @ cs.C.T @ np.linalg.solve(cs.R, cs.C)
+        ident = np.eye(cs.n)
+        kappa = np.linalg.cond(np.kron(A_cl, ident) + np.kron(ident, A_cl))
+        assert np.linalg.norm(P - P_ref) <= 1e3 * kappa * eps * np.linalg.norm(P_ref)
+
+
+def test_newton_from_a_start_with_an_unstable_closed_loop_is_a_named_failure():
+    # A = C = Q = R = 1: from P = 0 the closed loop A - P C^T R^-1 C = 1 is
+    # unstable, and Newton would converge to the anti-stabilizing 1 - sqrt(2)
+    sys_ = scalar_sys(1.0, 1.0, 1.0, 1.0, mode="continuous")
+    with pytest.raises(CertificationFailure, match="not Hurwitz"):
+        stability._care_newton(sys_, np.zeros((1, 1)), np.eye(1))
+    # with Q = 1e-8 the flow's right-hand side at P = 0 is already within
+    # its hand-over threshold of 1e-3 (1 + ||P||); the flow steps on until the
+    # closed loop is stable, and reaches the stabilizing 1 + sqrt(1 + 1e-8)
+    sys_.Q[0, 0] = 1e-8
+    assert solve_care(sys_)[0, 0] == pytest.approx(1.0 + math.sqrt(1.0 + 1e-8), rel=1e-14)
+
+
 def test_mode_guards():
     with pytest.raises(ConfigurationError):
         solve_care(scalar_sys(0.0, 1.0, 1.0, 1.0, mode="discrete"))
