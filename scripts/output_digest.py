@@ -6,6 +6,9 @@ prints one line per artifact:
 
 - the sha256 of trace.csv, of the 7 SVGs and of metrics.txt (without its
   wall-clock lines) of `isekf run paper.cfg --seed S` for S in 1, 7, 1001;
+- the sha256 of trace.csv of `isekf run` at those seeds on paper.cfg with
+  delta_amp 40, written to a temporary file: a heading that turns up to
+  4 rad a step and wraps at +-pi, which paper.cfg's never does;
 - the stdout of `isekf sweep paper.cfg --seeds 20` and of
   `isekf certify linear.cfg`, line by line;
 - max_ratio, samples and final_error_norm (floats in hex) of draws 0-2 of
@@ -41,6 +44,7 @@ import tempfile
 from typing import Optional
 
 import numpy as np
+import yaml
 
 from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
 from isekf.harness import cli_main
@@ -51,6 +55,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAPER_CFG = os.path.join(ROOT, "paper.cfg")
 LINEAR_CFG = os.path.join(ROOT, "linear.cfg")
 RUN_SEEDS = (1, 7, 1001)
+SPIN_DELTA_AMP = 40.0
 DRAWS = 3
 
 
@@ -80,6 +85,29 @@ def run_lines() -> list[str]:
             for name in sorted(os.listdir(out)):
                 drop = "wall clock" if name == "metrics.txt" else None
                 lines.append(f"run seed={seed} {name} {_sha256(os.path.join(out, name), drop)}")
+    return lines
+
+
+def write_spinning_cfg(directory: str) -> str:
+    """paper.cfg with delta_amp SPIN_DELTA_AMP, as a file in directory."""
+    with open(PAPER_CFG, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["scenario"]["input"]["delta_amp"] = SPIN_DELTA_AMP
+    path = os.path.join(directory, "spinning.cfg")
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
+    return path
+
+
+def spinning_lines() -> list[str]:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_spinning_cfg(tmp)
+        for seed in RUN_SEEDS:
+            out = os.path.join(tmp, f"seed-{seed}")
+            _cli_stdout(["run", cfg, "--seed", str(seed), "--out", out])
+            lines.append(f"run spinning seed={seed} trace.csv "
+                         f"{_sha256(os.path.join(out, 'trace.csv'))}")
     return lines
 
 
@@ -195,7 +223,7 @@ def ct_endpoint_lines() -> list[str]:
                                ("sigma", end.sat.sigma), ("epsilon", end.sat.epsilon))]
 
 
-SECTIONS = (run_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
+SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
             certificate_lines, ct_endpoint_lines)
 
 

@@ -12,6 +12,7 @@ filtered estimate, the measurement Jacobian at the predicted estimate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -36,6 +37,13 @@ _SAT_FLOOR = 1.0e-12
 def wrap_angle(theta):
     """Wrap angle(s) into (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+
+
+def _wrap_float(theta: float) -> float:
+    """wrap_angle of one Python float, with its bits: Python's float % and
+    numpy's mod make the same fmod and sign correction, at a fraction of a
+    numpy call's cost."""
+    return math.pi - (math.pi - theta) % math.tau  # tau = 2 pi exactly
 
 
 def jacobian_fd(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h_rel: float = 1e-6) -> np.ndarray:
@@ -339,6 +347,7 @@ class _Lanes:
         self.P = np.array(P, dtype=float)
         self.ell = np.array(ell, dtype=float)[:, None]
         self.live = np.ones(len(self.x), dtype=bool)
+        self.all_live = True  # live.all(), kept so that no step before a failure reads the mask
         self.sat_rows = np.array([l for l, bp in enumerate(params) if bp is not None], dtype=int)
         sat = [bp for bp in params if bp is not None]
         p = model.p
@@ -353,18 +362,24 @@ class _Lanes:
         """One predict + update of every live lane on its measurement y[l]
         (the input u is shared).  Returns {lane: NumericalFailure} for the
         lanes that failed in this step, each with _filter_step's message."""
-        model, live, failures = self.model, self.live.copy(), {}
+        model, live, failures = self.model, self.live, {}
+
+        def kill(l, exc):
+            nonlocal live
+            if not failures:  # the first kill of this step: self.live stays as it was
+                live = live.copy()
+            live[l] = False
+            failures[l] = exc
 
         def fail(ok, message, context, lanes=None):
             # kills each live lane lanes[i] (default i) whose row ok[i] is
             # not all true; context[i] is its payload
-            if ok.all():
+            if np.count_nonzero(ok) == ok.size:
                 return
             for i in np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist():
                 l = i if lanes is None else int(lanes[i])
                 if live[l]:
-                    live[l] = False
-                    failures[l] = NumericalFailure(message, context=context[i])
+                    kill(l, NumericalFailure(message, context=context[i]))
 
         # dead lanes compute on their held state and are discarded; every
         # failure is reported per lane, not as a floating-point warning
@@ -379,7 +394,7 @@ class _Lanes:
             CP = np.matmul(C, P)
             S = _symmetrize(np.matmul(CP, C.swapaxes(-1, -2)) + model.R)
             fail(np.isfinite(S), "innovation covariance not finite", S)
-            if not live.all():  # a dead lane's S (discarded) must not fail the stack
+            if failures or not self.all_live:  # a dead lane's S must not fail the stack
                 S = np.where(live[:, None, None], S, np.eye(model.p))
             try:
                 K = _spd_solve(S, CP, "innovation covariance").swapaxes(-1, -2)
@@ -389,8 +404,7 @@ class _Lanes:
                     try:
                         K[l] = _spd_solve(S[l], CP[l], "innovation covariance").T
                     except NumericalFailure as exc:
-                        live[l] = False
-                        failures[l] = exc
+                        kill(l, exc)
             hx = np.asarray(model.h(x), dtype=float)
             fail(np.isfinite(hx), "measurement map produced non-finite values", x)
             innov = model.wrap_channels(y - hx)
@@ -405,21 +419,22 @@ class _Lanes:
                 sigma, epsilon = _bound_map_core(sigma, epsilon, innov_s, self.coef)
                 # one check covers both outputs, as in _bound_step
                 finite = np.isfinite(sigma + epsilon)
-                if not finite.all():
+                if np.count_nonzero(finite) != finite.size:
                     over = ~finite.all(axis=1) & live[rows]
                     if (over & ~np.isfinite(innov_s).all(axis=1)).any():
                         raise InputDomainError("bound_step_dt: non-finite innovation")
                     fail(finite, "bound_step_dt: bound map overflowed", innov_s, rows)
                 fail(sigma > 0.0, "clip level sigma underflowed to 0", sigma, rows)
 
-        if not live.all():
+        if failures or not self.all_live:
             # a dead lane holds its last state
             x_new = np.where(live[:, None], x_new, self.x)
             P_new = np.where(live[:, None, None], P_new, self.P)
             keep = live[rows][:, None]
             sigma = np.where(keep, sigma, self.sigma)
             epsilon = np.where(keep, epsilon, self.epsilon)
-        self.x, self.P, self.sigma, self.epsilon, self.live = x_new, P_new, sigma, epsilon, live
+            self.live, self.all_live = live, False
+        self.x, self.P, self.sigma, self.epsilon = x_new, P_new, sigma, epsilon
         self.bound[rows] = np.sqrt(sigma)
         return failures
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .filters import (NonlinearModel, _check_saturated, _is_psd, _Lanes, _matvec,
-                      _require_finite, _require_symmetric, wrap_angle)
+                      _require_finite, _require_symmetric, _wrap_float, wrap_angle)
 # The public FilterState steps over _filter_step; bench/tracer.py wraps
 # them under these names.
 from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
@@ -73,6 +73,13 @@ class InputProfile:
 
     def __call__(self, k: int) -> RobotInput:
         return RobotInput(self.eta, self.delta_amp * np.sin(self.delta_freq * k))
+
+    def rows(self, horizon: int) -> np.ndarray:
+        """Inputs 0..horizon as (horizon + 1, 2) rows, equal bit for bit to
+        self(k).as_array() for each k."""
+        k = np.arange(horizon + 1)
+        return np.column_stack((np.full(horizon + 1, self.eta),
+                                self.delta_amp * np.sin(self.delta_freq * k)))
 
 
 def robot_step(s: RobotState, u: RobotInput, T: float) -> RobotState:
@@ -429,8 +436,12 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
 
     sched = cfg.schedule
     k_arr = np.arange(N + 1)
-    u = np.array([cfg.input_profile(k).as_array() for k in range(N + 1)]).reshape(N + 1, 2)
-    truth, d, y = _truth_and_measurements(cfg, model, seeds, u)
+    profile = cfg.input_profile
+    if isinstance(profile, InputProfile):
+        u = profile.rows(N)
+    else:
+        u = np.array([profile(k).as_array() for k in range(N + 1)]).reshape(N + 1, 2)
+    truth, d, y = _truth_and_measurements(cfg, seeds, u)
 
     lanes = _Lanes(
         model,
@@ -441,6 +452,7 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
         params,
     )
     seed_of = np.tile(np.arange(n_seeds), len(cfg.filters))
+    y_lanes = y[seed_of]
     estimates = np.empty((len(params), N + 1, 3))
     sqrt_sigma = np.empty((len(lanes.sat_rows), N + 1, 3))
     estimates[:, 0] = lanes.x
@@ -449,7 +461,7 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
 
     t0 = time.perf_counter()
     for k in range(1, N + 1):
-        for lane, exc in lanes.step(y[seed_of, k], u[k - 1]).items():
+        for lane, exc in lanes.step(y_lanes[:, k], u[k - 1]).items():
             failed_at[lane] = k
             log.warning("filter %s (seed %d) failed at step %d: %s",
                         labels[lane // n_seeds], seeds[seed_of[lane]], k, exc)
@@ -473,32 +485,50 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
     return traces
 
 
-def _truth_and_measurements(cfg: ScenarioConfig, model: NonlinearModel, seeds: list, u: np.ndarray):
+def _truth_and_measurements(cfg: ScenarioConfig, seeds: list, u: np.ndarray):
     """Truth, disturbance and measurement of every seed, each (seeds, N+1, .).
 
-    The truth steps the model's unicycle map on all seeds at once, adds the
-    process noise and wraps the heading again, as robot_step followed by
-    RobotState.from_array does; each seed's three child streams are drawn
-    in one call each, which gives the bits of the per-step draws."""
-    N, sched = cfg.horizon, cfg.schedule
-    truth = np.empty((len(seeds), N + 1, 3))
-    d = np.empty((len(seeds), N + 1, sched.m))
-    w = np.empty((len(seeds), N, 3))
-    v = np.empty((len(seeds), N + 1, 3))
+    Each seed's three child streams are drawn in one call each, which gives
+    the bits of the per-step draws.  The truth has the bits of robot_step
+    followed by RobotState.from_array, without a numpy call per step.  The
+    heading theta_k = wrap(wrap(theta_{k-1} + T delta_{k-1}) + w_k) is the
+    one true recursion; it runs per seed on Python floats (_wrap_float).
+    Each position coordinate is then a running sum,
+    p_k = (p_{k-1} + eta T cos(theta_{k-1})) + w_k (sin for p_y), and one
+    np.add.accumulate over [p_0, c_1, w_1, c_2, w_2, ...] adds it left to
+    right for all steps.  A truth or measurement that overflows is reported
+    as its ConfigurationError alone, without a floating-point warning."""
+    N, T, sched = cfg.horizon, cfg.T, cfg.schedule
+    n_seeds = len(seeds)
+    truth = np.empty((n_seeds, N + 1, 3))
+    d = np.empty((n_seeds, N + 1, sched.m))
+    w = np.empty((n_seeds, N, 3))
+    v = np.empty((n_seeds, N + 1, 3))
     for i, seed in enumerate(seeds):
         rng_proc, rng_meas, rng_outl = (np.random.default_rng(s)
                                         for s in np.random.SeedSequence(seed).spawn(3))
         w[i] = cfg.process_std * rng_proc.standard_normal((N, 3))
         v[i] = rng_meas.standard_normal((N + 1, 3))
         d[i] = _disturbances(sched, N, rng_outl)
-    truth[:, 0] = cfg.initial_truth.as_array()
-    for k in range(1, N + 1):
-        nxt = model.f(truth[:, k - 1], u[k - 1]) + w[:, k - 1]
-        nxt[:, 2] = wrap_angle(nxt[:, 2])
-        if not np.isfinite(nxt).all():
+    start = cfg.initial_truth
+    turn = (T * u[:N, 1]).tolist()
+    for i, noise in enumerate(w[:, :, 2].tolist()):
+        theta = start.theta
+        heading = [theta]
+        for turn_k, w_k in zip(turn, noise):
+            theta = _wrap_float(_wrap_float(theta + turn_k) + w_k)
+            heading.append(theta)
+        truth[i, :, 2] = heading
+    with np.errstate(all="ignore"):
+        advance = u[:N, 0] * T
+        terms = np.empty((n_seeds, 2 * N + 1))
+        for axis, p0, trig in ((0, start.p_x, np.cos), (1, start.p_y, np.sin)):
+            terms[:, 0] = p0
+            terms[:, 1::2] = advance * trig(truth[:, :N, 2])
+            terms[:, 2::2] = w[:, :, axis]
+            truth[:, :, axis] = np.add.accumulate(terms, axis=1)[:, ::2]
+        if not np.isfinite(truth).all():
             raise ConfigurationError("robot state must be finite")
-        truth[:, k] = nxt
-    with np.errstate(all="ignore"):  # a D d that overflows is reported as its error alone
         y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
     if not np.isfinite(y).all():
         raise ConfigurationError("measurement must be finite")

@@ -5,9 +5,11 @@ import hashlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
-from isekf.harness import cli_main
+from isekf.harness import cli_main, parse_config
+from isekf.scenario import simulate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -59,3 +61,10 @@ def test_the_certificate_section_digests_four_certificates():
         assert line.endswith(
             f" c2_times={hashlib.sha256(cert._c2_times.tobytes()).hexdigest()}"
             f" c2_lmax={hashlib.sha256(cert._c2_lmax.tobytes()).hexdigest()}")
+
+
+def test_the_spinning_section_runs_a_heading_that_wraps(tmp_path):
+    cfg = parse_config(_output_digest().write_spinning_cfg(str(tmp_path)))
+    assert cfg.scenario.input_profile.delta_amp == 40.0
+    heading = simulate(cfg.scenario, cfg.seed).truth[:, 2]
+    assert np.abs(np.diff(heading)).max() > np.pi

@@ -22,9 +22,11 @@ from isekf.filters import (
     _innovation_gain,
     _rk4,
     _spd_solve,
+    _wrap_float,
     ct_isekf_integrate,
     ekf_step,
     sigma_gate_step,
+    wrap_angle,
 )
 from isekf.saturation import (
     BoundParams,
@@ -51,6 +53,25 @@ def test_vector_clips_equal_the_scalar_spec(case):
     sat = SaturationState(sigma, np.ones(len(sigma)))
     assert saturate_innovation(np.array(r), sat).tolist() == \
         [saturate(ri, math.sqrt(si)) for ri, si in zip(r, sigma)]
+
+
+# odd multiples of pi up to 1e6, where wrap_angle's mod lands on its branch
+# points, shifted by a few ulps or by up to 1e-12
+odd_pi = st.integers(-159155, 159154).map(lambda j: (2 * j + 1) * math.pi)
+angles = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.tau, -math.tau]),
+    st.tuples(odd_pi, st.integers(-4, 4)).map(lambda c: c[0] + c[1] * math.ulp(c[0])),
+    st.tuples(odd_pi, st.floats(-1e-12, 1e-12)).map(sum),
+)
+
+
+@given(angles)
+def test_the_float_wrap_equals_wrap_angle_bit_for_bit(theta):
+    # the heading recursion of simulate wraps Python floats with _wrap_float
+    wrapped = _wrap_float(theta)
+    assert type(wrapped) is float
+    assert wrapped.hex() == float(wrap_angle(theta)).hex()
 
 
 coefficients = st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)

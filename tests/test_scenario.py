@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -14,6 +15,7 @@ from isekf.harness import DEFAULT_BOUND, parse_config
 from isekf.saturation import BoundParams
 from isekf.scenario import (
     FilterSpec,
+    InputProfile,
     OutlierSchedule,
     OutlierSegment,
     RobotInput,
@@ -328,6 +330,15 @@ def test_a_measurement_that_overflows_is_rejected_without_a_warning():
             simulate(cfg, 1)
 
 
+def test_a_truth_that_overflows_is_rejected_without_a_warning():
+    # eta T = 1e307 per step overflows the position sum within 20 steps
+    cfg = benchmark_config(horizon=20, input_profile=InputProfile(eta=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="^robot state must be finite$"):
+            simulate(cfg, 1)
+
+
 @pytest.mark.parametrize("make_cfg, seed", [
     (lambda: parse_config(PAPER_CFG).scenario, 1),
     (lambda: parse_config(PAPER_CFG).scenario, 7),
@@ -435,12 +446,24 @@ def test_simulate_seeds_equals_simulate_lane_for_lane(horizon):
                                       "lsigma-ekf": None}
 
 
-def test_world_matches_the_per_step_reference():
-    # simulate draws each child stream in one call and steps the truth of all
-    # seeds together; robot_step, outlier_at and measure, step by step on the
-    # same streams, are the reference
-    cfg = parse_config(PAPER_CFG).scenario
-    seeds = [1, 7]
+def _spinning_config(as_callable=False):
+    # |T delta| reaches 4 rad per step: the heading wraps at +-pi over and over;
+    # a profile that is any callable of k, not an InputProfile, is read per step
+    spin = InputProfile(delta_amp=40.0)
+    return dataclasses.replace(parse_config(PAPER_CFG).scenario,
+                               input_profile=(lambda k: spin(k)) if as_callable else spin)
+
+
+@pytest.mark.parametrize("make_cfg, seeds, wraps", [
+    (lambda: parse_config(PAPER_CFG).scenario, [1, 7], False),
+    (_spinning_config, [1, 7, 1001], True),
+    (lambda: _spinning_config(as_callable=True), [1], True),
+], ids=["paper", "spinning", "spinning-callable"])
+def test_world_matches_the_per_step_reference(make_cfg, seeds, wraps):
+    # simulate draws each child stream in one call, runs the heading on Python
+    # floats and sums the positions in bulk; robot_step, outlier_at and
+    # measure, step by step on the same streams, are the reference
+    cfg = make_cfg()
     for seed, tr in zip(seeds, simulate_seeds(cfg, seeds)):
         rng_proc, rng_meas, rng_outl = (np.random.default_rng(s)
                                         for s in np.random.SeedSequence(seed).spawn(3))
@@ -458,6 +481,7 @@ def test_world_matches_the_per_step_reference():
         np.testing.assert_array_equal(tr.y, y)
         np.testing.assert_array_equal(
             tr.u, [cfg.input_profile(k).as_array() for k in range(cfg.horizon + 1)])
+        assert (np.abs(np.diff(tr.truth[:, 2])).max() > math.pi) == wraps
 
 
 @pytest.mark.parametrize("seeds", [[], [-1], [1, 2.0], [True]],

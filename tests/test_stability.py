@@ -143,6 +143,49 @@ def test_newton_from_a_start_with_an_unstable_closed_loop_is_a_named_failure():
     assert solve_care(sys_)[0, 0] == pytest.approx(1.0 + math.sqrt(1.0 + 1e-8), rel=1e-14)
 
 
+def _seed11_system(draw):
+    """Draw `draw` of a generator of regular random continuous systems: n
+    and p in 1..4, entries uniform in +-10 with 40% replaced by 0, +-1, 0.5
+    or 1e-3, Q = F F^T + 0.1 I and R = G G^T + 0.1 I; None for a draw that
+    fails the Hautus tests."""
+    rng = np.random.default_rng((11, draw))
+    n, p = (int(v) for v in rng.integers(1, 5, size=2))
+    special = np.array([0.0, 1.0, -1.0, 0.5, 1e-3])
+
+    def entries(rows, cols):
+        M = rng.uniform(-10.0, 10.0, (rows, cols))
+        mask = rng.random((rows, cols)) < 0.4
+        M[mask] = special[rng.integers(0, len(special), size=int(mask.sum()))]
+        return M
+
+    A, C, F, G = entries(n, n), entries(p, n), entries(n, n), entries(p, p)
+    sys_ = LinearSystem(A=A, C=C, Q=F @ F.T + 0.1 * np.eye(n), R=G @ G.T + 0.1 * np.eye(p),
+                        D=np.zeros((p, 1)), mode="continuous")
+    return sys_ if is_stabilizable(sys_) and is_detectable(sys_) else None
+
+
+# Draws on which Newton-Kleinman stalled at its former cap of 20 steps.  Of
+# the first 50,521 draws (50,290 regular), 38 stalled there and 8 in the
+# flow; with the cap at 60 and the best-iterate fallback, 37 of the 38 meet
+# the contract (the other, draw 49253, gets no closer than 4.1e-10 (1 + ||P||),
+# and scipy's Schur solver 1.8e-8).  1114 passes the stopping test within 60
+# steps; the best iterate of 993 (||P|| = 3.4e8) meets the contract; 20335
+# (||P|| = 9.8e9) needs both.
+@pytest.mark.parametrize("draw", [993, 1114, 20335])
+def test_solve_care_meets_its_contract_where_newton_used_to_stall(draw):
+    sys_ = _seed11_system(draw)
+    P = solve_care(sys_)
+    assert care_residual(sys_, P) <= 1e-10 * (1.0 + np.linalg.norm(P))
+    gain = P @ sys_.C.T @ np.linalg.solve(sys_.R, sys_.C)
+    assert np.linalg.eigvals(sys_.A - gain).real.max() < 0.0  # the stabilizing solution
+
+
+def test_newton_without_an_iterate_that_meets_the_contract_is_a_named_failure(monkeypatch):
+    monkeypatch.setattr(stability, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(CertificationFailure, match="Newton-Kleinman .* did not converge"):
+        solve_care(_seed11_system(1114))
+
+
 def test_mode_guards():
     with pytest.raises(ConfigurationError):
         solve_care(scalar_sys(0.0, 1.0, 1.0, 1.0, mode="discrete"))
