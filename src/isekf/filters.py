@@ -22,6 +22,7 @@ from .errors import ConfigurationError, InputDomainError, NumericalFailure
 from .saturation import (
     BoundParams,
     SaturationState,
+    _all_finite,
     _bound_map_core,
     _bound_step,
     _clip,
@@ -54,7 +55,7 @@ def jacobian_fd(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h_rel: f
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         f0 = np.asarray(fun(x), dtype=float)
-    if not np.all(np.isfinite(f0)):
+    if not _all_finite(f0):
         raise NumericalFailure("jacobian_fd: map evaluated to non-finite values", context=x)
     jac = np.empty((f0.shape[0], x.shape[0]))
     for i in range(x.shape[0]):
@@ -65,7 +66,7 @@ def jacobian_fd(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h_rel: f
         xm[i] -= step
         fp = np.asarray(fun(xp), dtype=float)
         fm = np.asarray(fun(xm), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        if not (_all_finite(fp) and _all_finite(fm)):
             raise NumericalFailure("jacobian_fd: map evaluated to non-finite values", context=x)
         jac[:, i] = (fp - fm) / (2.0 * step)
     return jac
@@ -75,7 +76,7 @@ def _require_finite(obj, names) -> None:
     """ConfigurationError naming the first of obj's matrices that holds a
     nan or inf entry."""
     for name in names:
-        if not np.isfinite(getattr(obj, name)).all():
+        if not _all_finite(getattr(obj, name)):
             raise ConfigurationError(f"{name} must be finite")
 
 
@@ -136,13 +137,13 @@ class NonlinearModel:
 
     def f_at(self, x: np.ndarray, u=None) -> np.ndarray:
         out = np.asarray(self.f(x, u), dtype=float)
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise NumericalFailure("state map produced non-finite values", context=x)
         return out
 
     def h_at(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.h(x), dtype=float)
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise NumericalFailure("measurement map produced non-finite values", context=x)
         return out
 
@@ -234,7 +235,7 @@ def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
     Raises NumericalFailure when S is not finite or not positive definite."""
     CP = C.dot(P)
     S = _symmetrize(CP.dot(C.T) + R)
-    if not np.isfinite(S).all():
+    if not _all_finite(S):
         raise NumericalFailure("innovation covariance not finite", context=S)
     K = _spd_solve(S, CP, "innovation covariance").T
     return K, S
@@ -283,7 +284,7 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
         innov = model.innovation(x, y)
         bound = np.inf if sat is None else np.sqrt(sat[0])
         x_new = x + K.dot(_gated(_clip(innov, bound), S, ell))
-        if not np.isfinite(x_new).all():
+        if not _all_finite(x_new):
             raise NumericalFailure("update produced non-finite estimate", context=x)
         P_new = _symmetrize(P - K.dot(S).dot(K.T))
         if sat is not None:
@@ -461,7 +462,7 @@ def _check_measurement(y, p: int, caller: str) -> None:
     """A measurement broadcasts to p channels (shape (p,), (1,) or ()) and is finite."""
     if np.ndim(y) > 1 or np.size(y) not in (1, p):
         raise ConfigurationError(f"{caller}: measurement of shape {np.shape(y)}, not ({p},)")
-    if not np.isfinite(y).all():
+    if not _all_finite(y):
         raise InputDomainError(f"{caller}: non-finite measurement")
 
 
@@ -581,7 +582,7 @@ def ct_isekf_derivative(
     _check_saturated(model, st.sat, params, "ct_isekf_derivative", y, mode="ct")
     sat = np.concatenate((st.sat.sigma, st.sat.epsilon))
     out = _ct_rhs(model, st.x_hat, _symmetrize(st.P), sat, np.asarray(y, dtype=float), params)
-    if not all(np.isfinite(v).all() for v in out):
+    if not all(_all_finite(v) for v in out):
         raise NumericalFailure("derivative evaluation non-finite", context=st.x_hat)
     return out
 
@@ -601,7 +602,7 @@ def _floored_rk4_step(rhs: Callable, z: np.ndarray, t: float, dt: float, n: int,
     """RK4 step of z = [x (n); ...; sigma (p); epsilon (p)], then sigma, epsilon
     floored at _SAT_FLOOR.  A non-finite or rejected step raises NumericalFailure."""
     z_next = _rk4(rhs, z, t, dt)
-    if rejected or not np.isfinite(z_next).all():
+    if rejected or not _all_finite(z_next):
         raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=z[:n])
     z_next[-2 * p:] = np.maximum(z_next[-2 * p:], _SAT_FLOOR)
     return z_next

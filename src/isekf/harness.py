@@ -51,7 +51,7 @@ from .errors import (
     IsekfError,
     UndefinedMetricError,
 )
-from .saturation import BoundParams
+from .saturation import BoundParams, _all_finite
 from .scenario import (
     FilterSpec,
     InputProfile,
@@ -162,6 +162,17 @@ def _vec3(value) -> np.ndarray:
     return arr
 
 
+def _finite(kind):
+    """kind, then the check that every entry is finite: the kind of the six
+    bound parameters, which BoundParams also rejects when not finite."""
+    def read(value) -> np.ndarray:
+        arr = kind(value)
+        if not _all_finite(arr):
+            raise ValueError(f"must be finite, got {arr.tolist()}")
+        return arr
+    return read
+
+
 def _matrix(value) -> np.ndarray:
     return np.atleast_2d(_floats(value))
 
@@ -229,7 +240,7 @@ def _parse_filters(data: dict) -> list[FilterSpec]:
         kw = {"P0": np.diag(_read(sub, "P0", where, _vec3, DEFAULT_P0_DIAG))}
         if kind == "is-ekf":
             kw["bound_params"] = _build(where, BoundParams, mode="dt", **{
-                name: _read(sub, name, where, _vec3, default)
+                name: _read(sub, name, where, _finite(_vec3), default)
                 for name, default in DEFAULT_BOUND.items()})
         elif "ell" in sub:
             kw["ell"] = _read(sub, "ell", where, float)
@@ -440,7 +451,8 @@ def certify_from_config(path: str):
     mode = system.mode
     bc = _section(data, "bounds", {*DEFAULT_BOUND, "mu", "variant"}, "bounds")
     params = BoundParams(mode="ct" if mode == "continuous" else "dt",
-                         **{name: _read(bc, name, "bounds", _floats) for name in DEFAULT_BOUND})
+                         **{name: _read(bc, name, "bounds", _finite(_floats))
+                            for name in DEFAULT_BOUND})
     cc = _section(data, "certificate", {"W", "U", "alpha", "P0"}, "certificate")
     if cc.get("P0") == "fixed_point":
         P0 = stability.solve_care(system) if mode == "continuous" else stability.solve_dare(system)

@@ -10,6 +10,7 @@ back once the innovation normalizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,17 @@ from .errors import ConfigurationError, InputDomainError, NumericalFailure
 
 # Clamp range for epsilon before evaluating exp(-epsilon).  Outside this
 # range the shaping term is below 1e-300, i.e. numerically zero anyway.
-_EPS_CLAMP = 1.0e12
+# float64 0-d arrays: numpy converts a Python float operand on every call.
+_EPS_FLOOR = np.array(0.0)
+_EPS_CLAMP = np.array(1.0e12)
+
+
+def _all_finite(a) -> bool:
+    """Whether every entry of a is finite (True for an empty array): the
+    package's one finiteness screen.  Two C calls, where ndarray.all()
+    goes through numpy's Python-level reduction wrapper."""
+    ok = np.isfinite(a)
+    return np.count_nonzero(ok) == ok.size
 
 
 def _as_channel_vector(value, p: int, name: str) -> np.ndarray:
@@ -47,7 +58,7 @@ class SaturationState:
             raise ConfigurationError(
                 f"sigma and epsilon must have equal length, got {sigma.shape} vs {epsilon.shape}"
             )
-        if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(epsilon))):
+        if not (_all_finite(sigma) and _all_finite(epsilon)):
             raise InputDomainError("sigma and epsilon must be finite")
 
     @property
@@ -65,6 +76,7 @@ class BoundParams:
 
     mode "dt": 0 < lambda1, lambda2 < 1.  mode "ct": lambda1, lambda2 < 0.
     gamma1, gamma2 > 0 in both modes.  sigma0, epsilon0 > 0 seed the state.
+    Every entry is finite.
     """
 
     lambda1: np.ndarray
@@ -80,7 +92,10 @@ class BoundParams:
             raise ConfigurationError(f"mode must be 'dt' or 'ct', got {self.mode!r}")
         p = np.atleast_1d(np.asarray(self.lambda1, dtype=float)).shape[0]
         for name in ("lambda1", "lambda2", "gamma1", "gamma2", "sigma0", "epsilon0"):
-            object.__setattr__(self, name, _as_channel_vector(getattr(self, name), p, name))
+            vec = _as_channel_vector(getattr(self, name), p, name)
+            if not _all_finite(vec):
+                raise InputDomainError(f"{name} must be finite, got {vec.tolist()}")
+            object.__setattr__(self, name, vec)
         if self.mode == "dt":
             if not (np.all(self.lambda1 > 0.0) and np.all(self.lambda1 < 1.0)):
                 raise InputDomainError("dt mode requires 0 < lambda1 < 1 per channel")
@@ -106,7 +121,7 @@ def shaping_term(epsilon: np.ndarray) -> np.ndarray:
     """eps * exp(-eps) with eps clamped to [0, 1e12] first.
 
     The term never exceeds 1/e (maximum at eps = 1)."""
-    eps = np.minimum(np.maximum(epsilon, 0.0), _EPS_CLAMP)
+    eps = np.minimum(np.maximum(epsilon, _EPS_FLOOR), _EPS_CLAMP)
     return eps * np.exp(-eps)
 
 
@@ -117,7 +132,7 @@ def saturate(r: float, bound: float) -> float:
     non-finite r or negative bound."""
     r = float(r)
     bound = float(bound)
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise InputDomainError(f"saturate: r must be finite, got {r}")
     if not (bound >= 0.0):
         raise InputDomainError(f"saturate: bound must be >= 0, got {bound}")
@@ -130,15 +145,17 @@ def _clip(r: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def saturate_vector(r: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Element-wise saturate with per-channel bounds."""
+    """Element-wise saturate with per-channel bounds; as saturate, a
+    non-finite r or a bound that is not >= 0 (NaN too) is an
+    InputDomainError."""
     r = np.asarray(r, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     if r.shape != bounds.shape:
         raise ConfigurationError(f"vector/bounds length mismatch: {r.shape} vs {bounds.shape}")
-    if not np.all(np.isfinite(r)):
+    if not _all_finite(r):
         raise InputDomainError("saturate_vector: non-finite input")
-    if np.any(bounds < 0.0):
-        raise InputDomainError("saturate_vector: negative bound")
+    if not np.all(bounds >= 0.0):
+        raise InputDomainError("saturate_vector: bounds must be >= 0")
     return _clip(r, bounds)
 
 
@@ -170,8 +187,8 @@ def _bound_step(sigma: np.ndarray, epsilon: np.ndarray, innov: np.ndarray,
     sigma_out, eps_out = _bound_map_core(sigma, epsilon, innov, params)
     # one check covers both outputs: the sum is finite iff neither overflowed
     # (short of both exceeding half the float range)
-    if not np.isfinite(sigma_out + eps_out).all():
-        if not np.isfinite(innov).all():
+    if not _all_finite(sigma_out + eps_out):
+        if not _all_finite(innov):
             raise InputDomainError(f"{name}: non-finite innovation")
         raise NumericalFailure(f"{name}: bound map overflowed", context=innov)
     return sigma_out, eps_out

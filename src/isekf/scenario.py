@@ -11,6 +11,7 @@ saturation-based rejection can be compared on all four regimes.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .filters import (NonlinearModel, _check_saturated, _is_psd, _Lanes, _matvec
 # The public FilterState steps over _filter_step; bench/tracer.py wraps
 # them under these names.
 from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
-from .saturation import BoundParams
+from .saturation import BoundParams, _all_finite
 
 log = logging.getLogger("isekf")
 
@@ -39,7 +40,7 @@ class RobotState:
     theta: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.p_x, self.p_y, self.theta])):
+        if not _all_finite([self.p_x, self.p_y, self.theta]):
             raise ConfigurationError("robot state must be finite")
         object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
 
@@ -154,13 +155,13 @@ class OutlierSegment:
             if self.value is None:
                 raise ConfigurationError("constant segment requires a value")
             object.__setattr__(self, "value", np.atleast_1d(np.asarray(self.value, dtype=float)))
-            if not np.all(np.isfinite(self.value)):
+            if not _all_finite(self.value):
                 raise ConfigurationError("value must be finite")
         else:
             if self.scale is None:
                 raise ConfigurationError("uniform segment requires a scale matrix")
             object.__setattr__(self, "scale", np.atleast_2d(np.asarray(self.scale, dtype=float)))
-            if not np.all(np.isfinite(self.scale)):
+            if not _all_finite(self.scale):
                 raise ConfigurationError("scale must be finite")
 
     def contains(self, k: int) -> bool:
@@ -178,7 +179,7 @@ class OutlierSchedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "D", np.atleast_2d(np.asarray(self.D, dtype=float)))
-        if not np.isfinite(self.D).all():
+        if not _all_finite(self.D):
             raise ConfigurationError("D must be finite")
         m = self.m
         for seg in self.segments:
@@ -322,14 +323,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.horizon < 0:
             raise ConfigurationError("horizon must be nonnegative")
-        if not (np.isfinite(self.T) and self.T > 0.0):
+        if not (math.isfinite(self.T) and self.T > 0.0):
             raise ConfigurationError(f"T must be finite and positive, got {self.T}")
         for name in ("process_std", "meas_std", "filter_process_std", "filter_meas_std"):
             std = getattr(self, name)
             if std is None:
                 continue
             std = np.asarray(std, dtype=float)
-            if not (np.all(np.isfinite(std)) and np.all(std >= 0.0)):
+            if not (_all_finite(std) and np.all(std >= 0.0)):
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
             setattr(self, name, std)
         if self.schedule is None:
@@ -527,9 +528,9 @@ def _truth_and_measurements(cfg: ScenarioConfig, seeds: list, u: np.ndarray):
             terms[:, 1::2] = advance * trig(truth[:, :N, 2])
             terms[:, 2::2] = w[:, :, axis]
             truth[:, :, axis] = np.add.accumulate(terms, axis=1)[:, ::2]
-        if not np.isfinite(truth).all():
+        if not _all_finite(truth):
             raise ConfigurationError("robot state must be finite")
         y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
-    if not np.isfinite(y).all():
+    if not _all_finite(y):
         raise ConfigurationError("measurement must be finite")
     return truth, d, y

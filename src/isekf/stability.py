@@ -27,7 +27,7 @@ from .errors import (
 from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite,
                       _require_noise_covariances, _require_symmetric, _riccati_rhs, _rk4,
                       _saturated_rhs, _spd_solve, _symmetrize)
-from .saturation import BoundParams, _bound_map_core, _clip
+from .saturation import BoundParams, _all_finite, _bound_map_core, _clip
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_vector  # noqa: F401
@@ -49,7 +49,7 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     """Inverse of the symmetric part of an SPD matrix through _spd_solve.
     The finiteness check comes first: the Cholesky factor of a matrix
     holding nan or inf comes back without an error.  Raises NumericalFailure."""
-    if not np.isfinite(M).all():
+    if not _all_finite(M):
         raise NumericalFailure(f"{what} not finite", context=M)
     # halves first, as in _is_psd: M + M^T overflows for entries near the float limit
     return _spd_solve(0.5 * M + 0.5 * M.T, np.eye(M.shape[0]), what)
@@ -155,7 +155,7 @@ def _stationary(P: np.ndarray, step_norm: float) -> bool:
     continuous right-hand side, or of P_next - P) within 1e-12 (1 + ||P||).
     An overflowed norm of P (entries above about 1.3e154) never passes it."""
     scale = 1.0 + np.linalg.norm(P)
-    return np.isfinite(scale) and step_norm <= 1e-12 * scale
+    return math.isfinite(scale) and step_norm <= 1e-12 * scale
 
 
 # Degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -277,7 +277,7 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
             P_new = _symmetrize(np.linalg.solve(X.T, Y.T).T)
         except np.linalg.LinAlgError:
             P_new = np.full_like(P, np.nan)
-        if not np.all(np.isfinite(P_new)):
+        if not _all_finite(P_new):
             # step too aggressive; halve and retry
             h *= 0.5
             Phi = _expm(h * M)
@@ -333,7 +333,7 @@ def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
         if record:
             preds.append(P.copy())
             filts.append(P_filt.copy())
-        if not np.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
+        if not math.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
             raise CertificationFailure("discrete Riccati recursion diverged")
         if _stationary(P, np.linalg.norm(P_next - P)):
             return _symmetrize(P_next), preds, filts
@@ -811,7 +811,7 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
 
     for i in range(steps):
         P = _rk4(rhs, P, i * dt, dt)
-        if not np.isfinite(P).all():
+        if not _all_finite(P):
             return _CovariancePass(_read_only(gains[:4 * (i + 1)]), i, None)
         P = _symmetrize(P)
     return _CovariancePass(_read_only(gains), None, None)
@@ -901,7 +901,7 @@ def bound_trajectory_check(
         d = np.asarray(d_signal(where), dtype=float).reshape(-1)
         norm_d = math.sqrt(d.dot(d))
         if not norm_d <= d_limit:  # also rejects NaN
-            what = "is not finite" if not np.isfinite(norm_d) else "exceeds mu"
+            what = "is not finite" if not math.isfinite(norm_d) else "exceeds mu"
             raise InputDomainError(f"||d|| {what} at {where:.6g}")
         return d
 
@@ -931,7 +931,7 @@ def bound_trajectory_check(
             e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sigma))))
             sigma, eps = _bound_map_core(sigma, eps, innov, params)
             # sigma, eps >= 0: one sum is finite iff both are, below half the float range
-            if not (np.isfinite(e).all() and np.isfinite(sigma + eps).all()):
+            if not (_all_finite(e) and _all_finite(sigma + eps)):
                 raise NumericalFailure(f"error system non-finite after step {k}", context=e)
         return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps), samples=n_steps + 1,
                                 final_error_norm=float(np.linalg.norm(e)))

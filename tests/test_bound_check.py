@@ -413,6 +413,19 @@ def test_a_recorded_covariance_failure_is_raised_while_the_error_stays_finite(
     assert len(calls) == 12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("A, e0", [(1e300, 1e10), (0.5, 1e200)], ids=["e", "bound-state"])
+def test_a_non_finite_error_system_fails_as_the_oracle(dt_observer, A, e0):
+    # the step's innovation is read from e before the step: on the fast
+    # plant only e_1 = A e0 overflows, and on the certified one only
+    # eps_1 = lambda2 eps + gamma2 innov^2 does
+    _, cand, cert = dt_observer
+    sys = LinearSystem(A=[[A]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]], mode="discrete")
+    outcome = assert_matches_oracle(sys, cand, cert, lambda k: np.zeros(1), horizon=5,
+                                    e0=np.array([e0]))
+    assert outcome[:2] == (NumericalFailure, "error system non-finite after step 0")
+
+
 # the memo of the covariance pass
 
 def _draw(sys, cand, cert, seed, check=bound_trajectory_check):

@@ -144,6 +144,14 @@ def test_non_finite_innovation_covariance_is_a_numerical_failure():
         dt_update(m, st, np.array([1.0]))
 
 
+def test_a_non_finite_estimate_is_a_numerical_failure():
+    # S and the gain are finite, but y - h(x) overflows to -inf
+    m = linear_model([[1.0]], [[1.0]], [[0.0]], [[1.0]])
+    with pytest.raises(NumericalFailure, match="^update produced non-finite estimate$") as info:
+        dt_update(m, scalar_state(1.5e308, 1.0), np.array([-1.5e308]))
+    assert info.value.context.tolist() == [1.5e308]
+
+
 def test_clip_level_underflow_is_a_numerical_failure():
     # the step whose bound recursion underflows sigma to 0 fails; it never
     # hands on a state that the entry check would then reject
@@ -328,6 +336,16 @@ def test_ct_derivative_gain():
     st = scalar_state(0.0, 2.0, sigma=1.0)
     x_dot, _, _, _ = ct_isekf_derivative(m, st, np.array([1.0]), ct_params())
     assert x_dot[0] == pytest.approx(0.5 * 1.0)   # K = P C / R = 0.5
+
+
+def test_a_non_finite_derivative_is_a_numerical_failure():
+    # f, h, the gain and x_dot are finite, but A P overflows in P_dot
+    m = linear_model([[1e200]], [[1.0]], [[1.0]], [[1.0]])
+    st = scalar_state(0.0, 1e200, sigma=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFailure, match="^derivative evaluation non-finite$") as info:
+        ct_isekf_derivative(m, st, np.array([0.0]), ct_params())
+    assert info.value.context.tolist() == [0.0]
 
 
 def test_ct_integrate_equilibrium():

@@ -185,11 +185,16 @@ NAN, INF = float("nan"), float("inf")
                              "scale": [[1.0, 0.0, 0.0]]}]}, None),
     ("ell", {}, {"ekf": {"ell": 0.001}}),
     ("ell", {}, {"is-ekf": {"ell": 3.0}}),
+    ("gamma2", {}, {"is-ekf": {"gamma2": [INF, 1.0, 1.0]}}),
+    ("gamma1", {}, {"is-ekf": {"gamma1": [100.0, INF, 0.005]}}),
+    ("sigma0", {}, {"is-ekf": {"sigma0": [INF, 25.0, 0.25]}}),
+    ("epsilon0", {}, {"is-ekf": {"epsilon0": [1.0, 1.0, INF]}}),
 ], ids=["T-zero", "T-nan", "meas_std-nan", "process_std-negative", "filter_meas_std-inf",
         "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd",
         "P0-not-psd-near-float-limit", "seed-negative", "seed-not-integer",
         "d_routing-2-rows", "d_routing-1-column-under-the-paper-schedule", "d_routing-nan",
-        "value-of-length-3", "scale-1x3", "ell-under-ekf", "ell-under-is-ekf"])
+        "value-of-length-3", "scale-1x3", "ell-under-ekf", "ell-under-is-ekf", "gamma2-inf",
+        "gamma1-inf", "sigma0-inf", "epsilon0-inf"])
 def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters):
     data = minimal_cfg_dict(**scenario)
     if filters is not None:
@@ -207,6 +212,7 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
      "certificate.alpha: could not convert string to float: 'x'\n"),
     ("certify", "bounds", "mu", None, "bounds.mu: "),
     ("certify", "bounds", "lambda1", "q", "bounds.lambda1: could not convert string to float: 'q'\n"),
+    ("certify", "bounds", "epsilon0", [float("inf")], "bounds.epsilon0: must be finite, got [inf]\n"),
     ("certify", "system", None, [1, 2], "system must be a mapping, got list\n"),
     ("run", "scenario", "horizon", "abc", "scenario.horizon: must be a whole number, got 'abc'\n"),
     ("run", "scenario", "input", {"eta": "abc"},
@@ -220,7 +226,8 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
     ("run", "output", "csv", None, "output.csv: must be a string, got None\n"),
     ("run", "output", "dir", 5, "output.dir: must be a string, got 5\n"),
     ("run", "output", "metrics", ["m.txt"], "output.metrics: must be a string, got ['m.txt']\n"),
-], ids=["A-string", "A-ragged", "alpha-string", "mu-null", "lambda1-string", "system-list",
+], ids=["A-string", "A-ragged", "alpha-string", "mu-null", "lambda1-string", "epsilon0-inf",
+        "system-list",
         "horizon-string", "eta-string", "scenario-int", "outliers-int",
         "horizon-fraction", "k_lo-fraction", "plots-string", "csv-null", "dir-int",
         "metrics-list"])
@@ -236,6 +243,16 @@ def test_a_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, command, s
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_non_finite_bound_parameter_is_named_by_its_key(tmp_path, capsys):
+    data = harness.load_yaml(PAPER_CFG)
+    data["filters"]["is-ekf"]["gamma2"] = [float("inf"), 1.0, 1.0]
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: filters.is-ekf.gamma2: must be finite, got [inf, 1.0, 1.0]\n"
     assert captured.out == "" and not out.exists()
 
 

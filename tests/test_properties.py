@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import cho_factor, cho_solve, expm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -31,6 +31,7 @@ from isekf.filters import (
 from isekf.saturation import (
     BoundParams,
     SaturationState,
+    _all_finite,
     saturate,
     saturate_innovation,
     saturate_vector,
@@ -53,6 +54,22 @@ def test_vector_clips_equal_the_scalar_spec(case):
     sat = SaturationState(sigma, np.ones(len(sigma)))
     assert saturate_innovation(np.array(r), sat).tolist() == \
         [saturate(ri, math.sqrt(si)) for ri, si in zip(r, sigma)]
+
+
+# entries at and past the edges of the finite floats
+edge_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308,
+                               5e-324]) | st.floats()
+
+
+@given(st.one_of(
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+           elements=edge_floats),
+    # (L, n, n) stacks, as the lanes' covariances
+    st.tuples(st.integers(1, 60), st.integers(1, 3)).flatmap(
+        lambda s: arrays(np.float64, (s[0], s[1], s[1]), elements=edge_floats)),
+))
+def test_the_finiteness_screen_equals_the_all_reduction(a):
+    assert _all_finite(a) == bool(np.isfinite(a).all())
 
 
 # odd multiples of pi up to 1e6, where wrap_angle's mod lands on its branch

@@ -7,10 +7,12 @@ from isekf.errors import ConfigurationError, InputDomainError, NumericalFailure
 from isekf.saturation import (
     BoundParams,
     SaturationState,
+    _bound_step,
     bound_rhs_ct,
     bound_step_dt,
     saturate,
     saturate_innovation,
+    saturate_vector,
     shaping_term,
 )
 
@@ -33,6 +35,14 @@ def test_saturate_rejects_bad_inputs():
         saturate(float("inf"), 1.0)
     with pytest.raises(InputDomainError):
         saturate(1.0, -0.5)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), -0.5], ids=["nan", "negative"])
+def test_a_vector_bound_that_is_not_nonnegative_is_rejected_as_in_the_scalar_spec(bound):
+    with pytest.raises(InputDomainError, match="bound must be >= 0"):
+        saturate(0.3, bound)
+    with pytest.raises(InputDomainError, match="^saturate_vector: bounds must be >= 0$"):
+        saturate_vector(np.array([0.3, 0.1]), np.array([1.0, bound]))
 
 
 def test_saturate_algebra(rng):
@@ -127,6 +137,14 @@ def test_bound_map_overflow_is_a_numerical_failure(bound_map, mode):
         bound_map(p.initial_state(), np.array([np.nan]), p)
 
 
+def test_the_bound_step_names_an_overflow():
+    p = dt_params()
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailure, match="^bound_step_dt: bound map overflowed$") as info:
+        _bound_step(p.sigma0, p.epsilon0, np.array([1e200]), p, "bound_step_dt")
+    assert info.value.context.tolist() == [1e200]
+
+
 def test_zero_innovation_geometric_decay():
     p = dt_params(lambda1=[0.5], lambda2=[0.3], sigma0=[3.0], epsilon0=[2.0])
     st = p.initial_state()
@@ -160,6 +178,25 @@ def test_positivity_preserved_over_many_random_steps(rng):
 def test_dt_param_validation(bad):
     with pytest.raises(InputDomainError):
         dt_params(**bad)
+
+
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+@pytest.mark.parametrize("name, value", [
+    ("lambda1", -math.inf),
+    ("lambda2", -math.inf),
+    ("gamma1", math.inf),
+    ("gamma2", math.inf),
+    ("sigma0", math.inf),
+    ("epsilon0", math.inf),
+    ("gamma2", math.nan),
+])
+def test_a_non_finite_bound_parameter_is_rejected_by_name(mode, name, value):
+    lam = [0.5, 0.5] if mode == "dt" else [-0.5, -0.5]
+    kw = dict(lambda1=lam, lambda2=lam, gamma1=[1.0, 1.0], gamma2=[1.0, 1.0],
+              sigma0=[1.0, 1.0], epsilon0=[1.0, 1.0], mode=mode)
+    kw[name] = [1.0, value] if not name.startswith("lambda") else [lam[0], value]
+    with pytest.raises(InputDomainError, match=rf"^{name} must be finite, got \["):
+        BoundParams(**kw)
 
 
 def test_ct_param_validation():

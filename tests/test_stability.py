@@ -308,6 +308,15 @@ def test_an_overflowed_norm_is_never_stationary():
     assert cov.failure[0] == "innovation covariance not finite"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_continuous_covariance_pass_stops_at_its_first_non_finite_step():
+    # unobserved and fast: each RK4 step multiplies P by about 8,200 until
+    # it overflows at step 77; the pass keeps the gains of its stages so far
+    sys = scalar_sys(1e4, 0.0, 1.0, 1.0, mode="continuous")
+    cov = stability._covariance_pass(sys, np.array([[1.0]]), 1e-3, 200)
+    assert (cov.failed_at, cov.failure, len(cov.gains)) == (77, None, 4 * 78)
+
+
 # ---------------------------------------------------------------------------
 # certificate matrices
 
