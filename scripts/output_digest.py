@@ -22,7 +22,10 @@ prints one line per artifact:
   system from P0 = 1 (sweep_candidates at alpha 0.2), and the bound-ct
   observer from P0 = 0.01 and from the singular P0 = 0;
 - the endpoint (hex) of a 3-state, 2-channel ct_isekf_integrate run with a
-  clipped outlier.
+  clipped outlier;
+- for each n and p from 1 to 4, the sha256 of the bytes of solve_dare and
+  of gain_identity_residuals at its fixed point on DARE_DRAWS seeded random
+  discrete systems of n states and p channels.
 
 The configs and bench/workloads.py are read from this checkout (the latter
 loaded by path, read only); the package is whatever `import isekf` finds, so
@@ -37,6 +40,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import math
 import os
 import sys
@@ -48,7 +52,8 @@ import yaml
 
 from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
 from isekf.harness import cli_main
-from isekf.stability import certify, sweep_candidates
+from isekf.stability import (LinearSystem, certify, gain_identity_residuals, solve_dare,
+                             sweep_candidates)
 from isekf.saturation import BoundParams, SaturationState
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,6 +62,10 @@ LINEAR_CFG = os.path.join(ROOT, "linear.cfg")
 RUN_SEEDS = (1, 7, 1001)
 SPIN_DELTA_AMP = 40.0
 DRAWS = 3
+# random discrete Riccati systems: DARE_DRAWS of each shape, from DARE_SEED
+DARE_DIMS = tuple(itertools.product(range(1, 5), repeat=2))
+DARE_DRAWS = 20
+DARE_SEED = 18
 
 
 def _cli_stdout(argv) -> str:
@@ -223,8 +232,38 @@ def ct_endpoint_lines() -> list[str]:
                                ("sigma", end.sat.sigma), ("epsilon", end.sat.epsilon))]
 
 
+def dare_systems():
+    """The discrete systems of dare_lines, DARE_DRAWS per (n, p) of
+    DARE_DIMS in order: A uniform in +-1 scaled to a spectral radius uniform
+    in [0.2, 1.5], C uniform in +-1, Q = F F^T + 0.1 I and R = G G^T + 0.1 I
+    with F and G uniform in +-1, D = I.  Q > 0 makes each stabilizable."""
+    rng = np.random.default_rng(DARE_SEED)
+    for n, p in DARE_DIMS:
+        for _ in range(DARE_DRAWS):
+            A = rng.uniform(-1.0, 1.0, (n, n))
+            A *= rng.uniform(0.2, 1.5) / np.abs(np.linalg.eigvals(A)).max()
+            C = rng.uniform(-1.0, 1.0, (p, n))
+            F = rng.uniform(-1.0, 1.0, (n, n))
+            G = rng.uniform(-1.0, 1.0, (p, p))
+            yield LinearSystem(A=A, C=C, Q=F @ F.T + 0.1 * np.eye(n), R=G @ G.T + 0.1 * np.eye(p),
+                               D=np.eye(p), mode="discrete")
+
+
+def dare_lines() -> list[str]:
+    lines = []
+    for (n, p), group in itertools.groupby(dare_systems(), key=lambda s: (s.n, s.p)):
+        fixed, residuals = hashlib.sha256(), hashlib.sha256()
+        for system in group:
+            P = solve_dare(system)
+            fixed.update(P.tobytes())
+            residuals.update(np.array(gain_identity_residuals(system.C, system.R, P)).tobytes())
+        lines.append(f"solve_dare n={n} p={p} draws={DARE_DRAWS} sha256={fixed.hexdigest()} "
+                     f"gain_identity_residuals sha256={residuals.hexdigest()}")
+    return lines
+
+
 SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
-            certificate_lines, ct_endpoint_lines)
+            certificate_lines, ct_endpoint_lines, dare_lines)
 
 
 def main() -> int:

@@ -230,7 +230,8 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
 
 
 def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
-    """Gain K = P C^T S^{-1} and S = C P C^T + R via an SPD factorization.
+    """Gain K = P C^T S^{-1} via an SPD factorization, S = C P C^T + R, and
+    the one filtered covariance P - K S K^T, symmetrized: (K, S, P_filt).
 
     Raises NumericalFailure when S is not finite or not positive definite."""
     CP = C.dot(P)
@@ -238,7 +239,7 @@ def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
     if not _all_finite(S):
         raise NumericalFailure("innovation covariance not finite", context=S)
     K = _spd_solve(S, CP, "innovation covariance").T
-    return K, S
+    return K, S, _symmetrize(P - K.dot(S).dot(K.T))
 
 
 def _gated(innov, S, ell):
@@ -280,13 +281,12 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
     reported as its error alone, on both paths."""
     with np.errstate(all="ignore"):
         C = model.C_at(x)
-        K, S = _innovation_gain(P, C, model.R)
+        K, S, P_new = _innovation_gain(P, C, model.R)
         innov = model.innovation(x, y)
         bound = np.inf if sat is None else np.sqrt(sat[0])
         x_new = x + K.dot(_gated(_clip(innov, bound), S, ell))
         if not _all_finite(x_new):
             raise NumericalFailure("update produced non-finite estimate", context=x)
-        P_new = _symmetrize(P - K.dot(S).dot(K.T))
         if sat is not None:
             sat = _bound_step(sat[0], sat[1], innov, params, "bound_step_dt")
             if not (sat[0] > 0.0).all():

@@ -51,7 +51,7 @@ from .errors import (
     IsekfError,
     UndefinedMetricError,
 )
-from .saturation import BoundParams, _all_finite
+from .saturation import BoundParams
 from .scenario import (
     FilterSpec,
     InputProfile,
@@ -162,17 +162,6 @@ def _vec3(value) -> np.ndarray:
     return arr
 
 
-def _finite(kind):
-    """kind, then the check that every entry is finite: the kind of the six
-    bound parameters, which BoundParams also rejects when not finite."""
-    def read(value) -> np.ndarray:
-        arr = kind(value)
-        if not _all_finite(arr):
-            raise ValueError(f"must be finite, got {arr.tolist()}")
-        return arr
-    return read
-
-
 def _matrix(value) -> np.ndarray:
     return np.atleast_2d(_floats(value))
 
@@ -240,7 +229,7 @@ def _parse_filters(data: dict) -> list[FilterSpec]:
         kw = {"P0": np.diag(_read(sub, "P0", where, _vec3, DEFAULT_P0_DIAG))}
         if kind == "is-ekf":
             kw["bound_params"] = _build(where, BoundParams, mode="dt", **{
-                name: _read(sub, name, where, _finite(_vec3), default)
+                name: _read(sub, name, where, _vec3, default)
                 for name, default in DEFAULT_BOUND.items()})
         elif "ell" in sub:
             kw["ell"] = _read(sub, "ell", where, float)
@@ -292,17 +281,12 @@ def parse_config(path: str) -> ExperimentConfig:
 def rmse(trace: SimulationTrace, label: str, window=None) -> np.ndarray:
     """Per-state RMSE of a filter over a step window.
 
-    window is None (full horizon), a (lo, hi] pair of step indices, or an
-    explicit index array.  Heading errors are wrapped before squaring."""
+    window is None (full horizon) or a (lo, hi] pair of step indices.
+    Heading errors are wrapped before squaring."""
     if label not in trace.estimates:
         raise UndefinedMetricError(f"filter {label!r} not present in trace")
-    if window is None:
-        idx = np.arange(len(trace.k))
-    elif isinstance(window, tuple):
-        lo, hi = window
-        idx = np.arange(lo + 1, hi + 1)
-    else:
-        idx = np.asarray(window, dtype=int)
+    lo, hi = (-1, len(trace.k) - 1) if window is None else window
+    idx = np.arange(lo + 1, hi + 1)
     idx = idx[(idx >= 0) & (idx < len(trace.k))]
     if idx.size == 0:
         raise UndefinedMetricError(f"empty metric window for {label!r}")
@@ -445,26 +429,23 @@ def certify_from_config(path: str):
     certify config and run the certification."""
     data = _section(load_yaml(path), None, {"system", "certificate", "bounds"}, "config")
     sysc = _section(data, "system", {"mode", "A", "C", "Q", "R", "D"}, "system")
-    system = stability.LinearSystem(
-        mode=_read(sysc, "mode", "system", _text),
-        **{key: _read(sysc, key, "system", _matrix) for key in ("A", "C", "Q", "R", "D")})
+    system = _build("system", stability.LinearSystem, mode=_read(sysc, "mode", "system", _text),
+                    **{key: _read(sysc, key, "system", _matrix)
+                       for key in ("A", "C", "Q", "R", "D")})
     mode = system.mode
     bc = _section(data, "bounds", {*DEFAULT_BOUND, "mu", "variant"}, "bounds")
-    params = BoundParams(mode="ct" if mode == "continuous" else "dt",
-                         **{name: _read(bc, name, "bounds", _finite(_floats))
-                            for name in DEFAULT_BOUND})
+    params = _build("bounds", BoundParams, mode="ct" if mode == "continuous" else "dt",
+                    **{name: _read(bc, name, "bounds", _floats) for name in DEFAULT_BOUND})
     cc = _section(data, "certificate", {"W", "U", "alpha", "P0"}, "certificate")
     if cc.get("P0") == "fixed_point":
         P0 = stability.solve_care(system) if mode == "continuous" else stability.solve_dare(system)
     else:
         P0 = _read(cc, "P0", "certificate", _matrix)
-    cand = stability.CertificateCandidate(
-        W=_read(cc, "W", "certificate", _diagonal_or_matrix),
-        U=_read(cc, "U", "certificate", _matrix),
-        alpha=_read(cc, "alpha", "certificate", float, 0.0),
-        Gamma2=np.diag(params.gamma2),
-        P0=P0,
-    )
+    cand = _build("certificate", stability.CertificateCandidate,
+                  W=_read(cc, "W", "certificate", _diagonal_or_matrix),
+                  U=_read(cc, "U", "certificate", _matrix),
+                  alpha=_read(cc, "alpha", "certificate", float, 0.0),
+                  Gamma2=np.diag(params.gamma2), P0=P0)
     return stability.certify(system, cand, params, _read(bc, "mu", "bounds", float, 0.0),
                              variant=_read(bc, "variant", "bounds", _text, "theorem"))
 

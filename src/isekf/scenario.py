@@ -15,7 +15,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -317,7 +317,7 @@ class ScenarioConfig:
     schedule: Optional[OutlierSchedule] = field(default_factory=paper_schedule)
     initial_truth: RobotState = field(default_factory=lambda: RobotState(0.0, 0.0, 0.0))
     initial_guess_offset: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.1]))
-    input_profile: Callable[[int], RobotInput] = field(default_factory=InputProfile)
+    input_profile: InputProfile = field(default_factory=InputProfile)
     filters: Sequence[FilterSpec] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -325,6 +325,9 @@ class ScenarioConfig:
             raise ConfigurationError("horizon must be nonnegative")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ConfigurationError(f"T must be finite and positive, got {self.T}")
+        if not isinstance(self.input_profile, InputProfile):
+            raise ConfigurationError(f"input_profile must be an InputProfile, "
+                                     f"got {type(self.input_profile).__name__}")
         for name in ("process_std", "meas_std", "filter_process_std", "filter_meas_std"):
             std = getattr(self, name)
             if std is None:
@@ -437,11 +440,7 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
 
     sched = cfg.schedule
     k_arr = np.arange(N + 1)
-    profile = cfg.input_profile
-    if isinstance(profile, InputProfile):
-        u = profile.rows(N)
-    else:
-        u = np.array([profile(k).as_array() for k in range(N + 1)]).reshape(N + 1, 2)
+    u = cfg.input_profile.rows(N)
     truth, d, y = _truth_and_measurements(cfg, seeds, u)
 
     lanes = _Lanes(

@@ -76,7 +76,6 @@ class LinearSystem:
     R: np.ndarray
     D: np.ndarray
     mode: str
-    _regular: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("A", "C", "Q", "R", "D"):
@@ -134,17 +133,11 @@ def is_detectable(sys: LinearSystem) -> bool:
 
 
 def assert_regular(sys: LinearSystem) -> None:
-    """Raise unless (A, Q^(1/2)) is stabilizable and (A, C) detectable.
-    A pass is kept on sys, keyed by the values of its mode, A, C and Q, so
-    a fixed-point solve and then certify run the Hautus tests once."""
-    key = (sys.mode, sys.A.tobytes(), sys.C.tobytes(), sys.Q.tobytes())
-    if sys._regular == key:
-        return
+    """Raise unless (A, Q^(1/2)) is stabilizable and (A, C) detectable."""
     if not is_stabilizable(sys):
         raise CertificationFailure("(A, Q^(1/2)) is not stabilizable")
     if not is_detectable(sys):
         raise CertificationFailure("(A, C) is not detectable")
-    sys._regular = key
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +310,7 @@ def solve_care(sys: LinearSystem) -> np.ndarray:
 def _dare_step(sys: LinearSystem, P: np.ndarray):
     """One prediction-form Riccati recursion step; returns
     (P_next, P_filt, K)."""
-    K, S = _innovation_gain(P, sys.C, sys.R)
-    P_filt = _symmetrize(P - K @ S @ K.T)
+    K, _, P_filt = _innovation_gain(P, sys.C, sys.R)
     P_next = _symmetrize(sys.A @ P_filt @ sys.A.T + sys.Q)
     return P_next, P_filt, K
 
@@ -336,7 +328,7 @@ def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
         if not math.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
             raise CertificationFailure("discrete Riccati recursion diverged")
         if _stationary(P, np.linalg.norm(P_next - P)):
-            return _symmetrize(P_next), preds, filts
+            return P_next, preds, filts
         P = P_next
     raise CertificationFailure("discrete Riccati recursion did not converge")
 
@@ -964,8 +956,7 @@ def bound_trajectory_check(
 def gain_identity_residuals(C: np.ndarray, R: np.ndarray, P_pred: np.ndarray):
     """Residuals of the three filtered-covariance/gain identities:
     Pf^-1 = Pp^-1 + C'R^-1 C;  Pf^-1 K = C'R^-1;  K'Pf^-1 K = R^-1 C Pf C' R^-1."""
-    K, S = _innovation_gain(P_pred, C, R)
-    P_filt = _symmetrize(P_pred - K @ S @ K.T)
+    K, _, P_filt = _innovation_gain(P_pred, C, R)
     Rinv = _spd_inverse(R, "R")
     Pf_inv = _spd_inverse(P_filt, "P_filt")
     Pp_inv = _spd_inverse(P_pred, "P_pred")

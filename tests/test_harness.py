@@ -212,7 +212,7 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
      "certificate.alpha: could not convert string to float: 'x'\n"),
     ("certify", "bounds", "mu", None, "bounds.mu: "),
     ("certify", "bounds", "lambda1", "q", "bounds.lambda1: could not convert string to float: 'q'\n"),
-    ("certify", "bounds", "epsilon0", [float("inf")], "bounds.epsilon0: must be finite, got [inf]\n"),
+    ("certify", "bounds", "epsilon0", [float("inf")], "bounds: epsilon0 must be finite, got [inf]\n"),
     ("certify", "system", None, [1, 2], "system must be a mapping, got list\n"),
     ("run", "scenario", "horizon", "abc", "scenario.horizon: must be a whole number, got 'abc'\n"),
     ("run", "scenario", "input", {"eta": "abc"},
@@ -252,7 +252,7 @@ def test_a_non_finite_bound_parameter_is_named_by_its_key(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["run", write_cfg(tmp_path, data), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: filters.is-ekf.gamma2: must be finite, got [inf, 1.0, 1.0]\n"
+    assert captured.err == "error: filters.is-ekf: gamma2 must be finite, got [inf, 1.0, 1.0]\n"
     assert captured.out == "" and not out.exists()
 
 
@@ -560,16 +560,6 @@ checkpoint min eigenvalues:
 """
 
 
-def test_fixed_point_certification_runs_the_hautus_tests_once(monkeypatch, capsys):
-    # solve_dare checks regularity for P0: fixed_point; certify reuses the pass
-    calls = []
-    hautus_ok = stability._hautus_ok
-    monkeypatch.setattr(stability, "_hautus_ok", lambda *a: calls.append(a) or hautus_ok(*a))
-    assert cli_main(["certify", LINEAR_CFG]) == 0
-    assert len(calls) == 2  # one stabilizability and one detectability test
-    assert capsys.readouterr().out == LINEAR_CERTIFICATE
-
-
 def test_a_changed_system_is_tested_for_regularity_again():
     sys_ = stability.LinearSystem(A=[[0.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]],
                                   mode="discrete")
@@ -719,20 +709,21 @@ def test_cli_certify_rejects_non_finite_matrices(tmp_path, capsys, section, key,
     data[section][key] = value
     assert cli_main(["certify", write_cfg(tmp_path, data)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {key} must be finite\n"
+    assert err == f"error: {section}: {key} must be finite\n"
 
 
 @pytest.mark.parametrize("edits, message", [
     ({"certificate": {"U": [[2.0, 0.0], [0.0, 2.0]]}},
      "U must be 1x1 for this system, got (2, 2)"),
     ({"certificate": {"W": [0.3, 0.3]}}, "W must be 1x1 for this system, got (2, 2)"),
-    ({"certificate": {"P0": [[1.0, 0.0]]}}, "P0 must be square, got shape (1, 2)"),
+    ({"certificate": {"P0": [[1.0, 0.0]]}}, "certificate: P0 must be square, got shape (1, 2)"),
     ({"certificate": {"P0": [[1.0, 0.0], [0.0, 1.0]]}},
      "P0 must be 1x1 for this system, got (2, 2)"),
     ({"bounds": {"mu": float("inf")}}, "mu must be finite and nonnegative"),
     ({"system": {"A": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0]],
-                 "Q": [[1.0, 0.5], [0.0, 1.0]]}}, "Q must be symmetric"),
-], ids=["U-2x2", "W-2", "P0-1x2", "P0-2x2", "mu-inf", "asymmetric-Q"])
+                 "Q": [[1.0, 0.5], [0.0, 1.0]]}}, "system: Q must be symmetric"),
+    ({"bounds": {"lambda1": [1.5]}}, "bounds: dt mode requires 0 < lambda1 < 1 per channel"),
+], ids=["U-2x2", "W-2", "P0-1x2", "P0-2x2", "mu-inf", "asymmetric-Q", "lambda1-out-of-range"])
 def test_cli_certify_names_a_bad_input(tmp_path, capsys, edits, message):
     data = harness.load_yaml(LINEAR_CFG)
     for section, values in edits.items():

@@ -68,3 +68,18 @@ def test_the_spinning_section_runs_a_heading_that_wraps(tmp_path):
     assert cfg.scenario.input_profile.delta_amp == 40.0
     heading = simulate(cfg.scenario, cfg.seed).truth[:, 2]
     assert np.abs(np.diff(heading)).max() > np.pi
+
+
+def test_the_dare_section_digests_every_shape_up_to_four_states_and_channels():
+    digest = _output_digest()
+    systems = list(digest.dare_systems())
+    assert len(systems) == 320
+    shapes = [(s.n, s.p) for s in systems]
+    assert shapes == [(n, p) for n in range(1, 5) for p in range(1, 5) for _ in range(20)]
+    assert all(s.mode == "discrete" and s.D.shape == (s.p, s.p) for s in systems)
+    # the inputs are seeded: a second pass draws the same systems
+    again = next(digest.dare_systems())
+    assert all(np.array_equal(getattr(again, k), getattr(systems[0], k)) for k in "ACQRD")
+    lines = digest.dare_lines()
+    assert [line.split(" sha256=")[0] for line in lines] == [
+        f"solve_dare n={n} p={p} draws=20" for n in range(1, 5) for p in range(1, 5)]

@@ -234,8 +234,10 @@ def test_innovation_gain_agrees_with_scipy_cho_solve(case):
     P, C, R = case
     M = C @ P @ C.T + R
     S_ref = 0.5 * (M + M.T)
-    K, S = _innovation_gain(P, C, R)
+    K, S, P_filt = _innovation_gain(P, C, R)
     assert np.array_equal(S, S_ref)
+    F = P - K.dot(S).dot(K.T)
+    assert np.array_equal(P_filt, 0.5 * (F + F.T))
     assert agree(K, cho_solve(cho_factor(S_ref), C @ P).T, S)
     # the solve on its own, as ct_isekf_derivative uses it with R
     assert agree(_spd_solve(R, C, "R"), cho_solve(cho_factor(R), C), R)

@@ -446,19 +446,16 @@ def test_simulate_seeds_equals_simulate_lane_for_lane(horizon):
                                       "lsigma-ekf": None}
 
 
-def _spinning_config(as_callable=False):
-    # |T delta| reaches 4 rad per step: the heading wraps at +-pi over and over;
-    # a profile that is any callable of k, not an InputProfile, is read per step
-    spin = InputProfile(delta_amp=40.0)
+def _spinning_config():
+    # |T delta| reaches 4 rad per step: the heading wraps at +-pi over and over
     return dataclasses.replace(parse_config(PAPER_CFG).scenario,
-                               input_profile=(lambda k: spin(k)) if as_callable else spin)
+                               input_profile=InputProfile(delta_amp=40.0))
 
 
 @pytest.mark.parametrize("make_cfg, seeds, wraps", [
     (lambda: parse_config(PAPER_CFG).scenario, [1, 7], False),
     (_spinning_config, [1, 7, 1001], True),
-    (lambda: _spinning_config(as_callable=True), [1], True),
-], ids=["paper", "spinning", "spinning-callable"])
+], ids=["paper", "spinning"])
 def test_world_matches_the_per_step_reference(make_cfg, seeds, wraps):
     # simulate draws each child stream in one call, runs the heading on Python
     # floats and sums the positions in bulk; robot_step, outlier_at and
@@ -482,6 +479,12 @@ def test_world_matches_the_per_step_reference(make_cfg, seeds, wraps):
         np.testing.assert_array_equal(
             tr.u, [cfg.input_profile(k).as_array() for k in range(cfg.horizon + 1)])
         assert (np.abs(np.diff(tr.truth[:, 2])).max() > math.pi) == wraps
+
+
+def test_an_input_profile_that_is_not_an_input_profile_is_rejected():
+    with pytest.raises(ConfigurationError,
+                       match="^input_profile must be an InputProfile, got function$"):
+        benchmark_config(horizon=5, input_profile=lambda k: InputProfile()(k))
 
 
 @pytest.mark.parametrize("seeds", [[], [-1], [1, 2.0], [True]],
