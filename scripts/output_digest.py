@@ -25,7 +25,11 @@ prints one line per artifact:
   clipped outlier;
 - for each n and p from 1 to 4, the sha256 of the bytes of solve_dare and
   of gain_identity_residuals at its fixed point on DARE_DRAWS seeded random
-  discrete systems of n states and p channels.
+  discrete systems of n states and p channels;
+- for each p from 1 to 4, the sha256 of the bytes of BOUND_MAP_STEPS
+  iterated bound_step_dt steps and of bound_rhs_ct at BOUND_MAP_STEPS
+  states, on seeded random coefficients, states and innovations that span
+  decades: the bound map at states the runs above never visit.
 
 The configs and bench/workloads.py are read from this checkout (the latter
 loaded by path, read only); the package is whatever `import isekf` finds, so
@@ -54,7 +58,7 @@ from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
 from isekf.harness import cli_main
 from isekf.stability import (LinearSystem, certify, gain_identity_residuals, solve_dare,
                              sweep_candidates)
-from isekf.saturation import BoundParams, SaturationState
+from isekf.saturation import BoundParams, SaturationState, bound_rhs_ct, bound_step_dt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAPER_CFG = os.path.join(ROOT, "paper.cfg")
@@ -66,6 +70,10 @@ DRAWS = 3
 DARE_DIMS = tuple(itertools.product(range(1, 5), repeat=2))
 DARE_DRAWS = 20
 DARE_SEED = 18
+# random bound maps: BOUND_MAP_STEPS steps and states per channel count, from BOUND_MAP_SEED
+BOUND_MAP_CHANNELS = tuple(range(1, 5))
+BOUND_MAP_STEPS = 200
+BOUND_MAP_SEED = 19
 
 
 def _cli_stdout(argv) -> str:
@@ -262,8 +270,50 @@ def dare_lines() -> list[str]:
     return lines
 
 
+def _decades(rng, lo: float, hi: float, size) -> np.ndarray:
+    """10**u with u uniform in [lo, hi]: values spread evenly over decades."""
+    return 10.0 ** rng.uniform(lo, hi, size)
+
+
+def bound_map_inputs():
+    """(p, dt params, ct params, states, innovations) of bound_map_lines for
+    each p of BOUND_MAP_CHANNELS: lambdas uniform in [0.01, 0.99] (negated
+    in ct mode, in [-100, -0.01]), gammas in [1e-3, 1e3], sigma0, epsilon0
+    and BOUND_MAP_STEPS states (sigma, eps) in [1e-12, 1e12], and
+    BOUND_MAP_STEPS innovations of random sign with magnitudes in
+    [1e-6, 1e6], all spread over decades."""
+    rng = np.random.default_rng(BOUND_MAP_SEED)
+    for p in BOUND_MAP_CHANNELS:
+        lam_dt = rng.uniform(0.01, 0.99, (2, p))
+        lam_ct = -_decades(rng, -2.0, 2.0, (2, p))
+        gam = _decades(rng, -3.0, 3.0, (2, p))
+        start = _decades(rng, -12.0, 12.0, (2, p))
+        dt, ct = (BoundParams(*lam, *gam, *start, mode=mode)
+                  for lam, mode in ((lam_dt, "dt"), (lam_ct, "ct")))
+        states = _decades(rng, -12.0, 12.0, (BOUND_MAP_STEPS, 2, p))
+        innovs = rng.choice([-1.0, 1.0], (BOUND_MAP_STEPS, p)) * _decades(
+            rng, -6.0, 6.0, (BOUND_MAP_STEPS, p))
+        yield p, dt, ct, states, innovs
+
+
+def bound_map_lines() -> list[str]:
+    lines = []
+    for p, dt, ct, states, innovs in bound_map_inputs():
+        stepped, rates = hashlib.sha256(), hashlib.sha256()
+        sat = dt.initial_state()
+        for (sigma, eps), innov in zip(states, innovs, strict=True):
+            sat = bound_step_dt(sat, innov, dt)
+            stepped.update(sat.sigma.tobytes() + sat.epsilon.tobytes())
+            for rate in bound_rhs_ct(SaturationState(sigma, eps), innov, ct):
+                rates.update(rate.tobytes())
+        lines.append(f"bound map p={p} steps={BOUND_MAP_STEPS} "
+                     f"bound_step_dt sha256={stepped.hexdigest()} "
+                     f"bound_rhs_ct sha256={rates.hexdigest()}")
+    return lines
+
+
 SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
-            certificate_lines, ct_endpoint_lines, dare_lines)
+            certificate_lines, ct_endpoint_lines, dare_lines, bound_map_lines)
 
 
 def main() -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,16 +23,17 @@ from .saturation import (
     BoundParams,
     SaturationState,
     _all_finite,
+    _bound_map,
     _bound_map_core,
-    _bound_step,
     _clip,
 )
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_innovation  # noqa: F401
 
-# Positivity floor for sigma/epsilon in every continuous-time RK4 stage and step.
-_SAT_FLOOR = 1.0e-12
+# Positivity floor for sigma/epsilon in every continuous-time RK4 stage and
+# step; a float64 0-d array, as saturation._EPS_FLOOR.
+_SAT_FLOOR = np.array(1.0e-12)
 
 
 def wrap_angle(theta):
@@ -264,18 +265,19 @@ def _predict(model: NonlinearModel, x: np.ndarray, P: np.ndarray, u):
 
 
 def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
-            sat=None, params: Optional[BoundParams] = None, ell: float = np.inf):
+            sat: Optional[SaturationState] = None, params: Optional[BoundParams] = None,
+            ell: float = np.inf):
     """Update core that every discrete-time filter shares.
 
     The innovation policy is data, as in _Lanes: the estimate is corrected
     with _gated(_clip(innov, bound), S, ell), where the clip level bound is
-    sqrt(sigma) of a saturated filter's sat = (sigma, epsilon) and the
-    gate width ell that of the gated EKF; the policy a filter lacks is
-    +inf, which leaves the innovation unchanged bit for bit.  The
-    covariance update is P - K (C P C^T + R) K^T, then symmetrization.
-    sat advances through the bound map on the raw innovation; a clip level
-    that underflows to 0 is a NumericalFailure, so no step hands on a
-    state that the entry checks reject.  Returns (x, P, sat).
+    sqrt(sigma) of a saturated filter's sat and the gate width ell that of
+    the gated EKF; the policy a filter lacks is +inf, which leaves the
+    innovation unchanged bit for bit.  The covariance update is
+    P - K (C P C^T + R) K^T, then symmetrization.  sat advances through the
+    bound map on the raw innovation; a clip level that underflows to 0 is a
+    NumericalFailure, so no step hands on a state that the entry checks
+    reject.  Returns (x, P, sat).
 
     As in _Lanes.step, floating-point warnings are off: a failure is
     reported as its error alone, on both paths."""
@@ -283,14 +285,14 @@ def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
         C = model.C_at(x)
         K, S, P_new = _innovation_gain(P, C, model.R)
         innov = model.innovation(x, y)
-        bound = np.inf if sat is None else np.sqrt(sat[0])
+        bound = np.inf if sat is None else np.sqrt(sat.sigma)
         x_new = x + K.dot(_gated(_clip(innov, bound), S, ell))
         if not _all_finite(x_new):
             raise NumericalFailure("update produced non-finite estimate", context=x)
         if sat is not None:
-            sat = _bound_step(sat[0], sat[1], innov, params, "bound_step_dt")
-            if not (sat[0] > 0.0).all():
-                raise NumericalFailure("clip level sigma underflowed to 0", context=sat[0])
+            sat = SaturationState(*_bound_map(sat, innov, params, "dt"))
+            if not (sat.sigma > 0.0).all():
+                raise NumericalFailure("clip level sigma underflowed to 0", context=sat.sigma)
     return x_new, P_new, sat
 
 
@@ -309,23 +311,14 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
     return _update(model, x, P, y, sat, params, ell)
 
 
-class _BoundStack(NamedTuple):
-    """Bound-map coefficients of several saturated filters, one row each;
-    _bound_map_core reads them as it reads a BoundParams."""
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-
-
 class _Lanes:
     """Discrete-time filters stepped side by side along a lane axis.
 
     Lane l is one filter: estimate x[l], covariance P[l] and an innovation
     policy of a clip level and a gate width.  A saturated lane clips to
-    bound[l] = sqrt(sigma) and advances its (sigma, epsilon) through the
-    bound map; a gated lane zeroes the channels beyond ell[l] * sqrt(S_ii).
+    bound[l] = sqrt(sigma) and advances its row of sat = [sigma; epsilon]
+    through the bound map; a gated lane zeroes the channels beyond
+    ell[l] * sqrt(S_ii).
     The policy a lane lacks is +inf, which leaves the innovation unchanged
     bit for bit, so a plain EKF lane has both at +inf.
 
@@ -352,12 +345,13 @@ class _Lanes:
         self.sat_rows = np.array([l for l, bp in enumerate(params) if bp is not None], dtype=int)
         sat = [bp for bp in params if bp is not None]
         p = model.p
-        self.coef = _BoundStack(*(np.array([getattr(bp, f) for bp in sat]).reshape(-1, p)
-                                  for f in _BoundStack._fields))
-        self.sigma = np.array([bp.sigma0 for bp in sat]).reshape(-1, p)
-        self.epsilon = np.array([bp.epsilon0 for bp in sat]).reshape(-1, p)
+        # one row per saturated lane: stacked coefficients and [sigma; epsilon]
+        self.lam = np.array([bp.lam for bp in sat]).reshape(-1, 2 * p)
+        self.gam = np.array([bp.gam for bp in sat]).reshape(-1, 2 * p)
+        self.sat = np.array([np.concatenate((bp.sigma0, bp.epsilon0))
+                             for bp in sat]).reshape(-1, 2 * p)
         self.bound = np.full((len(self.x), p), np.inf)
-        self.bound[self.sat_rows] = np.sqrt(self.sigma)
+        self.bound[self.sat_rows] = np.sqrt(self.sat[:, :p])
 
     def step(self, y: np.ndarray, u) -> dict:
         """One predict + update of every live lane on its measurement y[l]
@@ -414,29 +408,27 @@ class _Lanes:
             P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))
             # _bound_step and the underflow check on the saturated lanes
             rows = self.sat_rows
-            sigma, epsilon = self.sigma, self.epsilon
+            sat = self.sat
             if rows.size:
                 innov_s = innov[rows]
-                sigma, epsilon = _bound_map_core(sigma, epsilon, innov_s, self.coef)
-                # one check covers both outputs, as in _bound_step
-                finite = np.isfinite(sigma + epsilon)
+                sat = _bound_map_core(sat, innov_s, self.lam, self.gam)
+                finite = np.isfinite(sat)
                 if np.count_nonzero(finite) != finite.size:
                     over = ~finite.all(axis=1) & live[rows]
                     if (over & ~np.isfinite(innov_s).all(axis=1)).any():
                         raise InputDomainError("bound_step_dt: non-finite innovation")
                     fail(finite, "bound_step_dt: bound map overflowed", innov_s, rows)
+                sigma = sat[:, :model.p]
                 fail(sigma > 0.0, "clip level sigma underflowed to 0", sigma, rows)
 
         if failures or not self.all_live:
             # a dead lane holds its last state
             x_new = np.where(live[:, None], x_new, self.x)
             P_new = np.where(live[:, None, None], P_new, self.P)
-            keep = live[rows][:, None]
-            sigma = np.where(keep, sigma, self.sigma)
-            epsilon = np.where(keep, epsilon, self.epsilon)
+            sat = np.where(live[rows][:, None], sat, self.sat)
             self.live, self.all_live = live, False
-        self.x, self.P, self.sigma, self.epsilon = x_new, P_new, sigma, epsilon
-        self.bound[rows] = np.sqrt(sigma)
+        self.x, self.P, self.sat = x_new, P_new, sat
+        self.bound[rows] = np.sqrt(sat[:, :model.p])
         return failures
 
 
@@ -491,8 +483,8 @@ def dt_update(
         x, P, _ = _update(model, st.x_hat, st.P, y)
         return replace(st, x_hat=x, P=P)
     _check_saturated(model, st.sat, params, "dt_update", y)
-    x, P, sat = _update(model, st.x_hat, st.P, y, (st.sat.sigma, st.sat.epsilon), params)
-    return replace(st, x_hat=x, P=P, sat=SaturationState(*sat))
+    x, P, sat = _update(model, st.x_hat, st.P, y, st.sat, params)
+    return replace(st, x_hat=x, P=P, sat=sat)
 
 
 def dt_isekf_step(
@@ -505,9 +497,8 @@ def dt_isekf_step(
     """One full saturated-EKF cycle: predict, correct with the clipped
     innovation, advance the bound recursion."""
     _check_saturated(model, st.sat, params, "dt_isekf_step", y)
-    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, (st.sat.sigma, st.sat.epsilon),
-                             params)
-    return replace(st, x_hat=x, P=P, sat=SaturationState(*sat), k=st.k + 1)
+    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, st.sat, params)
+    return replace(st, x_hat=x, P=P, sat=sat, k=st.k + 1)
 
 
 def ekf_step(model: NonlinearModel, st: FilterState, y: np.ndarray, u=None) -> FilterState:
@@ -537,14 +528,14 @@ def sigma_gate_step(
 
 
 def _saturated_rhs(drift: np.ndarray, K: np.ndarray, innov: np.ndarray, sat: np.ndarray,
-                   params: BoundParams, p: int):
+                   params: BoundParams) -> np.ndarray:
     """Unchecked saturated observer shared by the CT filter and the bound
-    check: drift + K clip(innov, sqrt(sigma)) and the bound map on innov,
-    with sat = [sigma; epsilon] (p each) floored at _SAT_FLOOR first."""
+    check: [x_dot; sat_dot], x_dot = drift + K clip(innov, sqrt(sigma)) and
+    sat_dot the bound map on innov, with sat = [sigma; epsilon] (p each)
+    floored at _SAT_FLOOR first."""
     sat = np.maximum(sat, _SAT_FLOOR)
-    sigma, eps = sat[:p], sat[p:]
-    sigma_dot, eps_dot = _bound_map_core(sigma, eps, innov, params)
-    return drift + K.dot(_clip(innov, np.sqrt(sigma))), sigma_dot, eps_dot
+    x_dot = drift + K.dot(_clip(innov, np.sqrt(sat[:len(innov)])))
+    return np.concatenate((x_dot, _bound_map_core(sat, innov, params.lam, params.gam)))
 
 
 def _riccati_rhs(A: np.ndarray, Q: np.ndarray, C: np.ndarray, K: np.ndarray,
@@ -559,12 +550,15 @@ def _riccati_rhs(A: np.ndarray, Q: np.ndarray, C: np.ndarray, K: np.ndarray,
 def _ct_rhs(model: NonlinearModel, x: np.ndarray, P: np.ndarray, sat: np.ndarray,
             y: np.ndarray, params: BoundParams):
     """ct_isekf_derivative on raw arrays (sat = [sigma; epsilon], P symmetric),
-    checking only the model maps: _saturated_rhs with K = P C^T R^{-1}, and P_dot."""
+    checking only the model maps: _saturated_rhs with K = P C^T R^{-1}, and P_dot.
+    Returns (x_dot, P_dot, sigma_dot, eps_dot), the first and last two views
+    of _saturated_rhs's one array."""
     A, C = model.A_at(x), model.C_at(x)
     K = _spd_solve(model.R, C @ P, "R").T
     innov = model.innovation(x, y)
-    x_dot, sigma_dot, eps_dot = _saturated_rhs(model.f_at(x), K, innov, sat, params, model.p)
-    return x_dot, _riccati_rhs(A, model.Q, C, K, P), sigma_dot, eps_dot
+    out = _saturated_rhs(model.f_at(x), K, innov, sat, params)
+    n, p = len(x), model.p
+    return out[:n], _riccati_rhs(A, model.Q, C, K, P), out[n:n + p], out[n + p:]
 
 
 def ct_isekf_derivative(
@@ -604,7 +598,8 @@ def _floored_rk4_step(rhs: Callable, z: np.ndarray, t: float, dt: float, n: int,
     z_next = _rk4(rhs, z, t, dt)
     if rejected or not _all_finite(z_next):
         raise NumericalFailure(f"integration step rejected at t={t + dt:.6g}", context=z[:n])
-    z_next[-2 * p:] = np.maximum(z_next[-2 * p:], _SAT_FLOOR)
+    sat = z_next[-2 * p:]
+    np.maximum(sat, _SAT_FLOOR, out=sat)
     return z_next
 
 

@@ -76,7 +76,8 @@ class BoundParams:
 
     mode "dt": 0 < lambda1, lambda2 < 1.  mode "ct": lambda1, lambda2 < 0.
     gamma1, gamma2 > 0 in both modes.  sigma0, epsilon0 > 0 seed the state.
-    Every entry is finite.
+    Every entry is finite.  lam = [lambda1; lambda2] and gam = [gamma1;
+    gamma2] are the stacked coefficients that _bound_map_core reads.
     """
 
     lambda1: np.ndarray
@@ -108,6 +109,8 @@ class BoundParams:
             raise InputDomainError("gamma1 and gamma2 must be strictly positive")
         if not (np.all(self.sigma0 > 0.0) and np.all(self.epsilon0 > 0.0)):
             raise InputDomainError("sigma0 and epsilon0 must be strictly positive")
+        object.__setattr__(self, "lam", np.concatenate((self.lambda1, self.lambda2)))
+        object.__setattr__(self, "gam", np.concatenate((self.gamma1, self.gamma2)))
 
     @property
     def p(self) -> int:
@@ -168,41 +171,41 @@ def saturate_innovation(innov: np.ndarray, sat: SaturationState) -> np.ndarray:
     return saturate_vector(innov, sat.bounds())
 
 
-def _bound_map_core(sigma: np.ndarray, epsilon: np.ndarray, innov: np.ndarray,
-                    params: BoundParams):
+def _bound_map_core(sat: np.ndarray, innov: np.ndarray, lam: np.ndarray, gam: np.ndarray):
     """The two-layer bound map shared by the discrete recursion and the
-    continuous-time right-hand side, unchecked:
+    continuous-time right-hand side, unchecked: one multiply-add on the
+    stacked state sat = [sigma; eps] (last axis 2p), lam = [lambda1;
+    lambda2] and gam = [gamma1; gamma2], that is
 
         lambda1*sigma + gamma1*eps*exp(-eps)
         lambda2*eps   + gamma2*innov^2"""
-    return (params.lambda1 * sigma + params.gamma1 * shaping_term(epsilon),
-            params.lambda2 * epsilon + params.gamma2 * innov**2)
+    p = innov.shape[-1]
+    return lam * sat + gam * np.concatenate((shaping_term(sat[..., p:]), innov * innov), -1)
 
 
-def _bound_step(sigma: np.ndarray, epsilon: np.ndarray, innov: np.ndarray,
-                params: BoundParams, name: str):
+def _bound_step(sat: np.ndarray, innov: np.ndarray, lam, gam, name: str) -> np.ndarray:
     """_bound_map_core with its overflow check: raises NumericalFailure when
     the result is not finite (an innovation so large that its square
     overflows), InputDomainError when the innovation itself is not."""
-    sigma_out, eps_out = _bound_map_core(sigma, epsilon, innov, params)
-    # one check covers both outputs: the sum is finite iff neither overflowed
-    # (short of both exceeding half the float range)
-    if not _all_finite(sigma_out + eps_out):
+    sat = _bound_map_core(sat, innov, lam, gam)
+    if not _all_finite(sat):
         if not _all_finite(innov):
             raise InputDomainError(f"{name}: non-finite innovation")
         raise NumericalFailure(f"{name}: bound map overflowed", context=innov)
-    return sigma_out, eps_out
+    return sat
 
 
 def _bound_map(sat: SaturationState, innov: np.ndarray, params: BoundParams, mode: str):
-    """_bound_step behind the mode and channel-count checks."""
+    """_bound_step behind the mode and channel-count checks; returns views
+    (sigma, epsilon) of its stacked result."""
     name = "bound_step_dt" if mode == "dt" else "bound_rhs_ct"
     if params.mode != mode:
         raise ConfigurationError(f"{name} requires {mode}-mode parameters")
     innov = np.asarray(innov, dtype=float)
     if innov.shape != sat.sigma.shape or params.p != sat.p:
         raise ConfigurationError(f"{name}: channel count mismatch")
-    return _bound_step(sat.sigma, sat.epsilon, innov, params, name)
+    out = _bound_step(np.concatenate((sat.sigma, sat.epsilon)), innov, params.lam, params.gam, name)
+    return out[:sat.p], out[sat.p:]
 
 
 def bound_step_dt(sat: SaturationState, innov: np.ndarray, params: BoundParams) -> SaturationState:

@@ -863,7 +863,7 @@ def bound_trajectory_check(
     (_covariance_pass: P and the gain, from cand.P0, which do not depend
     on the disturbance)
     is shared by every draw on one observer; the error pass then steps
-    (e, sigma, eps) on the unchecked clip and bound-map cores, in
+    (e, sat), sat = [sigma; eps], on the unchecked clip and bound-map cores, in
     continuous time with the continuous-time filter's saturated core and
     floored RK4 step (sigma and eps floored at 1e-12 in every stage and
     after every step).  A non-finite stepped state, or a failed
@@ -908,8 +908,10 @@ def bound_trajectory_check(
         if bound > 0.0:
             max_ratio = max(max_ratio, norm_e / bound)
 
+    p = sys.p
+    sat = np.concatenate((params.sigma0, params.epsilon0))
     if sys.mode == "discrete":
-        sigma, eps = params.sigma0, params.epsilon0
+        lam, gam = params.lam, params.gam
         cov = _covariance_pass(sys, cand.P0, None, n_steps + 1)
         gains = list(cov.gains)
         last = len(gains) - 1
@@ -920,16 +922,15 @@ def bound_trajectory_check(
                 raise NumericalFailure(*cov.failure)
             K = gains[min(k, last)]
             innov = C.dot(e) - D.dot(d)
-            e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sigma))))
-            sigma, eps = _bound_map_core(sigma, eps, innov, params)
-            # sigma, eps >= 0: one sum is finite iff both are, below half the float range
-            if not (_all_finite(e) and _all_finite(sigma + eps)):
+            e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sat[:p]))))
+            sat = _bound_map_core(sat, innov, lam, gam)
+            if not (_all_finite(e) and _all_finite(sat)):
                 raise NumericalFailure(f"error system non-finite after step {k}", context=e)
         return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps), samples=n_steps + 1,
                                 final_error_norm=float(np.linalg.norm(e)))
 
-    # continuous time: RK4 on (e, sigma, eps), reading each stage's gain
-    n, p = sys.n, sys.p
+    # continuous time: RK4 on (e, sat), reading each stage's gain
+    n = sys.n
     cov = _covariance_pass(sys, cand.P0, dt, n_steps)
     stage_gains = iter(cov.gains)
 
@@ -938,11 +939,10 @@ def bound_trajectory_check(
     def rhs(z, t):
         d = disturbance(t)
         e_vec = z[:n]
-        return np.concatenate(_saturated_rhs(A.dot(e_vec), next(stage_gains),
-                                             D.dot(d) - C.dot(e_vec), z[n:], params, p),
-                              axis=None)
+        return _saturated_rhs(A.dot(e_vec), next(stage_gains), D.dot(d) - C.dot(e_vec), z[n:],
+                              params)
 
-    z = np.concatenate((e, params.sigma0, params.epsilon0))
+    z = np.concatenate((e, sat))
     for i, bound in enumerate(_envelope_blocks(cert, n_steps + 1, dt, V0)):
         t = i * dt
         check(t, bound, z[:n])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from isekf import stability
 from isekf.errors import ConfigurationError, InputDomainError, NumericalFailure, PropertyFailure
 from isekf.filters import _SAT_FLOOR, _joint_views, _rk4, _symmetrize
-from isekf.saturation import BoundParams, _bound_map_core, _clip
+from isekf.saturation import BoundParams, _clip
 from isekf.stability import (
     BoundCheckReport,
     CertificateCandidate,
@@ -56,6 +56,15 @@ def _oracle_bound(cert, t, V0):
     lmax = float(cert._c2_lmax[min(max(idx, 0), len(cert._c2_lmax) - 1)])
     c2 = 1.0 / lmax if lmax > 0.0 else math.inf
     return math.sqrt(max(level, 0.0) / c2)
+
+
+def _oracle_bound_map(sigma, eps, innov, params):
+    """The two-layer bound map written out per layer:
+    lambda1*sigma + gamma1*eps*exp(-eps) (eps clamped to [0, 1e12] first)
+    and lambda2*eps + gamma2*innov^2."""
+    clamped = np.minimum(np.maximum(eps, 0.0), 1e12)
+    return (params.lambda1 * sigma + params.gamma1 * (clamped * np.exp(-clamped)),
+            params.lambda2 * eps + params.gamma2 * innov**2)
 
 
 def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
@@ -101,7 +110,7 @@ def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
                 P = None if _stationary(P, np.linalg.norm(P_next - P)) else P_next
             innov = C.dot(e) - D.dot(d)
             e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sigma))))
-            sigma, eps = _bound_map_core(sigma, eps, innov, params)
+            sigma, eps = _oracle_bound_map(sigma, eps, innov, params)
             if not (np.isfinite(e).all() and np.isfinite(sigma).all() and np.isfinite(eps).all()):
                 raise NumericalFailure(f"error system non-finite after step {k}", context=e)
         return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps), samples=n_steps + 1,
@@ -120,7 +129,7 @@ def _oracle_check(sys, cand, cert, d_signal, horizon, e0=None, dt=1e-3):
         e_dot = A.dot(e_vec) - K.dot(_clip(innov, np.sqrt(sig)))
         AP = A.dot(P_mat)
         P_dot = _symmetrize(AP + AP.T + Q - K.dot(C).dot(P_mat))
-        return np.concatenate((e_dot, P_dot) + _bound_map_core(sig, eps, innov, params),
+        return np.concatenate((e_dot, P_dot) + _oracle_bound_map(sig, eps, innov, params),
                               axis=None)
 
     z = np.concatenate((e, _symmetrize(cand.P0), params.sigma0, params.epsilon0), axis=None)

@@ -1,8 +1,10 @@
 """Source scans that keep one spelling of an idiom in the package."""
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "isekf"
 
@@ -76,3 +78,55 @@ def test_the_filtered_covariance_is_written_once():
     assert {name: hits for name, hits in found.items() if hits} == {}
     filters = (SRC / "filters.py").read_text(encoding="utf-8")
     assert len(_FILTERED_COVARIANCE.findall(filters)) == 1
+
+
+# the bound map, written once: saturation._bound_map_core's one multiply-add
+# on the stacked state [sigma; epsilon].  A per-layer coefficient product or
+# a sigma + epsilon sum in code (strings and comments are not scanned) is a
+# second copy of it.
+_PER_LAYER = re.compile(r"\b(?:lambda1|lambda2|gamma1|gamma2) \*(?!\*)"
+                        r"|\bsigma\w* \+ (?:\w+ \. )*eps\w*")
+_BOUND_MAP_HOME = "_bound_map_core"
+
+
+def _code_lines(text: str):
+    """(line number, code) of each line of a module, its tokens joined by
+    single spaces, without strings and comments."""
+    lines = {}
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in (tokenize.STRING, tokenize.COMMENT) or not tok.string.strip():
+            continue
+        lines.setdefault(tok.start[0], []).append(tok.string)
+    return [(i, " ".join(toks)) for i, toks in sorted(lines.items())]
+
+
+def _bound_map_offenders(text: str):
+    """(line number, code) of each per-layer bound-map term of a module's
+    code outside the body of a function named _bound_map_core."""
+    home = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == _BOUND_MAP_HOME]
+    return [(i, code) for i, code in _code_lines(text)
+            if _PER_LAYER.search(code) and not any(i in r for r in home)]
+
+
+def test_the_bound_map_scan_sees_each_spelling():
+    for line in ("sigma = params.lambda1 * sigma + params.gamma1 * shaping_term(eps)",
+                 "eps = coef.lambda2*eps + coef.gamma2*innov**2", "g = gamma1 *x",
+                 "finite = np.isfinite(sigma + epsilon)", "ok = _all_finite(sigma+eps)",
+                 "total = sat.sigma + sat.epsilon", "s = sigma_out + eps_out"):
+        assert _bound_map_offenders(line + "\n"), line
+    for line in ("lam = np.concatenate((self.lambda1, self.lambda2))",
+                 "sat = lam * sat + gam * np.concatenate((shape, innov * innov), -1)",
+                 "x = lambda1 ** 2", "sat = np.concatenate((sigma, epsilon))",
+                 "# lambda1 * sigma + gamma1 * eps * exp(-eps)",
+                 '"""sigma + eps, lambda1 * sigma"""'):
+        assert not _bound_map_offenders(line + "\n"), line
+    home = f"def {_BOUND_MAP_HOME}(sigma, eps, innov, params):\n    return params.lambda1 * sigma\n"
+    assert not _bound_map_offenders(home)
+    assert _bound_map_offenders(home + "s = sigma + eps\n") == [(3, "s = sigma + eps")]
+
+
+def test_the_bound_map_is_written_once():
+    found = {p.name: _bound_map_offenders(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

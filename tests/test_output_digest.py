@@ -83,3 +83,24 @@ def test_the_dare_section_digests_every_shape_up_to_four_states_and_channels():
     lines = digest.dare_lines()
     assert [line.split(" sha256=")[0] for line in lines] == [
         f"solve_dare n={n} p={p} draws=20" for n in range(1, 5) for p in range(1, 5)]
+
+
+def test_the_bound_map_section_digests_seeded_maps_of_one_to_four_channels():
+    digest = _output_digest()
+    inputs = list(digest.bound_map_inputs())
+    assert [p for p, *_ in inputs] == [1, 2, 3, 4]
+    for p, dt, ct, states, innovs in inputs:
+        assert (dt.mode, ct.mode, dt.p, ct.p) == ("dt", "ct", p, p)
+        assert states.shape == (200, 2, p) and innovs.shape == (200, p)
+        # the states and innovations span decades
+        assert states.min() < 1e-9 and states.max() > 1e9
+        assert np.abs(innovs).min() < 1e-3 and np.abs(innovs).max() > 1e3
+    # the inputs are seeded: a second pass draws the same maps
+    again = next(digest.bound_map_inputs())
+    assert np.array_equal(again[1].lambda1, inputs[0][1].lambda1)
+    assert np.array_equal(again[2].gamma2, inputs[0][2].gamma2)
+    assert all(np.array_equal(a, b) for a, b in zip(again[3:], inputs[0][3:], strict=True))
+    lines = digest.bound_map_lines()
+    assert [line.split(" bound_step_dt sha256=")[0] for line in lines] == [
+        f"bound map p={p} steps=200" for p in range(1, 5)]
+    assert lines == digest.bound_map_lines()

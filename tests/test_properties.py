@@ -32,6 +32,7 @@ from isekf.saturation import (
     BoundParams,
     SaturationState,
     _all_finite,
+    _bound_map_core,
     saturate,
     saturate_innovation,
     saturate_vector,
@@ -54,6 +55,35 @@ def test_vector_clips_equal_the_scalar_spec(case):
     sat = SaturationState(sigma, np.ones(len(sigma)))
     assert saturate_innovation(np.array(r), sat).tolist() == \
         [saturate(ri, math.sqrt(si)) for ri, si in zip(r, sigma)]
+
+
+# bound states from 1e-12 to 1e12 with the shaping clamp's edges, and
+# innovations up to 1e150 in magnitude (squares up to 1e300)
+bound_states = st.one_of(st.sampled_from([0.0, 1e12]), st.floats(1e-12, 1e12))
+innovations = st.one_of(st.sampled_from([0.0, 1e150, -1e150]), st.floats(-1e150, 1e150))
+
+
+def _bound_map_case(shape):
+    """sigma, eps, innov, lambda1, lambda2, gamma1, gamma2 of one shape."""
+    lambdas, gammas = st.floats(-10.0, 10.0), st.floats(1e-3, 1e3)
+    return st.tuples(*(arrays(float, shape, elements=elements) for elements in (
+        bound_states, bound_states, innovations, lambdas, lambdas, gammas, gammas)))
+
+
+# a state (p,) or a stack of them (L, p), p and L from 1 to 4
+@given(st.tuples(st.sampled_from([(), (1,), (2,), (3,), (4,)]), st.integers(1, 4)).flatmap(
+    lambda stack_p: _bound_map_case(stack_p[0] + (stack_p[1],))))
+def test_the_stacked_bound_map_is_the_two_layer_formula_bit_for_bit(case):
+    # one multiply-add on [sigma; eps] against each layer written out
+    sigma, eps, innov, lambda1, lambda2, gamma1, gamma2 = case
+    clamped = np.minimum(np.maximum(eps, 0.0), 1e12)
+    expected = np.concatenate((lambda1 * sigma + gamma1 * (clamped * np.exp(-clamped)),
+                               lambda2 * eps + gamma2 * innov**2), axis=-1)
+    out = _bound_map_core(np.concatenate((sigma, eps), axis=-1), innov,
+                          np.concatenate((lambda1, lambda2), axis=-1),
+                          np.concatenate((gamma1, gamma2), axis=-1))
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 # entries at and past the edges of the finite floats

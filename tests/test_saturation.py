@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,11 +138,33 @@ def test_bound_map_overflow_is_a_numerical_failure(bound_map, mode):
         bound_map(p.initial_state(), np.array([np.nan]), p)
 
 
+@pytest.mark.parametrize("bound_map, mode", [(bound_step_dt, "dt"), (bound_rhs_ct, "ct")])
+def test_a_finite_result_near_the_float_limit_is_not_an_overflow(bound_map, mode):
+    # both outputs are +-9e307; their sum overflows, so a check on the sum
+    # would fail a finite result (and warn)
+    lam = 0.9 if mode == "dt" else -0.9
+    p = BoundParams(lambda1=[lam], lambda2=[lam], gamma1=[0.1], gamma2=[0.1],
+                    sigma0=[1e308], epsilon0=[1e308], mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, epsilon = _pair(bound_map(p.initial_state(), np.array([1.0]), p))
+    # the shaping term of the clamped eps = 1e12 is 1e12 * exp(-1e12) = 0
+    assert sigma.tolist() == [lam * 1e308 + 0.1 * 0.0]
+    assert epsilon.tolist() == [lam * 1e308 + 0.1 * 1.0]
+    assert abs(sigma[0]) == abs(epsilon[0]) == 9e307
+
+
+def _pair(out):
+    """(sigma, epsilon) of a SaturationState or of a (sigma_dot, eps_dot) pair."""
+    return (out.sigma, out.epsilon) if isinstance(out, SaturationState) else out
+
+
 def test_the_bound_step_names_an_overflow():
     p = dt_params()
     with np.errstate(over="ignore"), pytest.raises(
             NumericalFailure, match="^bound_step_dt: bound map overflowed$") as info:
-        _bound_step(p.sigma0, p.epsilon0, np.array([1e200]), p, "bound_step_dt")
+        _bound_step(np.concatenate((p.sigma0, p.epsilon0)), np.array([1e200]), p.lam, p.gam,
+                    "bound_step_dt")
     assert info.value.context.tolist() == [1e200]
 
 

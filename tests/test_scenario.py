@@ -362,6 +362,26 @@ def test_simulate_matches_the_public_steps_bit_for_bit(make_cfg, seed):
         np.testing.assert_array_equal(tr.sqrt_sigma[label], sqrt_sigma[label])
 
 
+def test_a_bound_state_near_the_float_limit_runs_on_paper_cfg():
+    # sigma0 = epsilon0 = 1e308: the first bound step gives 9e307 in both
+    # layers, finite although their sum is not, so is-ekf must not fail
+    near_limit = BoundParams(mode="dt", lambda1=[0.9] * 3, lambda2=[0.9] * 3, gamma1=[0.1] * 3,
+                             gamma2=[0.1] * 3, sigma0=[1e308] * 3, epsilon0=[1e308] * 3)
+    cfg = parse_config(PAPER_CFG).scenario
+    cfg = dataclasses.replace(cfg, filters=[
+        dataclasses.replace(spec, bound_params=near_limit) if spec.kind == "is-ekf" else spec
+        for spec in cfg.filters])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = simulate(cfg, 1)
+        estimates, sqrt_sigma, failed_at, _ = _replay(cfg, tr)
+    assert tr.failed_at == failed_at == {"is-ekf": None, "ekf": None, "lsigma-ekf": None}
+    for label in estimates:
+        np.testing.assert_array_equal(tr.estimates[label], estimates[label])
+    np.testing.assert_array_equal(tr.sqrt_sigma["is-ekf"], sqrt_sigma["is-ekf"])
+    assert tr.sqrt_sigma["is-ekf"][1, 0] == math.sqrt(9e307)
+
+
 def test_failures_raise_no_floating_point_warnings(caplog):
     # simulate and the public steps report each failure as its error alone:
     # with warnings turned into errors, the failures and their messages are
