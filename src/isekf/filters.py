@@ -103,7 +103,7 @@ def _require_noise_covariances(obj) -> None:
         raise ConfigurationError("R must be positive definite") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlinearModel:
     """System description used by every filter.
 
@@ -126,15 +126,15 @@ class NonlinearModel:
     angle_channels: Sequence[int] = field(default_factory=tuple)
 
     def __post_init__(self):
-        self.Q = np.asarray(self.Q, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
+        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
+        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         if self.Q.shape != (self.n, self.n):
             raise ConfigurationError(f"Q must be {self.n}x{self.n}, got {self.Q.shape}")
         if self.R.shape != (self.p, self.p):
             raise ConfigurationError(f"R must be {self.p}x{self.p}, got {self.R.shape}")
         _require_finite(self, ("Q", "R"))
         _require_noise_covariances(self)
-        self.angle_channels = tuple(int(i) for i in self.angle_channels)
+        object.__setattr__(self, "angle_channels", tuple(int(i) for i in self.angle_channels))
 
     def f_at(self, x: np.ndarray, u=None) -> np.ndarray:
         out = np.asarray(self.f(x, u), dtype=float)
@@ -335,7 +335,7 @@ class _Lanes:
                  ell: np.ndarray, params: Sequence[Optional[BoundParams]]):
         """x (L, n) and P (L, n, n) start the lanes; ell (L,) holds the gate
         widths and params the bound parameters of each saturated lane (None
-        elsewhere), checked by the caller (see _check_saturated)."""
+        elsewhere), checked by the caller (simulate_seeds: ScenarioConfig)."""
         self.model = model
         self.x = np.array(x, dtype=float)
         self.P = np.array(P, dtype=float)

@@ -38,7 +38,7 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,7 +87,7 @@ DEFAULT_P0_DIAG = [0.1, 0.1, 5.0e-5]
 SWEEP_BATCH = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputConfig:
     dir: str = "out"
     csv: str = "trace.csv"
@@ -95,7 +95,7 @@ class OutputConfig:
     metrics: str = "metrics.txt"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioConfig
     seed: int
@@ -471,23 +471,21 @@ def _write_outputs(trace, text: str, out: OutputConfig):
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = ExperimentConfig(scenario=cfg.scenario, seed=args.seed, output=cfg.output)
-    if args.out is not None:
-        cfg.output.dir = args.out
+    specs = cfg.scenario.filters
     if args.filters is not None:
         keep = set(args.filters.split(","))
-        kept = [s for s in cfg.scenario.filters if s.kind in keep]
-        unknown = keep - {s.kind for s in cfg.scenario.filters}
+        unknown = keep - {s.kind for s in specs}
         if unknown:
             raise ConfigurationError(f"--filters names not in config: {sorted(unknown)}")
-        cfg.scenario.filters = kept
+        specs = [s for s in specs if s.kind in keep]
     if args.ell is not None:
-        if not args.ell > 0.0:  # also rejects nan
+        if not args.ell > 0.0:  # also rejects nan, and with no gated filter configured
             raise ConfigurationError(f"--ell must be positive, got {args.ell}")
-        for s in cfg.scenario.filters:
-            if s.kind == "lsigma-ekf":
-                s.ell = args.ell
+        specs = [replace(s, ell=args.ell) if s.kind == "lsigma-ekf" else s for s in specs]
+    if specs is not cfg.scenario.filters:
+        cfg = replace(cfg, scenario=replace(cfg.scenario, filters=specs))
+    out = cfg.output if args.out is None else replace(cfg.output, dir=args.out)
+    cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed, output=out)
     trace, report = run_experiment(cfg)
     text = report.text()
     files = _write_outputs(trace, text, cfg.output)

@@ -186,8 +186,10 @@ def _bound_map_core(sat: np.ndarray, innov: np.ndarray, lam: np.ndarray, gam: np
 def _bound_step(sat: np.ndarray, innov: np.ndarray, lam, gam, name: str) -> np.ndarray:
     """_bound_map_core with its overflow check: raises NumericalFailure when
     the result is not finite (an innovation so large that its square
-    overflows), InputDomainError when the innovation itself is not."""
-    sat = _bound_map_core(sat, innov, lam, gam)
+    overflows), InputDomainError when the innovation itself is not; the
+    error alone, without a floating-point warning."""
+    with np.errstate(all="ignore"):
+        sat = _bound_map_core(sat, innov, lam, gam)
     if not _all_finite(sat):
         if not _all_finite(innov):
             raise InputDomainError(f"{name}: non-finite innovation")

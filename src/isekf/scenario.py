@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .filters import (NonlinearModel, _check_saturated, _is_psd, _Lanes, _matvec,
-                      _require_finite, _require_symmetric, _wrap_float, wrap_angle)
+from .filters import (NonlinearModel, _is_psd, _Lanes, _matvec, _require_finite,
+                      _require_symmetric, _wrap_float, wrap_angle)
 # The public FilterState steps over _filter_step; bench/tracer.py wraps
 # them under these names.
 from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
@@ -277,9 +277,9 @@ def _noise_factor(R: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(R) if np.any(R) else np.zeros_like(R)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterSpec:
-    """One filter to run: kind is "is-ekf", "ekf" or "lsigma-ekf"."""
+    """One filter to run: kind is "is-ekf" (dt-mode bound_params), "ekf" or "lsigma-ekf"."""
 
     kind: str
     P0: np.ndarray
@@ -292,18 +292,20 @@ class FilterSpec:
             raise ConfigurationError(f"unknown filter kind {self.kind!r}")
         if self.kind == "is-ekf" and self.bound_params is None:
             raise ConfigurationError("is-ekf requires bound parameters")
+        if self.kind == "is-ekf" and self.bound_params.mode != "dt":
+            raise ConfigurationError("simulate requires dt-mode parameters")
         if self.kind == "lsigma-ekf" and not self.ell > 0.0:
             raise ConfigurationError("lsigma-ekf requires ell > 0")
-        P0 = self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
+        object.__setattr__(self, "P0", np.atleast_2d(np.asarray(self.P0, dtype=float)))
         _require_finite(self, ("P0",))
         _require_symmetric(self, ("P0",))
-        if not _is_psd(P0, 1e-10)[1]:
+        if not _is_psd(self.P0, 1e-10)[1]:
             raise ConfigurationError("P0 must be positive semidefinite")
         if self.label is None:
-            self.label = self.kind
+            object.__setattr__(self, "label", self.kind)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything the simulation needs apart from the seed."""
 
@@ -335,12 +337,20 @@ class ScenarioConfig:
             std = np.asarray(std, dtype=float)
             if not (_all_finite(std) and np.all(std >= 0.0)):
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
-            setattr(self, name, std)
+            object.__setattr__(self, name, std)
         if self.schedule is None:
-            self.schedule = OutlierSchedule(segments=(), D=np.zeros((3, 2)))
+            object.__setattr__(self, "schedule", OutlierSchedule(segments=(), D=np.zeros((3, 2))))
         if self.schedule.D.ndim != 2 or len(self.schedule.D) != 3:
             raise ConfigurationError("D must have 3 rows, one per measurement channel, got "
                                      f"shape {self.schedule.D.shape}")
+        object.__setattr__(self, "filters", tuple(self.filters))
+        if len({spec.label for spec in self.filters}) != len(self.filters):
+            raise ConfigurationError("filter labels must be unique")
+        for spec in self.filters:
+            if spec.P0.shape != (3, 3):
+                raise ConfigurationError(f"filter {spec.label}: P0 must be 3x3")
+            if spec.kind == "is-ekf" and spec.bound_params.p != 3:
+                raise ConfigurationError("simulate: channel count mismatch")
 
     @property
     def Q(self) -> np.ndarray:
@@ -422,21 +432,12 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
     seeds = [check_seed(s) for s in seeds]
     if not seeds:
         raise ConfigurationError("seeds must not be empty")
-    labels = [spec.label for spec in cfg.filters]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError("filter labels must be unique")
 
     N, n_seeds = cfg.horizon, len(seeds)
     model = robot_model(cfg.T, cfg.Q_filter, cfg.R_filter)
     # lane j * n_seeds + i runs filter j on seed i
-    params = []
-    for spec in cfg.filters:
-        if spec.P0.shape != (model.n, model.n):
-            raise ConfigurationError(f"filter {spec.label}: P0 must be {model.n}x{model.n}")
-        if spec.kind == "is-ekf":
-            _check_saturated(model, spec.bound_params.initial_state(), spec.bound_params,
-                             "simulate")
-        params += [spec.bound_params if spec.kind == "is-ekf" else None] * n_seeds
+    params = [spec.bound_params if spec.kind == "is-ekf" else None
+              for spec in cfg.filters for _ in seeds]
 
     sched = cfg.schedule
     k_arr = np.arange(N + 1)
@@ -464,7 +465,7 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
         for lane, exc in lanes.step(y_lanes[:, k], u[k - 1]).items():
             failed_at[lane] = k
             log.warning("filter %s (seed %d) failed at step %d: %s",
-                        labels[lane // n_seeds], seeds[seed_of[lane]], k, exc)
+                        cfg.filters[lane // n_seeds].label, seeds[seed_of[lane]], k, exc)
         estimates[:, k] = lanes.x
         sqrt_sigma[:, k] = lanes.bound[lanes.sat_rows]
     lane_steps = N * len(params)
@@ -479,7 +480,7 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
             estimates={lbl: estimates[l] for lbl, l in lane.items()},
             sqrt_sigma={lbl: sqrt_sigma[slot[l]] for lbl, l in lane.items() if l in slot},
             failed_at={lbl: failed_at[l] for lbl, l in lane.items()},
-            step_seconds={lbl: per_step for lbl in labels},
+            step_seconds=dict.fromkeys(lane, per_step),
             schedule=sched, T=cfg.T,
         ))
     return traces

@@ -62,7 +62,7 @@ def sqrtm_psd(M: np.ndarray) -> np.ndarray:
     return V @ np.diag(np.sqrt(w)) @ V.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
     """Linear observer plant x' = A x, y = C x + D d.
 
@@ -79,7 +79,8 @@ class LinearSystem:
 
     def __post_init__(self):
         for name in ("A", "C", "Q", "R", "D"):
-            setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, M)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ConfigurationError("A must be square")
@@ -151,22 +152,55 @@ def _stationary(P: np.ndarray, step_norm: float) -> bool:
     return math.isfinite(scale) and step_norm <= 1e-12 * scale
 
 
-# Degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which the
-# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
-# Appl. 2005)
+# Degree-13 Pade coefficients b_0 .. b_13 (Higham, SIAM J. Matrix Anal.
+# Appl. 2005); the bound on eta_5 = min(max(d_6, d_8), max(d_8, d_10)),
+# d_k = ||M^k||_1^(1/k), up to which the approximant is accurate to double
+# precision, and 1 / |c_27|, c_27 the leading coefficient of its
+# backward-error series (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_PADE13_THETA = 5.371920351148152
+_PADE13_THETA = 4.25
+_PADE13_C27_RECIP = 1.1325077560602111e35
+
+
+def _pade13_squarings(M: np.ndarray) -> int:
+    """The number of squarings s of _expm (Al-Mohy and Higham 2009): from
+    eta_5, not ||M||_1, which is far larger on a nearly nilpotent M and
+    would cost accuracy in each extra squaring; then s grows by the
+    backward-error term of |M / 2^s|^27 (formed as ((B^3)^3)^3).  Powers
+    that overflow are bounded by ||M||_1^k in exact arithmetic, which
+    stands in for them."""
+    abs_m = np.abs(M)
+    norm = float(abs_m.sum(axis=0).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        M2 = M @ M
+        M4 = M2 @ M2
+        M8 = M4 @ M4
+        norms = np.abs(np.stack((M4 @ M2, M8, M8 @ M2))).sum(axis=1).max(axis=1).tolist()
+        # min(norm, d) is norm for a d that overflowed to inf or nan
+        d6, d8, d10 = (min(norm, d ** (1.0 / k)) for d, k in zip(norms, (6, 8, 10)))
+        eta = min(max(d6, d8), max(d8, d10))
+        s = max(0, math.ceil(math.log2(eta / _PADE13_THETA))) if eta > 0.0 else 0
+        B = abs_m / 2.0**s
+        B3 = B @ B @ B
+        B9 = B3 @ B3 @ B3
+        norm27 = float((B9 @ B9 @ B9).sum(axis=0).max())
+    if norm27 == 0.0:
+        return s
+    norm_b = norm / 2.0**s
+    log_norm27 = math.log2(norm27) if math.isfinite(norm27) else 27.0 * math.log2(norm_b)
+    # ell = ceil(log2(alpha / u) / 26), u = 2^-53, alpha = |c_27| ||B^27||_1 / ||B||_1
+    ell = math.ceil((log_norm27 - math.log2(norm_b * _PADE13_C27_RECIP) + 53.0) / 26.0)
+    return s + max(0, ell)
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with the [13/13] Pade
-    approximant: M / 2^s has 1-norm at most theta_13, one solve
+    approximant: M / 2^s with s from _pade13_squarings, one solve
     (V - U) R = V + U gives the approximant, and s squarings undo the
     scaling."""
-    norm = np.linalg.norm(M, 1)
-    s = max(0, math.ceil(math.log2(norm / _PADE13_THETA))) if norm > 0.0 else 0
+    s = _pade13_squarings(M)
     A = M / 2.0**s
     b = _PADE13
     ident = np.eye(M.shape[0])
@@ -357,7 +391,7 @@ def dare_residual(sys: LinearSystem, P: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Certificate matrices
 
-@dataclass
+@dataclass(frozen=True)
 class CertificateCandidate:
     """Free parameters of a certificate attempt: W (diagonal PD), U (PD),
     alpha > 0, Gamma2 (diagonal PD, must match the running bound gains),
@@ -370,10 +404,9 @@ class CertificateCandidate:
     P0: np.ndarray
 
     def __post_init__(self):
-        self.W = np.atleast_2d(np.asarray(self.W, dtype=float))
-        self.U = np.atleast_2d(np.asarray(self.U, dtype=float))
-        self.Gamma2 = np.atleast_2d(np.asarray(self.Gamma2, dtype=float))
-        self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
+        for name in ("W", "U", "Gamma2", "P0"):
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, M)
         _require_finite(self, ("W", "U", "Gamma2", "P0"))
         _require_symmetric(self, ("U", "P0"))
         for name, M in (("W", self.W), ("Gamma2", self.Gamma2)):
@@ -763,8 +796,8 @@ def _covariance_pass(sys: LinearSystem, P0: np.ndarray, dt: Optional[float],
     """The covariance recursion of a bound check from P0 over steps steps
     (dt None in discrete mode): in discrete time the Riccati recursion
     until it is stationary (the test solve_dare stops on), in continuous
-    time RK4 on P.  Memoized by value, since the system and candidate are
-    mutable: the key holds the arrays' bytes."""
+    time RK4 on P.  Memoized by value, since arrays of the frozen system and
+    candidate can still be edited in place: the key holds their bytes."""
     mats = tuple((M.dtype.str, M.shape, M.tobytes())
                  for M in map(np.asarray, (sys.A, sys.C, sys.Q, sys.R, P0)))
     return _covariance_pass_of(sys.mode, dt, steps, mats)

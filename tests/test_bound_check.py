@@ -370,10 +370,11 @@ def _failing_covariance(mode, observer):
     _, cand, cert = observer
     cand = dataclasses.replace(cand)
     if mode == "discrete":
-        # P0 < 0, set past the candidate's own check: S = P + R turns
+        # a failing recursion needs P0 < 0, which the candidate's constructor
+        # rejects, so it is written past the frozen field: S = P + R turns
         # negative at step 4
         sys = LinearSystem(A=[[1.0]], C=[[1.0]], Q=[[0.1]], R=[[1.0]], D=[[1.0]], mode=mode)
-        cand.P0 = np.array([[-0.3]])
+        object.__setattr__(cand, "P0", np.array([[-0.3]]))
         return sys, cand, cert, dict(horizon=50, e0=np.zeros(1))
     # no output and a fast unstable mode: P grows until it overflows
     sys = LinearSystem(A=[[1e4]], C=[[0.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]], mode=mode)
@@ -452,8 +453,8 @@ def test_a_second_draw_on_the_same_observer_reuses_the_covariance_pass(ct_observ
 
 
 def test_an_edited_system_or_start_gets_a_fresh_covariance_pass():
-    # LinearSystem and CertificateCandidate are mutable: the memo is keyed
-    # by the values of their arrays, not by the objects
+    # the arrays of the frozen LinearSystem and CertificateCandidate can be
+    # edited in place: the memo is keyed by their values, not by the objects
     sys, cand, cert = _ct_observer()
     _covariance_pass_of.cache_clear()
     before = _draw(sys, cand, cert, 1)
@@ -462,11 +463,11 @@ def test_an_edited_system_or_start_gets_a_fresh_covariance_pass():
     assert _covariance_pass_of.cache_info().misses == 2
     assert edited != before
     assert edited == _draw(sys, cand, cert, 1, _oracle_check)
-    cand.P0 = np.array([[0.02]])
+    cand = dataclasses.replace(cand, P0=np.array([[0.02]]))
     _draw(sys, cand, cert, 1)
     assert _covariance_pass_of.cache_info().misses == 3
     sys.A[0, 0] = -1.0
-    cand.P0 = np.array([[0.01]])
+    cand = dataclasses.replace(cand, P0=np.array([[0.01]]))
     assert _draw(sys, cand, cert, 1) == before
     assert _covariance_pass_of.cache_info().misses == 3
 

@@ -31,6 +31,7 @@ from isekf.scenario import (
     OutlierSchedule,
     OutlierSegment,
     paper_schedule,
+    robot_model,
     simulate,
     simulate_seeds,
 )
@@ -531,6 +532,65 @@ def test_cli_run_rejects_an_ell_that_is_not_positive(tmp_path, capsys, ell):
     assert not out.exists()
 
 
+def test_cli_run_rejects_a_bad_ell_without_a_gated_filter(tmp_path, capsys):
+    out = tmp_path / "plain"
+    code = cli_main(["run", PAPER_CFG, "--out", str(out), "--filters", "ekf", "--ell", "0"])
+    assert code == 1
+    assert "--ell must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_filters_not_in_the_config(tmp_path, capsys):
+    out = tmp_path / "unknown"
+    assert cli_main(["run", PAPER_CFG, "--out", str(out), "--filters", "ekf,ukf"]) == 1
+    assert "--filters names not in config: ['ukf']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_builds_its_overrides_as_new_objects(tmp_path, monkeypatch):
+    parsed = parse_config(PAPER_CFG)
+    filters = parsed.scenario.filters
+    seen = []
+    monkeypatch.setattr(harness, "parse_config", lambda path: parsed)
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda cfg: seen.append(cfg) or run_experiment(cfg))
+    out = str(tmp_path / "over")
+    assert cli_main(["run", PAPER_CFG, "--seed", "5", "--out", out]) == 0
+    assert cli_main(["run", PAPER_CFG, "--filters", "ekf,lsigma-ekf", "--ell", "2.5",
+                     "--out", out]) == 0
+    plain, gated = seen
+    # --seed and --out alone leave the scenario as parsed
+    assert (plain.seed, plain.output.dir, gated.seed) == (5, out, 1)
+    assert plain.scenario is parsed.scenario
+    assert [(s.label, s.ell) for s in gated.scenario.filters] == [
+        ("ekf", 3.0), ("lsigma-ekf", 2.5)]
+    assert gated.scenario.filters[0] is filters[1]
+    # the parsed objects are unchanged
+    assert parsed.output.dir == "out" and parsed.scenario.filters is filters
+    assert [s.ell for s in filters] == [3.0, 3.0, 3.0]
+
+
+def _checked_objects():
+    """One instance of each frozen class whose constructor checks its fields."""
+    cfg = parse_config(PAPER_CFG)
+    return [cfg, cfg.output, cfg.scenario, cfg.scenario.filters[0],
+            robot_model(cfg.scenario.T, cfg.scenario.Q, cfg.scenario.R),
+            stability.LinearSystem(A=[[-1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]],
+                                   mode="continuous"),
+            stability.CertificateCandidate(W=[[1.0]], U=[[1.0]], alpha=0.1, Gamma2=[[1.0]],
+                                           P0=[[0.01]])]
+
+
+@pytest.mark.parametrize("cls", ["ExperimentConfig", "OutputConfig", "ScenarioConfig",
+                                 "FilterSpec", "NonlinearModel", "LinearSystem",
+                                 "CertificateCandidate"])
+def test_every_field_of_a_checked_object_is_read_only(cls):
+    (obj,) = [obj for obj in _checked_objects() if type(obj).__name__ == cls]
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+
+
 def test_cli_certify(capsys):
     code = cli_main(["certify", LINEAR_CFG])
     assert code == 0
@@ -855,7 +915,8 @@ def test_export_matches_the_per_element_oracle_on_paper_cfg(paper_traces, seed, 
 def test_export_matches_the_per_element_oracle_with_ekf_only(tmp_path, monkeypatch):
     # no saturated filter: no _sig_ columns
     scenario = parse_config(PAPER_CFG).scenario
-    scenario.filters = [s for s in scenario.filters if s.kind == "ekf"]
+    scenario = dataclasses.replace(scenario,
+                                   filters=[s for s in scenario.filters if s.kind == "ekf"])
     trace = simulate(scenario, 2)
     assert "ekf" in trace.estimates and not trace.sqrt_sigma
     assert_export_matches_oracle(trace, tmp_path, monkeypatch)

@@ -130,3 +130,44 @@ def test_the_bound_map_is_written_once():
     found = {p.name: _bound_map_offenders(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# a dataclass whose __post_init__ checks its fields is frozen, so a checked
+# object changes only by being built again (dataclasses.replace), which runs
+# the checks again
+def _is_dataclass(decorator) -> bool:
+    fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == "dataclass"
+
+
+def _is_frozen(decorator) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords)
+
+
+def _unfrozen_checked_classes(text: str):
+    """Name of each class of a module's text that is a dataclass, defines
+    __post_init__ and is not declared frozen=True."""
+    return [node.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                    for f in node.body)
+            and any(_is_dataclass(d) and not _is_frozen(d) for d in node.decorator_list)]
+
+
+def test_the_frozen_dataclass_scan_sees_each_spelling():
+    body = "class C:\n    x: int = 0\n\n    def __post_init__(self):\n        pass\n"
+    for head in ("@dataclass\n", "@dataclass()\n", "@dataclass(frozen=False)\n",
+                 "@dataclasses.dataclass(eq=False)\n", "@dataclasses.dataclass\n"):
+        assert _unfrozen_checked_classes(head + body) == ["C"], head
+    for text in ("@dataclass(frozen=True)\n" + body,
+                 "@dataclasses.dataclass(eq=False, frozen=True)\n" + body,
+                 "@dataclass\nclass C:\n    x: int = 0\n", body):
+        assert _unfrozen_checked_classes(text) == [], text
+
+
+def test_every_checked_dataclass_of_the_package_is_frozen():
+    found = {p.name: _unfrozen_checked_classes(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -132,7 +132,7 @@ def test_bound_map_overflow_is_a_numerical_failure(bound_map, mode):
     p = BoundParams(lambda1=[lam], lambda2=[lam], gamma1=[1.0], gamma2=[9.0],
                     sigma0=[1.0], epsilon0=[1.0], mode=mode)
     # finite innovation whose square overflows
-    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="overflow"):
+    with pytest.raises(NumericalFailure, match="overflow"):
         bound_map(p.initial_state(), np.array([1e200]), p)
     with pytest.raises(InputDomainError, match="non-finite innovation"):
         bound_map(p.initial_state(), np.array([np.nan]), p)
@@ -161,8 +161,7 @@ def _pair(out):
 
 def test_the_bound_step_names_an_overflow():
     p = dt_params()
-    with np.errstate(over="ignore"), pytest.raises(
-            NumericalFailure, match="^bound_step_dt: bound map overflowed$") as info:
+    with pytest.raises(NumericalFailure, match="^bound_step_dt: bound map overflowed$") as info:
         _bound_step(np.concatenate((p.sigma0, p.epsilon0)), np.array([1e200]), p.lam, p.gam,
                     "bound_step_dt")
     assert info.value.context.tolist() == [1e200]

@@ -189,9 +189,9 @@ def test_ekf_fails_where_saturated_filter_holds():
 
 def test_duplicate_filter_labels_rejected():
     P0 = robot_filter_p0()
-    cfg = benchmark_config(filters=[FilterSpec("ekf", P0=P0, label="same"),
-                                    FilterSpec("lsigma-ekf", P0=P0, label="same")])
     with pytest.raises(ConfigurationError):
+        cfg = benchmark_config(filters=[FilterSpec("ekf", P0=P0, label="same"),
+                                        FilterSpec("lsigma-ekf", P0=P0, label="same")])
         simulate(cfg, 1)
 
 
@@ -507,6 +507,40 @@ def test_an_input_profile_that_is_not_an_input_profile_is_rejected():
         benchmark_config(horizon=5, input_profile=lambda k: InputProfile()(k))
 
 
+def test_an_input_profile_assigned_after_the_checks_is_refused():
+    # the parsed config is frozen: a value that skipped the constructor
+    # used to fail deep in simulate with an AttributeError
+    cfg = parse_config(PAPER_CFG).scenario
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.input_profile = lambda k: None
+
+
+def _two_channel_params():
+    return BoundParams(mode="dt", **{name: value[:2] for name, value in DEFAULT_BOUND.items()})
+
+
+def _ct_params():
+    return BoundParams(mode="ct", lambda1=-0.5, lambda2=-0.1, gamma1=1.0, gamma2=9.0,
+                       sigma0=1.0, epsilon0=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda P0: benchmark_config(filters=[FilterSpec("ekf", P0=P0, label="same"),
+                                          FilterSpec("lsigma-ekf", P0=P0, label="same")]),
+     "filter labels must be unique"),
+    (lambda P0: benchmark_config(filters=[FilterSpec("ekf", P0=np.eye(2))]),
+     "filter ekf: P0 must be 3x3"),
+    (lambda P0: FilterSpec("is-ekf", P0=P0, bound_params=_ct_params()),
+     "simulate requires dt-mode parameters"),
+    (lambda P0: benchmark_config(filters=[FilterSpec("is-ekf", P0=P0,
+                                                     bound_params=_two_channel_params())]),
+     "simulate: channel count mismatch"),
+], ids=["duplicate-labels", "2x2-P0", "ct-mode", "2-channels"])
+def test_a_scenario_is_checked_once_when_it_is_built(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        build(robot_filter_p0())
+
+
 @pytest.mark.parametrize("seeds", [[], [-1], [1, 2.0], [True]],
                          ids=["empty", "negative", "float", "bool"])
 def test_simulate_seeds_rejects_bad_seeds(seeds):
@@ -515,6 +549,6 @@ def test_simulate_seeds_rejects_bad_seeds(seeds):
 
 
 def test_simulate_rejects_a_p0_of_the_wrong_size():
-    cfg = benchmark_config(horizon=5, filters=[FilterSpec("ekf", P0=np.eye(2))])
     with pytest.raises(ConfigurationError, match="P0 must be 3x3"):
+        cfg = benchmark_config(horizon=5, filters=[FilterSpec("ekf", P0=np.eye(2))])
         simulate(cfg, 1)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,24 @@ def dt_cert_setup():
 def test_care_scalar():
     P = solve_care(scalar_sys(0.0, 1.0, 1.0, 1.0, mode="continuous"))
     assert P[0, 0] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_the_flow_samples_follow_the_closed_form_where_the_norm_overstates_the_scaling():
+    # a slow scalar flow: dP/dt = q + 2 a P - s P^2 (s = c^2 / r) from P = 0
+    # is q tanh(beta t) / (beta - a tanh(beta t)), beta = sqrt(a^2 + q s).
+    # Its Hamiltonian h M is nearly nilpotent at the long steps, where an s
+    # chosen from ||h M||_1 alone (theta_13 = 5.37, Higham 2005) would be 14
+    a = c = 1e-6
+    ct_sys = scalar_sys(a, c, 1.0, 1.0, mode="continuous")
+    with mock.patch.object(stability, "_expm", wraps=stability._expm) as spy:
+        _, samples = _care_flow(ct_sys, np.zeros((1, 1)))
+    norm_based = max(math.ceil(math.log2(np.linalg.norm(hM, 1) / 5.371920351148152))
+                     for (hM,), _ in spy.call_args_list)
+    assert norm_based >= 10
+    beta = math.hypot(a, c)
+    for t, P in samples[1:]:
+        th = math.tanh(beta * t)
+        assert P[0, 0] == pytest.approx(th / (beta - a * th), rel=1e-12), t
 
 
 def test_care_zero_q_stable():
