@@ -9,7 +9,8 @@ prints one line per artifact:
 - the sha256 of trace.csv of `isekf run` at those seeds on paper.cfg with
   delta_amp 40, written to a temporary file: a heading that turns up to
   4 rad a step and wraps at +-pi, which paper.cfg's never does;
-- the stdout of `isekf sweep paper.cfg --seeds 20` and of
+- the stdout of `isekf sweep paper.cfg --seeds 20` (one batch), of
+  `isekf sweep paper.cfg --seeds 70` (two batches, 64 + 6 seeds) and of
   `isekf certify linear.cfg`, line by line;
 - max_ratio, samples and final_error_norm (floats in hex) of draws 0-2 of
   the bench's bound-dt and bound-ct workloads at seed 1;
@@ -132,8 +133,13 @@ def _stdout_lines(argv, label: str) -> list[str]:
     return [f"{label} | {line}" for line in _cli_stdout(argv).splitlines()]
 
 
+SWEEP_SEEDS = (20, 70)
+
+
 def sweep_lines() -> list[str]:
-    return _stdout_lines(["sweep", PAPER_CFG, "--seeds", "20"], "sweep paper.cfg --seeds 20")
+    return [line for seeds in SWEEP_SEEDS
+            for line in _stdout_lines(["sweep", PAPER_CFG, "--seeds", str(seeds)],
+                                      f"sweep paper.cfg --seeds {seeds}")]
 
 
 def certify_lines() -> list[str]:

@@ -64,6 +64,7 @@ from .scenario import (
     paper_schedule,
     simulate,
     simulate_seeds,
+    wrapped_error,
 )
 from .svgplot import LineChart
 
@@ -278,20 +279,70 @@ def parse_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Metrics
 
-def rmse(trace: SimulationTrace, label: str, window=None) -> np.ndarray:
-    """Per-state RMSE of a filter over a step window.
+@dataclass
+class SeedScores:
+    """Scores of one filter over a batch of seeds; row i is seed i."""
 
-    window is None (full horizon) or a (lo, hi] pair of step indices.
-    Heading errors are wrapped before squaring."""
+    rmse_full: np.ndarray       # (S, 3)
+    rmse_windows: dict          # (k_lo, k_hi) -> (S, 3), windows with a step in 0..N
+    max_abs: np.ndarray         # (S, 3)
+    diverged: np.ndarray        # (S,) bool
+
+
+def score_seeds(estimates: np.ndarray, truth: np.ndarray, failed_at: Sequence,
+                windows: Sequence = ()) -> SeedScores:
+    """Per-seed scores of one filter over a batch of S seeds: per-state
+    RMSE over the full horizon and over each (k_lo, k_hi] window, max
+    |err|, and divergence (failed_at[i] is not None, or a position error
+    above DIVERGENCE_THRESHOLD).
+
+    estimates and truth are stacked steps first, (N+1, S, 3), column i
+    holding seed i.  The error is wrapped once, before squaring.  A window
+    keeps only its steps in 0..N and is left out when it has none.  Each
+    mean adds over the outermost axis of a C-contiguous stack, in step
+    order, as the mean of one seed's (N+1, 3) rows does: row i of every
+    score has the bits of seed i scored alone, and each add covers all
+    seeds at once."""
+    err = wrapped_error(estimates, truth)
+    sq = err**2
+    N = err.shape[0] - 1
+
+    def window_rmse(lo, hi):
+        first, last = max(lo + 1, 0), min(hi, N)
+        return np.sqrt(sq[first:last + 1].mean(axis=0)) if first <= last else None
+
+    rmse_windows = {}
+    for lo, hi in windows:
+        value = window_rmse(lo, hi)
+        if value is not None:
+            rmse_windows[(lo, hi)] = value
+    failed = np.array([step is not None for step in failed_at])
+    return SeedScores(
+        rmse_full=window_rmse(-1, N),
+        rmse_windows=rmse_windows,
+        max_abs=np.abs(err).max(axis=0),
+        diverged=failed | (np.hypot(err[..., 0], err[..., 1]).max(axis=0) > DIVERGENCE_THRESHOLD),
+    )
+
+
+def rmse(trace: SimulationTrace, label: str, window=None) -> np.ndarray:
+    """Per-state RMSE of a filter over a step window: score_seeds on the
+    one trace.
+
+    window is None (full horizon) or a (lo, hi] pair of step indices; the
+    steps outside 0..horizon are left out, and a window with none of them
+    is an UndefinedMetricError.  Heading errors are wrapped before
+    squaring."""
     if label not in trace.estimates:
         raise UndefinedMetricError(f"filter {label!r} not present in trace")
-    lo, hi = (-1, len(trace.k) - 1) if window is None else window
-    idx = np.arange(lo + 1, hi + 1)
-    idx = idx[(idx >= 0) & (idx < len(trace.k))]
-    if idx.size == 0:
+    windows = () if window is None else (tuple(window),)
+    scores = score_seeds(trace.estimates[label][:, None], trace.truth[:, None],
+                         [trace.failed_at[label]], windows)
+    if window is None:
+        return scores.rmse_full[0]
+    if windows[0] not in scores.rmse_windows:
         raise UndefinedMetricError(f"empty metric window for {label!r}")
-    err = trace.error(label)[idx]
-    return np.sqrt((err**2).mean(axis=0))
+    return scores.rmse_windows[windows[0]][0]
 
 
 @dataclass
@@ -330,24 +381,19 @@ def run_experiment(cfg: ExperimentConfig):
 
 def metrics_report(trace: SimulationTrace) -> MetricsReport:
     """Per-filter RMSE (full horizon and per outlier window), max errors,
-    divergence and wall clock of one simulated trace."""
+    divergence and wall clock of one simulated trace: score_seeds on a
+    batch of one seed.  The windows are the schedule's that start before
+    the horizon; one with no step in 0..horizon has no RMSE line."""
     windows = [w for w in trace.schedule.active_ranges() if w[0] < trace.horizon]
     per_filter = {}
     for label in trace.labels():
-        err = trace.error(label)
-        pos_err = np.hypot(err[:, 0], err[:, 1])
-        win_rmse = {}
-        for lo, hi in windows:
-            try:
-                win_rmse[(lo, hi)] = rmse(trace, label, (lo, hi))
-            except UndefinedMetricError:
-                continue
+        scores = score_seeds(trace.estimates[label][:, None], trace.truth[:, None],
+                             [trace.failed_at[label]], windows)
         per_filter[label] = FilterMetrics(
-            rmse_full=rmse(trace, label),
-            rmse_windows=win_rmse,
-            max_abs=np.abs(err).max(axis=0),
-            diverged=bool(trace.failed_at[label] is not None
-                          or pos_err.max() > DIVERGENCE_THRESHOLD),
+            rmse_full=scores.rmse_full[0],
+            rmse_windows={w: v[0] for w, v in scores.rmse_windows.items()},
+            max_abs=scores.max_abs[0],
+            diverged=bool(scores.diverged[0]),
             failed_at=trace.failed_at[label],
             step_seconds=trace.step_seconds[label],
         )
@@ -504,23 +550,27 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if args.seeds < 1:
         raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
-    agg = {}
+    agg = {spec.label: [] for spec in cfg.scenario.filters}
     for first in range(1, args.seeds + 1, SWEEP_BATCH):
         seeds = range(first, min(first + SWEEP_BATCH, args.seeds + 1))
-        for seed, trace in zip(seeds, simulate_seeds(cfg.scenario, seeds)):
-            if args.out is not None:
+        traces = simulate_seeds(cfg.scenario, seeds)
+        if args.out is not None:
+            for seed, trace in zip(seeds, traces):
                 outdir = os.path.join(args.out, f"seed{seed}")
                 os.makedirs(outdir, exist_ok=True)
                 export_csv(trace, os.path.join(outdir, cfg.output.csv))
-            for label, fm in metrics_report(trace).per_filter.items():
-                agg.setdefault(label, []).append((fm.rmse_full, fm.diverged))
+        truth = np.stack([trace.truth for trace in traces], axis=1)
+        for label, batches in agg.items():
+            estimates = np.stack([trace.estimates[label] for trace in traces], axis=1)
+            batches.append(score_seeds(estimates, truth,
+                                       [trace.failed_at[label] for trace in traces]))
     print(f"aggregate over seeds 1..{args.seeds}:")
-    for label, rows in agg.items():
-        stack = np.stack([r[0] for r in rows])
-        n_div = sum(1 for r in rows if r[1])
+    for label, batches in agg.items():
+        stack = np.concatenate([b.rmse_full for b in batches])
+        n_div = sum(int(np.count_nonzero(b.diverged)) for b in batches)
         print(f"  {label:12s} rmse mean=" + np.array2string(stack.mean(axis=0), precision=6)
               + " max=" + np.array2string(stack.max(axis=0), precision=6)
-              + f" divergent={n_div}/{len(rows)}")
+              + f" divergent={n_div}/{len(stack)}")
     return 0
 
 

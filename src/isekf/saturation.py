@@ -32,6 +32,15 @@ def _all_finite(a) -> bool:
     return np.count_nonzero(ok) == ok.size
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy of a, for the array fields of a frozen
+    config: an in-place edit of the field raises ValueError, and the
+    caller's own array stays writable."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _as_channel_vector(value, p: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
@@ -77,7 +86,8 @@ class BoundParams:
     mode "dt": 0 < lambda1, lambda2 < 1.  mode "ct": lambda1, lambda2 < 0.
     gamma1, gamma2 > 0 in both modes.  sigma0, epsilon0 > 0 seed the state.
     Every entry is finite.  lam = [lambda1; lambda2] and gam = [gamma1;
-    gamma2] are the stacked coefficients that _bound_map_core reads.
+    gamma2] are the stacked coefficients that _bound_map_core reads.  All
+    eight arrays are read-only copies of the values passed.
     """
 
     lambda1: np.ndarray
@@ -96,7 +106,7 @@ class BoundParams:
             vec = _as_channel_vector(getattr(self, name), p, name)
             if not _all_finite(vec):
                 raise InputDomainError(f"{name} must be finite, got {vec.tolist()}")
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _read_only(vec))
         if self.mode == "dt":
             if not (np.all(self.lambda1 > 0.0) and np.all(self.lambda1 < 1.0)):
                 raise InputDomainError("dt mode requires 0 < lambda1 < 1 per channel")
@@ -109,8 +119,8 @@ class BoundParams:
             raise InputDomainError("gamma1 and gamma2 must be strictly positive")
         if not (np.all(self.sigma0 > 0.0) and np.all(self.epsilon0 > 0.0)):
             raise InputDomainError("sigma0 and epsilon0 must be strictly positive")
-        object.__setattr__(self, "lam", np.concatenate((self.lambda1, self.lambda2)))
-        object.__setattr__(self, "gam", np.concatenate((self.gamma1, self.gamma2)))
+        object.__setattr__(self, "lam", _read_only(np.concatenate((self.lambda1, self.lambda2))))
+        object.__setattr__(self, "gam", _read_only(np.concatenate((self.gamma1, self.gamma2))))
 
     @property
     def p(self) -> int:

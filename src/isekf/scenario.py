@@ -25,7 +25,7 @@ from .filters import (NonlinearModel, _is_psd, _Lanes, _matvec, _require_finite,
 # The public FilterState steps over _filter_step; bench/tracer.py wraps
 # them under these names.
 from .filters import dt_isekf_step, ekf_step, sigma_gate_step  # noqa: F401
-from .saturation import BoundParams, _all_finite
+from .saturation import BoundParams, _all_finite, _read_only
 
 log = logging.getLogger("isekf")
 
@@ -138,6 +138,7 @@ class OutlierSegment:
 
     kind "constant" applies `value` verbatim; kind "uniform" draws a
     fresh componentwise-uniform vector each step and applies scale @ zeta.
+    value and scale are stored as read-only copies.
     """
 
     k_lo: int
@@ -154,13 +155,13 @@ class OutlierSegment:
         if self.kind == "constant":
             if self.value is None:
                 raise ConfigurationError("constant segment requires a value")
-            object.__setattr__(self, "value", np.atleast_1d(np.asarray(self.value, dtype=float)))
+            object.__setattr__(self, "value", _read_only(np.atleast_1d(self.value)))
             if not _all_finite(self.value):
                 raise ConfigurationError("value must be finite")
         else:
             if self.scale is None:
                 raise ConfigurationError("uniform segment requires a scale matrix")
-            object.__setattr__(self, "scale", np.atleast_2d(np.asarray(self.scale, dtype=float)))
+            object.__setattr__(self, "scale", _read_only(np.atleast_2d(self.scale)))
             if not _all_finite(self.scale):
                 raise ConfigurationError("scale must be finite")
 
@@ -170,15 +171,16 @@ class OutlierSegment:
 
 @dataclass(frozen=True)
 class OutlierSchedule:
-    """Non-overlapping stages plus the channel-routing matrix D (p x m).
-    Outside every stage the disturbance is zero."""
+    """Non-overlapping stages plus the channel-routing matrix D (p x m),
+    stored as a read-only copy.  Outside every stage the disturbance is
+    zero."""
 
     segments: Sequence[OutlierSegment]
     D: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "D", np.atleast_2d(np.asarray(self.D, dtype=float)))
+        object.__setattr__(self, "D", _read_only(np.atleast_2d(self.D)))
         if not _all_finite(self.D):
             raise ConfigurationError("D must be finite")
         m = self.m
@@ -279,7 +281,8 @@ def _noise_factor(R: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One filter to run: kind is "is-ekf" (dt-mode bound_params), "ekf" or "lsigma-ekf"."""
+    """One filter to run: kind is "is-ekf" (dt-mode bound_params), "ekf" or "lsigma-ekf".
+    P0 is stored as a read-only copy."""
 
     kind: str
     P0: np.ndarray
@@ -293,10 +296,11 @@ class FilterSpec:
         if self.kind == "is-ekf" and self.bound_params is None:
             raise ConfigurationError("is-ekf requires bound parameters")
         if self.kind == "is-ekf" and self.bound_params.mode != "dt":
-            raise ConfigurationError("simulate requires dt-mode parameters")
+            raise ConfigurationError("FilterSpec.bound_params: is-ekf needs dt-mode parameters, "
+                                     f"got mode {self.bound_params.mode!r}")
         if self.kind == "lsigma-ekf" and not self.ell > 0.0:
             raise ConfigurationError("lsigma-ekf requires ell > 0")
-        object.__setattr__(self, "P0", np.atleast_2d(np.asarray(self.P0, dtype=float)))
+        object.__setattr__(self, "P0", _read_only(np.atleast_2d(self.P0)))
         _require_finite(self, ("P0",))
         _require_symmetric(self, ("P0",))
         if not _is_psd(self.P0, 1e-10)[1]:
@@ -307,7 +311,8 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything the simulation needs apart from the seed."""
+    """Everything the simulation needs apart from the seed.  The std
+    vectors are stored as read-only copies."""
 
     horizon: int = 700
     T: float = 0.1
@@ -334,7 +339,7 @@ class ScenarioConfig:
             std = getattr(self, name)
             if std is None:
                 continue
-            std = np.asarray(std, dtype=float)
+            std = _read_only(std)
             if not (_all_finite(std) and np.all(std >= 0.0)):
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, std)
@@ -350,7 +355,9 @@ class ScenarioConfig:
             if spec.P0.shape != (3, 3):
                 raise ConfigurationError(f"filter {spec.label}: P0 must be 3x3")
             if spec.kind == "is-ekf" and spec.bound_params.p != 3:
-                raise ConfigurationError("simulate: channel count mismatch")
+                raise ConfigurationError(
+                    f"ScenarioConfig.filters: {spec.label} bound_params has "
+                    f"{spec.bound_params.p} channels, the measurement has 3")
 
     @property
     def Q(self) -> np.ndarray:
@@ -397,9 +404,16 @@ class SimulationTrace:
 
     def error(self, label: str) -> np.ndarray:
         """Estimate-minus-truth per step, heading component wrapped."""
-        err = self.estimates[label] - self.truth
-        err[:, 2] = wrap_angle(err[:, 2])
-        return err
+        return wrapped_error(self.estimates[label], self.truth)
+
+
+def wrapped_error(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """estimates - truth with the heading (channel 2 of the last axis)
+    wrapped to (-pi, pi]: the rows of one trace, (N+1, 3), or any stack of
+    such rows."""
+    err = estimates - truth
+    err[..., 2] = wrap_angle(err[..., 2])
+    return err
 
 
 def check_seed(seed) -> int:

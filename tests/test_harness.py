@@ -361,6 +361,73 @@ def test_metrics_window_combination():
         np.testing.assert_allclose(combined, full, rtol=1e-12, atol=1e-15)
 
 
+# windows that start before step 0, end past the horizon, or lie wholly
+# past it or before step 0, besides the paper's four
+SCORED_WINDOWS = [(150, 200), (350, 400), (450, 500), (550, 600),
+                  (-20, 30), (140, 900), (800, 900), (-50, -10)]
+
+
+def _oracle_error(est, truth):
+    err = est - truth
+    err[:, 2] = np.pi - np.mod(np.pi - err[:, 2], 2.0 * np.pi)
+    return err
+
+
+def _oracle_rmse(err, lo, hi):
+    """The per-trace window RMSE that score_seeds replaced; None for a
+    window with no step in the trace."""
+    idx = np.arange(lo + 1, hi + 1)
+    idx = idx[(idx >= 0) & (idx < len(err))]
+    return np.sqrt((err[idx]**2).mean(axis=0)) if idx.size else None
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("horizon", [700, 520, 160])
+def test_score_seeds_rows_equal_the_per_trace_scores_bit_for_bit(horizon):
+    seeds = [1, 7, 1001, 3, 4]
+    traces = simulate_seeds(benchmark_config(horizon=horizon), seeds)
+    truth = np.stack([tr.truth for tr in traces], axis=1)
+    for label in traces[0].labels():
+        scores = harness.score_seeds(np.stack([tr.estimates[label] for tr in traces], axis=1),
+                                     truth, [tr.failed_at[label] for tr in traces],
+                                     SCORED_WINDOWS)
+        for i, tr in enumerate(traces):
+            where = f"{label} seed {seeds[i]}"
+            err = _oracle_error(tr.estimates[label], tr.truth)
+            fm = harness.metrics_report(tr).per_filter[label]
+            full = _oracle_rmse(err, -1, horizon)
+            assert _bits(scores.rmse_full[i]) == _bits(fm.rmse_full) == _bits(full), where
+            assert _bits(rmse(tr, label)) == _bits(full), where
+            for w in SCORED_WINDOWS:
+                want = _oracle_rmse(err, *w)
+                if want is None:
+                    assert w not in scores.rmse_windows, (where, w)
+                    with pytest.raises(UndefinedMetricError):
+                        rmse(tr, label, w)
+                else:
+                    assert _bits(scores.rmse_windows[w][i]) == _bits(want), (where, w)
+                    assert _bits(rmse(tr, label, w)) == _bits(want), (where, w)
+            # the report scores the schedule's windows that start before the horizon
+            assert list(fm.rmse_windows) == [w for w in SCORED_WINDOWS[:4] if w[0] < horizon]
+            for w, value in fm.rmse_windows.items():
+                assert _bits(value) == _bits(_oracle_rmse(err, *w)), (where, w)
+            max_abs = np.abs(err).max(axis=0)
+            assert _bits(scores.max_abs[i]) == _bits(fm.max_abs) == _bits(max_abs), where
+            diverged = bool(tr.failed_at[label] is not None
+                            or np.hypot(err[:, 0], err[:, 1]).max() > harness.DIVERGENCE_THRESHOLD)
+            assert scores.diverged[i] == fm.diverged == diverged, where
+
+
+def test_score_seeds_counts_a_failed_lane_as_divergent():
+    zero = np.zeros((11, 3, 3))
+    scores = harness.score_seeds(zero, zero, [None, 4, None])
+    assert scores.diverged.tolist() == [False, True, False]
+    assert _bits(scores.rmse_full) == _bits(np.zeros((3, 3)))
+
+
 def test_run_experiment_report_contents():
     tr, report = run_experiment(parse_config(PAPER_CFG))
     assert set(report.per_filter) == {"is-ekf", "ekf", "lsigma-ekf"}
@@ -812,6 +879,16 @@ def test_cli_sweep(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aggregate over seeds 1..2" in out
     assert "is-ekf" in out
+
+
+def test_sweep_stdout_does_not_depend_on_the_batch_size(capsys, monkeypatch):
+    # one batch of 5 seeds, then batches of 2, 2 and 1, each scored in one pass
+    assert cli_main(["sweep", PAPER_CFG, "--seeds", "5"]) == 0
+    one_batch = capsys.readouterr().out
+    monkeypatch.setattr(harness, "SWEEP_BATCH", 2)
+    assert cli_main(["sweep", PAPER_CFG, "--seeds", "5"]) == 0
+    assert capsys.readouterr().out == one_batch
+    assert "divergent=5/5" in one_batch
 
 
 def test_cli_sweep_out_writes_the_run_csv(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from isekf.harness import cli_main, parse_config
+from isekf.harness import SWEEP_BATCH, cli_main, parse_config
 from isekf.scenario import simulate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,6 +28,26 @@ def test_the_certify_section_is_the_certify_stdout(capsys):
     stdout = capsys.readouterr().out
     assert lines == [f"certify linear.cfg | {line}" for line in stdout.splitlines()]
     assert len(lines) > 10
+
+
+# the stdout of a sweep that runs as two batches (64 + 6 seeds), as the
+# per-seed scoring printed it
+SWEEP_70 = """\
+aggregate over seeds 1..70:
+  is-ekf       rmse mean=[0.429807 0.175525 0.032078] max=[0.55434  0.233945 0.036218] divergent=0/70
+  ekf          rmse mean=[15.69909   1.209676  0.352974] max=[16.474408  1.885947  0.476958] divergent=70/70
+  lsigma-ekf   rmse mean=[0.634837 0.827358 0.096325] max=[0.901232 1.290081 0.115242] divergent=0/70
+"""
+
+
+def test_the_sweep_section_digests_a_one_batch_and_a_two_batch_sweep():
+    digest = _output_digest()
+    assert digest.SWEEP_SEEDS[0] <= SWEEP_BATCH < digest.SWEEP_SEEDS[1] <= 2 * SWEEP_BATCH
+    lines = digest.sweep_lines()
+    assert [line.split(" | ")[0] for line in lines] == [
+        f"sweep paper.cfg --seeds {seeds}" for seeds in digest.SWEEP_SEEDS for _ in range(4)]
+    assert lines[4:] == [f"sweep paper.cfg --seeds 70 | {line}"
+                         for line in SWEEP_70.splitlines()]
 
 
 def test_the_envelope_section_digests_the_envelope_at_every_sample():

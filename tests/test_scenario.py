@@ -515,6 +515,55 @@ def test_an_input_profile_assigned_after_the_checks_is_refused():
         cfg.input_profile = lambda k: None
 
 
+_BOUND_ARRAYS = ("lambda1", "lambda2", "gamma1", "gamma2", "sigma0", "epsilon0", "lam", "gam")
+
+
+def _config_arrays(cfg):
+    """(name, array) of each array a scenario config stores."""
+    for name in ("process_std", "meas_std", "filter_process_std", "filter_meas_std"):
+        yield name, getattr(cfg, name)
+    yield "schedule.D", cfg.schedule.D
+    for i, seg in enumerate(cfg.schedule.segments):
+        yield f"segments[{i}]", seg.value if seg.kind == "constant" else seg.scale
+    for spec in cfg.filters:
+        yield f"{spec.label}.P0", spec.P0
+        if spec.bound_params is not None:
+            for name in _BOUND_ARRAYS:
+                yield f"{spec.label}.{name}", getattr(spec.bound_params, name)
+
+
+def test_the_arrays_of_a_parsed_config_are_read_only():
+    # an in-place edit used to skip every check: a negative P0 then failed
+    # the filter at step 1 of simulate
+    cfg = dataclasses.replace(parse_config(PAPER_CFG).scenario,
+                              filter_process_std=np.ones(3), filter_meas_std=np.ones(3))
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.filters[0].P0[:] = -np.eye(3)
+    arrays = dict(_config_arrays(cfg))
+    assert len(arrays) == 5 + 4 + 3 + len(_BOUND_ARRAYS)
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert simulate(cfg, 1).failed_at["is-ekf"] is None
+
+
+def test_a_config_copies_the_callers_arrays_and_leaves_them_writable():
+    P0, D = robot_filter_p0(), paper_schedule().D.copy()
+    value, scale, std = np.array([5.0, 1.0]), 2.0 * np.eye(2), np.array([0.5, 0.5, 0.008])
+    vectors = {name: np.array(value) for name, value in DEFAULT_BOUND.items()}
+    cfg = benchmark_config(
+        meas_std=std,
+        schedule=OutlierSchedule([OutlierSegment(1, 2, "constant", value=value),
+                                  OutlierSegment(3, 4, "uniform", scale=scale)], D=D),
+        filters=[FilterSpec("is-ekf", P0, bound_params=BoundParams(**vectors))])
+    mine = {"is-ekf.P0": P0, "schedule.D": D, "segments[0]": value, "segments[1]": scale,
+            "meas_std": std, **{f"is-ekf.{name}": vec for name, vec in vectors.items()}}
+    stored = dict(_config_arrays(cfg))
+    for name, arr in mine.items():
+        assert arr.flags.writeable, name
+        assert not np.shares_memory(arr, stored[name]), name
+
+
 def _two_channel_params():
     return BoundParams(mode="dt", **{name: value[:2] for name, value in DEFAULT_BOUND.items()})
 
@@ -531,10 +580,10 @@ def _ct_params():
     (lambda P0: benchmark_config(filters=[FilterSpec("ekf", P0=np.eye(2))]),
      "filter ekf: P0 must be 3x3"),
     (lambda P0: FilterSpec("is-ekf", P0=P0, bound_params=_ct_params()),
-     "simulate requires dt-mode parameters"),
+     "FilterSpec.bound_params: is-ekf needs dt-mode parameters, got mode 'ct'"),
     (lambda P0: benchmark_config(filters=[FilterSpec("is-ekf", P0=P0,
                                                      bound_params=_two_channel_params())]),
-     "simulate: channel count mismatch"),
+     "ScenarioConfig.filters: is-ekf bound_params has 2 channels, the measurement has 3"),
 ], ids=["duplicate-labels", "2x2-P0", "ct-mode", "2-channels"])
 def test_a_scenario_is_checked_once_when_it_is_built(build, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
