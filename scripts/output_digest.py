@@ -30,7 +30,12 @@ prints one line per artifact:
 - for each p from 1 to 4, the sha256 of the bytes of BOUND_MAP_STEPS
   iterated bound_step_dt steps and of bound_rhs_ct at BOUND_MAP_STEPS
   states, on seeded random coefficients, states and innovations that span
-  decades: the bound map at states the runs above never visit.
+  decades: the bound map at states the runs above never visit;
+- for each p from 1 to 4, the sha256 of one bound_step_dt step and of
+  bound_rhs_ct from each of BOUND_MAP_STEPS states whose epsilon lies at
+  the edges of exp(-eps): 0, 5e-324, [700, 750] (where exp underflows) and
+  [1e12, 1.7e308], with the coefficients and innovations of the line
+  above; a rate that overflows is hashed as its error message.
 
 The configs and bench/workloads.py are read from this checkout (the latter
 loaded by path, read only); the package is whatever `import isekf` finds, so
@@ -55,6 +60,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from isekf.errors import NumericalFailure
 from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
 from isekf.harness import cli_main
 from isekf.stability import (LinearSystem, certify, gain_identity_residuals, solve_dare,
@@ -75,6 +81,8 @@ DARE_SEED = 18
 BOUND_MAP_CHANNELS = tuple(range(1, 5))
 BOUND_MAP_STEPS = 200
 BOUND_MAP_SEED = 19
+# bound-map states at the edges of exp(-eps), from BOUND_EDGE_SEED
+BOUND_EDGE_SEED = 20
 
 
 def _cli_stdout(argv) -> str:
@@ -318,8 +326,43 @@ def bound_map_lines() -> list[str]:
     return lines
 
 
+def bound_edge_inputs():
+    """(p, dt params, ct params, states, innovations) of bound_edge_lines:
+    those of bound_map_inputs, with BOUND_MAP_STEPS states whose sigma is
+    spread over the decades of [1e-12, 1e12] and whose epsilon is, a
+    quarter each, 0, 5e-324, uniform in [700, 750] and spread over the
+    decades of [1e12, 1.7e308]."""
+    rng = np.random.default_rng(BOUND_EDGE_SEED)
+    quarter = BOUND_MAP_STEPS // 4
+    for p, dt, ct, _, innovs in bound_map_inputs():
+        eps = np.concatenate((np.zeros((quarter, p)), np.full((quarter, p), 5e-324),
+                              rng.uniform(700.0, 750.0, (quarter, p)),
+                              _decades(rng, 12.0, math.log10(1.7e308), (quarter, p))))
+        sigma = _decades(rng, -12.0, 12.0, (BOUND_MAP_STEPS, p))
+        yield p, dt, ct, np.stack((sigma, eps), axis=1), innovs
+
+
+def bound_edge_lines() -> list[str]:
+    lines = []
+    for p, dt, ct, states, innovs in bound_edge_inputs():
+        stepped, rates = hashlib.sha256(), hashlib.sha256()
+        for (sigma, eps), innov in zip(states, innovs, strict=True):
+            sat = SaturationState(sigma, eps)
+            out = bound_step_dt(sat, innov, dt)
+            stepped.update(out.sigma.tobytes() + out.epsilon.tobytes())
+            try:
+                for rate in bound_rhs_ct(sat, innov, ct):
+                    rates.update(rate.tobytes())
+            except NumericalFailure as exc:  # |lambda2| eps past the float limit
+                rates.update(str(exc).encode())
+        lines.append(f"bound map edges p={p} states={BOUND_MAP_STEPS} "
+                     f"bound_step_dt sha256={stepped.hexdigest()} "
+                     f"bound_rhs_ct sha256={rates.hexdigest()}")
+    return lines
+
+
 SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
-            certificate_lines, ct_endpoint_lines, dare_lines, bound_map_lines)
+            certificate_lines, ct_endpoint_lines, dare_lines, bound_map_lines, bound_edge_lines)
 
 
 def main() -> int:

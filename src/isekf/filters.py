@@ -32,7 +32,8 @@ from .saturation import (
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_innovation  # noqa: F401
 
 # Positivity floor for sigma/epsilon in every continuous-time RK4 stage and
-# step; a float64 0-d array, as saturation._EPS_FLOOR.
+# step.  A float64 0-d array: numpy converts a Python float operand on every
+# call.
 _SAT_FLOOR = np.array(1.0e-12)
 
 

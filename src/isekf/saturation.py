@@ -17,13 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDomainError, NumericalFailure
 
-# Clamp range for epsilon before evaluating exp(-epsilon).  Outside this
-# range the shaping term is below 1e-300, i.e. numerically zero anyway.
-# float64 0-d arrays: numpy converts a Python float operand on every call.
-_EPS_FLOOR = np.array(0.0)
-_EPS_CLAMP = np.array(1.0e12)
-
-
 def _all_finite(a) -> bool:
     """Whether every entry of a is finite (True for an empty array): the
     package's one finiteness screen.  Two C calls, where ndarray.all()
@@ -53,14 +46,17 @@ def _as_channel_vector(value, p: int, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SaturationState:
     """Per-channel bound state: sigma (clip level squared) and epsilon
-    (innovation-energy tracker), both strictly positive at init."""
+    (innovation-energy tracker), both finite, stored as read-only copies.
+    An epsilon whose sign bit is set (negative, or -0.0) is an
+    InputDomainError: epsilon >= +0 is the domain on which _bound_map_core
+    needs no clamp, and every map step keeps it there."""
 
     sigma: np.ndarray
     epsilon: np.ndarray
 
     def __post_init__(self):
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        epsilon = np.atleast_1d(np.asarray(self.epsilon, dtype=float))
+        sigma = _read_only(np.atleast_1d(self.sigma))
+        epsilon = _read_only(np.atleast_1d(self.epsilon))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "epsilon", epsilon)
         if sigma.shape != epsilon.shape:
@@ -69,6 +65,8 @@ class SaturationState:
             )
         if not (_all_finite(sigma) and _all_finite(epsilon)):
             raise InputDomainError("sigma and epsilon must be finite")
+        if np.count_nonzero(np.signbit(epsilon)):
+            raise InputDomainError(f"epsilon must be >= +0, got {epsilon.tolist()}")
 
     @property
     def p(self) -> int:
@@ -127,15 +125,20 @@ class BoundParams:
         return self.lambda1.shape[0]
 
     def initial_state(self) -> SaturationState:
-        return SaturationState(self.sigma0.copy(), self.epsilon0.copy())
+        return SaturationState(self.sigma0, self.epsilon0)
+
+
+def _shaping(eps: np.ndarray) -> np.ndarray:
+    """Unchecked core of shaping_term: eps * exp(-eps) for eps >= +0.  There
+    it gives the clamped form's bits: above 1e12 exp(-eps) is already 0."""
+    return eps * np.exp(-eps)
 
 
 def shaping_term(epsilon: np.ndarray) -> np.ndarray:
     """eps * exp(-eps) with eps clamped to [0, 1e12] first.
 
     The term never exceeds 1/e (maximum at eps = 1)."""
-    eps = np.minimum(np.maximum(epsilon, _EPS_FLOOR), _EPS_CLAMP)
-    return eps * np.exp(-eps)
+    return _shaping(np.minimum(np.maximum(epsilon, 0.0), 1.0e12))
 
 
 def saturate(r: float, bound: float) -> float:
@@ -188,9 +191,13 @@ def _bound_map_core(sat: np.ndarray, innov: np.ndarray, lam: np.ndarray, gam: np
     lambda2] and gam = [gamma1; gamma2], that is
 
         lambda1*sigma + gamma1*eps*exp(-eps)
-        lambda2*eps   + gamma2*innov^2"""
+        lambda2*eps   + gamma2*innov^2
+
+    eps is taken as given, not clamped: SaturationState admits only
+    eps >= +0, which the discrete map keeps and the continuous stages
+    floor at filters._SAT_FLOOR."""
     p = innov.shape[-1]
-    return lam * sat + gam * np.concatenate((shaping_term(sat[..., p:]), innov * innov), -1)
+    return lam * sat + gam * np.concatenate((_shaping(sat[..., p:]), innov * innov), -1)
 
 
 def _bound_step(sat: np.ndarray, innov: np.ndarray, lam, gam, name: str) -> np.ndarray:

@@ -312,7 +312,7 @@ class FilterSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything the simulation needs apart from the seed.  The std
-    vectors are stored as read-only copies."""
+    vectors and the initial guess offset are stored as read-only copies."""
 
     horizon: int = 700
     T: float = 0.1
@@ -343,6 +343,11 @@ class ScenarioConfig:
             if not (_all_finite(std) and np.all(std >= 0.0)):
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, std)
+        offset = _read_only(self.initial_guess_offset)
+        if offset.shape != (3,) or not _all_finite(offset):
+            raise ConfigurationError("ScenarioConfig.initial_guess_offset must be a finite "
+                                     f"3-vector, got {offset.tolist()}")
+        object.__setattr__(self, "initial_guess_offset", offset)
         if self.schedule is None:
             object.__setattr__(self, "schedule", OutlierSchedule(segments=(), D=np.zeros((3, 2))))
         if self.schedule.D.ndim != 2 or len(self.schedule.D) != 3:

@@ -27,7 +27,7 @@ from .errors import (
 from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite,
                       _require_noise_covariances, _require_symmetric, _riccati_rhs, _rk4,
                       _saturated_rhs, _spd_solve, _symmetrize)
-from .saturation import BoundParams, _all_finite, _bound_map_core, _clip
+from .saturation import BoundParams, _all_finite, _bound_map_core, _clip, _read_only
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
 from .saturation import bound_rhs_ct, bound_step_dt, saturate_vector  # noqa: F401
@@ -786,11 +786,6 @@ class _CovariancePass(NamedTuple):
     failure: Optional[tuple]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _covariance_pass(sys: LinearSystem, P0: np.ndarray, dt: Optional[float],
                      steps: int) -> _CovariancePass:
     """The covariance recursion of a bound check from P0 over steps steps
@@ -816,13 +811,13 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
             try:
                 P_next, _, K = _dare_step(plant, P)
             except NumericalFailure as exc:
-                return _CovariancePass(_read_only(np.array(gains)), k,
+                return _CovariancePass(_read_only(gains), k,
                                        (str(exc), _read_only(exc.context)))
             gains.append(K)
             if _stationary(P, np.linalg.norm(P_next - P)):
                 break
             P = P_next
-        return _CovariancePass(_read_only(np.array(gains)), None, None)
+        return _CovariancePass(_read_only(gains), None, None)
 
     CtRinv = plant.C.T @ _spd_inverse(plant.R, "R")
     gains = np.empty((4 * steps,) + CtRinv.shape)

@@ -436,6 +436,17 @@ def test_a_non_finite_error_system_fails_as_the_oracle(dt_observer, A, e0):
     assert outcome[:2] == (NumericalFailure, "error system non-finite after step 0")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_epsilon_that_overflows_at_an_rk4_stage_fails_as_the_oracle(ct_observer):
+    # innov^2 = 1e320 overflows: k1's eps rate is inf, so stage 2 starts at
+    # eps = inf, where the unclamped shaping term inf * exp(-inf) is NaN and
+    # the oracle's clamped one is 0; the step is rejected either way
+    sys, cand, cert = ct_observer
+    outcome = assert_matches_oracle(sys, cand, cert, lambda t: np.zeros(1), horizon=0.01,
+                                    e0=np.array([1e160]), dt=1e-3)
+    assert outcome == (NumericalFailure, "integration step rejected at t=0.001", None)
+
+
 # the memo of the covariance pass
 
 def _draw(sys, cand, cert, seed, check=bound_trajectory_check):

@@ -132,6 +132,16 @@ def test_the_bound_map_is_written_once():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def test_no_hot_path_clamps_epsilon():
+    # the bound map evaluates the unclamped _shaping on eps >= +0, which
+    # SaturationState checks at entry; shaping_term, the clamped public
+    # helper, is called nowhere in the package
+    calls = [(p.name, i) for p in sorted(SRC.glob("*.py"))
+             for i, code in _code_lines(p.read_text(encoding="utf-8"))
+             if re.search(r"\bshaping_term \(", code) and not code.startswith("def ")]
+    assert calls == []
+
+
 # a dataclass whose __post_init__ checks its fields is frozen, so a checked
 # object changes only by being built again (dataclasses.replace), which runs
 # the checks again

@@ -124,3 +124,26 @@ def test_the_bound_map_section_digests_seeded_maps_of_one_to_four_channels():
     assert [line.split(" bound_step_dt sha256=")[0] for line in lines] == [
         f"bound map p={p} steps=200" for p in range(1, 5)]
     assert lines == digest.bound_map_lines()
+
+
+def test_the_bound_edge_section_digests_states_at_the_edges_of_exp():
+    # the states where the shaping term's old clamp on [0, 1e12] was active
+    # or where exp(-eps) underflows
+    digest = _output_digest()
+    inputs = list(digest.bound_edge_inputs())
+    assert [p for p, *_ in inputs] == [1, 2, 3, 4]
+    for (p, dt, ct, states, innovs), (_, dt_map, ct_map, _, innovs_map) in zip(
+            inputs, digest.bound_map_inputs(), strict=True):
+        assert np.array_equal(dt.lam, dt_map.lam) and np.array_equal(ct.gam, ct_map.gam)
+        assert np.array_equal(innovs, innovs_map)
+        assert states.shape == (200, 2, p)
+        sigma, eps = states[:, 0], states[:, 1]
+        assert sigma.min() >= 1e-12 and sigma.max() <= 1e12
+        assert (eps[:50] == 0.0).all() and not np.signbit(eps).any()
+        assert (eps[50:100] == 5e-324).all()
+        assert eps[100:150].min() >= 700.0 and eps[100:150].max() <= 750.0
+        assert eps[150:].min() >= 1e12 and 1e300 < eps[150:].max() <= 1.7e308
+    lines = digest.bound_edge_lines()
+    assert [line.split(" bound_step_dt sha256=")[0] for line in lines] == [
+        f"bound map edges p={p} states=200" for p in range(1, 5)]
+    assert lines == digest.bound_edge_lines()

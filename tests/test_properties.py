@@ -57,9 +57,15 @@ def test_vector_clips_equal_the_scalar_spec(case):
         [saturate(ri, math.sqrt(si)) for ri, si in zip(r, sigma)]
 
 
-# bound states from 1e-12 to 1e12 with the shaping clamp's edges, and
-# innovations up to 1e150 in magnitude (squares up to 1e300)
+# bound states from 1e-12 to 1e12 with the edges of shaping_term's clamp;
+# epsilon also at the least subnormal, across exp's underflow edge
+# (exp(-eps) is subnormal from 708 and 0 from 746) and past the clamp up to
+# 1.7e308, where the unclamped map must still give the clamped bits;
+# innovations up to
+# 1e150 in magnitude (squares up to 1e300)
 bound_states = st.one_of(st.sampled_from([0.0, 1e12]), st.floats(1e-12, 1e12))
+epsilons = st.one_of(bound_states, st.just(5e-324), st.floats(708.0, 746.0),
+                     st.floats(1e12, 1.7e308, exclude_min=True))
 innovations = st.one_of(st.sampled_from([0.0, 1e150, -1e150]), st.floats(-1e150, 1e150))
 
 
@@ -67,7 +73,7 @@ def _bound_map_case(shape):
     """sigma, eps, innov, lambda1, lambda2, gamma1, gamma2 of one shape."""
     lambdas, gammas = st.floats(-10.0, 10.0), st.floats(1e-3, 1e3)
     return st.tuples(*(arrays(float, shape, elements=elements) for elements in (
-        bound_states, bound_states, innovations, lambdas, lambdas, gammas, gammas)))
+        bound_states, epsilons, innovations, lambdas, lambdas, gammas, gammas)))
 
 
 # a state (p,) or a stack of them (L, p), p and L from 1 to 4
@@ -76,12 +82,14 @@ def _bound_map_case(shape):
 def test_the_stacked_bound_map_is_the_two_layer_formula_bit_for_bit(case):
     # one multiply-add on [sigma; eps] against each layer written out
     sigma, eps, innov, lambda1, lambda2, gamma1, gamma2 = case
-    clamped = np.minimum(np.maximum(eps, 0.0), 1e12)
-    expected = np.concatenate((lambda1 * sigma + gamma1 * (clamped * np.exp(-clamped)),
-                               lambda2 * eps + gamma2 * innov**2), axis=-1)
-    out = _bound_map_core(np.concatenate((sigma, eps), axis=-1), innov,
-                          np.concatenate((lambda1, lambda2), axis=-1),
-                          np.concatenate((gamma1, gamma2), axis=-1))
+    # |lambda2| * eps may overflow to inf on both sides
+    with np.errstate(over="ignore"):
+        clamped = np.minimum(np.maximum(eps, 0.0), 1e12)
+        expected = np.concatenate((lambda1 * sigma + gamma1 * (clamped * np.exp(-clamped)),
+                                   lambda2 * eps + gamma2 * innov**2), axis=-1)
+        out = _bound_map_core(np.concatenate((sigma, eps), axis=-1), innov,
+                              np.concatenate((lambda1, lambda2), axis=-1),
+                              np.concatenate((gamma1, gamma2), axis=-1))
     assert out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
 

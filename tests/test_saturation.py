@@ -84,6 +84,26 @@ def test_shaping_term_peak_and_guard():
     assert shaping_term(np.array([-1e9]))[0] == 0.0
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, -0.0], ids=["negative", "minus-zero"])
+def test_an_epsilon_whose_sign_bit_is_set_is_rejected(epsilon):
+    # the bound map evaluates eps * exp(-eps) unclamped, on eps >= +0 only
+    with pytest.raises(InputDomainError, match=r"^epsilon must be >= \+0, got \["):
+        SaturationState([1.0], [epsilon])
+    assert SaturationState([1.0], [0.0]).epsilon.tolist() == [0.0]
+
+
+def test_a_bound_state_holds_read_only_copies():
+    # an in-place edit would skip the entry checks, and an epsilon of -1
+    # written into a built state would reach the unclamped map
+    sigma, epsilon = np.array([1.0]), np.array([1.0])
+    st = SaturationState(sigma, epsilon)
+    for arr in (st.sigma, st.epsilon):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1.0
+    assert sigma.flags.writeable and epsilon.flags.writeable
+    assert not np.shares_memory(sigma, st.sigma) and not np.shares_memory(epsilon, st.epsilon)
+
+
 def dt_params(**kw):
     base = dict(lambda1=[0.5], lambda2=[0.1], gamma1=[100.0], gamma2=[9.0],
                 sigma0=[1.0], epsilon0=[1.0], mode="dt")
@@ -148,7 +168,7 @@ def test_a_finite_result_near_the_float_limit_is_not_an_overflow(bound_map, mode
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sigma, epsilon = _pair(bound_map(p.initial_state(), np.array([1.0]), p))
-    # the shaping term of the clamped eps = 1e12 is 1e12 * exp(-1e12) = 0
+    # the shaping term at eps = 1e308 is 1e308 * exp(-1e308) = 0
     assert sigma.tolist() == [lam * 1e308 + 0.1 * 0.0]
     assert epsilon.tolist() == [lam * 1e308 + 0.1 * 1.0]
     assert abs(sigma[0]) == abs(epsilon[0]) == 9e307

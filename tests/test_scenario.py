@@ -520,7 +520,8 @@ _BOUND_ARRAYS = ("lambda1", "lambda2", "gamma1", "gamma2", "sigma0", "epsilon0",
 
 def _config_arrays(cfg):
     """(name, array) of each array a scenario config stores."""
-    for name in ("process_std", "meas_std", "filter_process_std", "filter_meas_std"):
+    for name in ("process_std", "meas_std", "filter_process_std", "filter_meas_std",
+                 "initial_guess_offset"):
         yield name, getattr(cfg, name)
     yield "schedule.D", cfg.schedule.D
     for i, seg in enumerate(cfg.schedule.segments):
@@ -540,7 +541,7 @@ def test_the_arrays_of_a_parsed_config_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         cfg.filters[0].P0[:] = -np.eye(3)
     arrays = dict(_config_arrays(cfg))
-    assert len(arrays) == 5 + 4 + 3 + len(_BOUND_ARRAYS)
+    assert len(arrays) == 6 + 4 + 3 + len(_BOUND_ARRAYS)
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
@@ -550,14 +551,16 @@ def test_the_arrays_of_a_parsed_config_are_read_only():
 def test_a_config_copies_the_callers_arrays_and_leaves_them_writable():
     P0, D = robot_filter_p0(), paper_schedule().D.copy()
     value, scale, std = np.array([5.0, 1.0]), 2.0 * np.eye(2), np.array([0.5, 0.5, 0.008])
+    offset = np.array([1.0, 1.0, 0.1])
     vectors = {name: np.array(value) for name, value in DEFAULT_BOUND.items()}
     cfg = benchmark_config(
-        meas_std=std,
+        meas_std=std, initial_guess_offset=offset,
         schedule=OutlierSchedule([OutlierSegment(1, 2, "constant", value=value),
                                   OutlierSegment(3, 4, "uniform", scale=scale)], D=D),
         filters=[FilterSpec("is-ekf", P0, bound_params=BoundParams(**vectors))])
     mine = {"is-ekf.P0": P0, "schedule.D": D, "segments[0]": value, "segments[1]": scale,
-            "meas_std": std, **{f"is-ekf.{name}": vec for name, vec in vectors.items()}}
+            "meas_std": std, "initial_guess_offset": offset,
+            **{f"is-ekf.{name}": vec for name, vec in vectors.items()}}
     stored = dict(_config_arrays(cfg))
     for name, arr in mine.items():
         assert arr.flags.writeable, name
@@ -588,6 +591,15 @@ def _ct_params():
 def test_a_scenario_is_checked_once_when_it_is_built(build, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         build(robot_filter_p0())
+
+
+@pytest.mark.parametrize("offset", [[np.nan, 0.0, 0.0], [1.0, 1.0]], ids=["nan", "2-vector"])
+def test_a_bad_initial_guess_offset_is_rejected_when_the_scenario_is_built(offset):
+    # unchecked, a non-finite offset would fail every filter at step 1 and
+    # a 2-vector would raise numpy's broadcast error in simulate
+    with pytest.raises(ConfigurationError, match="^ScenarioConfig.initial_guess_offset must be "
+                                                 r"a finite 3-vector, got \["):
+        dataclasses.replace(benchmark_config(), initial_guess_offset=offset)
 
 
 @pytest.mark.parametrize("seeds", [[], [-1], [1, 2.0], [True]],
