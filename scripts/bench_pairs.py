@@ -16,7 +16,9 @@ parent), the pairs the change won (ties count for neither), whether the
 change's median is worse than the parent's by more than the metric's bound,
 and whether the metric is unresolved: the parent's own quartile spread is
 wider than the bound and the change's runs do not all read better than all
-of the parent's.
+of the parent's.  Beside the summary, each workload reports each side's
+spread of the raw set-up time (record.wall.setup_s, before the host-speed
+scaling of the setup_s metric) and of record.import_s; they decide nothing.
 """
 
 from __future__ import annotations
@@ -115,6 +117,17 @@ def summarise(runs: list, end_to_end: list) -> dict:
     return out
 
 
+def raw_setup(runs: list) -> dict:
+    """Per side, the spread of the unscaled set-up time and of the import
+    time within it: the numbers to check a scaled setup_s verdict against."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        out[side] = {"setup_s": spread([r["record"]["wall"]["setup_s"] for r in mine]),
+                     "import_s": spread([r["record"]["import_s"] for r in mine])}
+    return out
+
+
 def main(argv=None) -> int:
     args, spec = parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -135,7 +148,7 @@ def main(argv=None) -> int:
                       + " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items()),
                       file=sys.stderr, flush=True)
         report["workloads"][workload] = {"summary": summarise(runs, spec["end_to_end"]),
-                                         "runs": runs}
+                                         "raw_setup": raw_setup(runs), "runs": runs}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")

@@ -26,6 +26,7 @@ from .saturation import (
     _bound_map,
     _bound_map_core,
     _clip,
+    _read_only,
 )
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -111,7 +112,8 @@ class NonlinearModel:
     f(x, u) is the state map (dt: next state; ct: drift), h(x) the
     measurement map.  jac_f(x, u) and jac_h(x) may be omitted, in which
     case central differences are used.  Q is the process-noise covariance
-    (symmetric PSD), R the measurement-noise covariance (symmetric PD).
+    (symmetric PSD), R the measurement-noise covariance (symmetric PD),
+    both stored as read-only copies.
     angle_channels lists measurement channels whose innovations are
     wrapped into (-pi, pi] before any further use.
     """
@@ -127,8 +129,8 @@ class NonlinearModel:
     angle_channels: Sequence[int] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
+        object.__setattr__(self, "Q", _read_only(self.Q))
+        object.__setattr__(self, "R", _read_only(self.R))
         if self.Q.shape != (self.n, self.n):
             raise ConfigurationError(f"Q must be {self.n}x{self.n}, got {self.Q.shape}")
         if self.R.shape != (self.p, self.p):

@@ -264,8 +264,8 @@ def parse_config(path: str) -> ExperimentConfig:
     # only the keys present are passed: the dataclass defaults are the paper's
     kw = {key: _read(sc, key, "scenario", kind) for key, kind in _SCENARIO_KINDS.items()
           if key in sc}
-    kw["input_profile"] = InputProfile(**{key: _read(inp, key, "scenario.input", float)
-                                          for key in inp})
+    kw["input_profile"] = _build("scenario.input", InputProfile,
+                                 **{key: _read(inp, key, "scenario.input", float) for key in inp})
     if "outliers" in sc or "d_routing" in sc:
         kw["schedule"] = _parse_schedule(sc)
     kw["filters"] = _parse_filters(data)

@@ -66,11 +66,17 @@ class RobotInput:
 @dataclass(frozen=True)
 class InputProfile:
     """Constant speed with a slow steering sweep, a smooth curved path:
-    input k is (eta, delta_amp * sin(delta_freq * k))."""
+    input k is (eta, delta_amp * sin(delta_freq * k)).  Every field must
+    be finite."""
 
     eta: float = 1.0
     delta_amp: float = 0.1
     delta_freq: float = 0.02
+
+    def __post_init__(self):
+        for name in ("eta", "delta_amp", "delta_freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def __call__(self, k: int) -> RobotInput:
         return RobotInput(self.eta, self.delta_amp * np.sin(self.delta_freq * k))
@@ -132,6 +138,16 @@ def robot_model(T: float, Q: np.ndarray, R: np.ndarray) -> NonlinearModel:
                           jac_f=jac_f, jac_h=jac_h, angle_channels=(2,))
 
 
+def _require_integer(obj, names) -> None:
+    """ConfigurationError naming the first of obj's fields that is not an
+    integer (a bool is not one)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{type(obj).__name__}.{name} must be an integer, "
+                                     f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class OutlierSegment:
     """One schedule stage over the half-open step range (k_lo, k_hi].
@@ -148,6 +164,7 @@ class OutlierSegment:
     scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        _require_integer(self, ("k_lo", "k_hi"))
         if self.kind not in ("constant", "uniform"):
             raise ConfigurationError(f"unknown segment kind {self.kind!r}")
         if self.k_lo >= self.k_hi:
@@ -328,6 +345,7 @@ class ScenarioConfig:
     filters: Sequence[FilterSpec] = field(default_factory=tuple)
 
     def __post_init__(self):
+        _require_integer(self, ("horizon",))
         if self.horizon < 0:
             raise ConfigurationError("horizon must be nonnegative")
         if not (math.isfinite(self.T) and self.T > 0.0):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -62,12 +61,13 @@ def sqrtm_psd(M: np.ndarray) -> np.ndarray:
     return V @ np.diag(np.sqrt(w)) @ V.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Linear observer plant x' = A x, y = C x + D d.
 
     mode is "continuous" or "discrete".  Q >= 0 and R > 0 play the same
     role as in the filter; D maps the disturbance into the measurement.
+    The matrices are read-only copies, and a system equals only itself.
     """
 
     A: np.ndarray
@@ -79,8 +79,7 @@ class LinearSystem:
 
     def __post_init__(self):
         for name in ("A", "C", "Q", "R", "D"):
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, _read_only(np.atleast_2d(getattr(self, name))))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ConfigurationError("A must be square")
@@ -391,11 +390,12 @@ def dare_residual(sys: LinearSystem, P: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Certificate matrices
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificateCandidate:
     """Free parameters of a certificate attempt: W (diagonal PD), U (PD),
     alpha > 0, Gamma2 (diagonal PD, must match the running bound gains),
-    and the covariance start P0 >= 0."""
+    and the covariance start P0 >= 0, stored as read-only copies.  A
+    candidate equals only itself, as a LinearSystem does."""
 
     W: np.ndarray
     U: np.ndarray
@@ -405,8 +405,7 @@ class CertificateCandidate:
 
     def __post_init__(self):
         for name in ("W", "U", "Gamma2", "P0"):
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, _read_only(np.atleast_2d(getattr(self, name))))
         _require_finite(self, ("W", "U", "Gamma2", "P0"))
         _require_symmetric(self, ("U", "P0"))
         for name, M in (("W", self.W), ("Gamma2", self.Gamma2)):
@@ -515,7 +514,7 @@ def is_psd(M: np.ndarray, tol: float = 1e-9) -> PsdReport:
 # ---------------------------------------------------------------------------
 # Certification
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityCertificate:
     """Outcome of a successful certification sweep.
 
@@ -524,7 +523,7 @@ class StabilityCertificate:
     V0) at one; asymptotic_bound is its limit.  The
     certificate is trajectory-sampled: positive semidefiniteness was
     checked at the recorded checkpoints plus the fixed point, not proven
-    on the continuum.
+    on the continuum.  The arrays are read-only copies, the checkpoints a tuple.
     """
 
     mode: str
@@ -541,9 +540,14 @@ class StabilityCertificate:
     params: BoundParams
     P0: np.ndarray
     asymptotic_bound: float
-    checkpoints: list = field(default_factory=list)  # (time-or-step, min_eig)
-    _c2_times: np.ndarray = None
-    _c2_lmax: np.ndarray = None
+    checkpoints: tuple  # (time-or-step, min_eig) pairs
+    _c2_times: np.ndarray
+    _c2_lmax: np.ndarray
+
+    def __post_init__(self):
+        for name in ("P_inf", "W", "U", "Gamma2", "P0", "_c2_times", "_c2_lmax"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
 
     def initial_v(self, e0: np.ndarray) -> float:
         """Lyapunov level at the start: e0' P0^-1 e0 + sum(sigma0) + sum(eps0).
@@ -786,30 +790,20 @@ class _CovariancePass(NamedTuple):
     failure: Optional[tuple]
 
 
-def _covariance_pass(sys: LinearSystem, P0: np.ndarray, dt: Optional[float],
-                     steps: int) -> _CovariancePass:
-    """The covariance recursion of a bound check from P0 over steps steps
-    (dt None in discrete mode): in discrete time the Riccati recursion
-    until it is stationary (the test solve_dare stops on), in continuous
-    time RK4 on P.  Memoized by value, since arrays of the frozen system and
-    candidate can still be edited in place: the key holds their bytes."""
-    mats = tuple((M.dtype.str, M.shape, M.tobytes())
-                 for M in map(np.asarray, (sys.A, sys.C, sys.Q, sys.R, P0)))
-    return _covariance_pass_of(sys.mode, dt, steps, mats)
-
-
 @functools.lru_cache(maxsize=8)
-def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple):
-    """_covariance_pass on the arrays its key holds."""
-    plant = SimpleNamespace(**{
-        name: np.frombuffer(data, dtype=dtype).reshape(shape)
-        for name, (dtype, shape, data) in zip(("A", "C", "Q", "R", "P0"), mats)})
-    P = _symmetrize(plant.P0)
-    if mode == "discrete":
+def _covariance_pass(sys: LinearSystem, cand: CertificateCandidate, dt: Optional[float],
+                     steps: int) -> _CovariancePass:
+    """The covariance recursion of a bound check from cand.P0 over steps
+    steps (dt None in discrete mode): in discrete time the Riccati recursion
+    until it is stationary (the test solve_dare stops on), in continuous
+    time RK4 on P.  Memoized on the objects, whose arrays are read-only: a
+    rebuilt system or candidate computes its own pass."""
+    P = _symmetrize(cand.P0)
+    if sys.mode == "discrete":
         gains = []
         for k in range(steps):
             try:
-                P_next, _, K = _dare_step(plant, P)
+                P_next, _, K = _dare_step(sys, P)
             except NumericalFailure as exc:
                 return _CovariancePass(_read_only(gains), k,
                                        (str(exc), _read_only(exc.context)))
@@ -819,7 +813,7 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
             P = P_next
         return _CovariancePass(_read_only(gains), None, None)
 
-    CtRinv = plant.C.T @ _spd_inverse(plant.R, "R")
+    CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
     gains = np.empty((4 * steps,) + CtRinv.shape)
     slots = iter(gains)
 
@@ -827,7 +821,7 @@ def _covariance_pass_of(mode: str, dt: Optional[float], steps: int, mats: tuple)
         # exactly symmetric, as _riccati_rhs needs: P is symmetrized every step
         K = P_mat.dot(CtRinv)
         next(slots)[...] = K
-        return _riccati_rhs(plant.A, plant.Q, plant.C, K, P_mat)
+        return _riccati_rhs(sys.A, sys.Q, sys.C, K, P_mat)
 
     for i in range(steps):
         P = _rk4(rhs, P, i * dt, dt)
@@ -883,14 +877,15 @@ def bound_trajectory_check(
     """Simulate the saturated-observer error system and assert the
     certified envelope pointwise.
 
-    d_signal(k) (discrete) or d_signal(t) (continuous) must be finite with
-    ||d|| <= mu; otherwise InputDomainError.  The bound parameters, the
-    candidate's shapes, e0, horizon and dt (_step_count) are checked once at
-    entry, where a nonzero e0 on a singular P0 is
-    an InputDomainError (see initial_v).  The covariance pass
+    d_signal(k) (discrete) or d_signal(t) (continuous) must return m
+    values (otherwise ConfigurationError), finite with ||d|| <= mu
+    (otherwise InputDomainError).  The bound parameters, the candidate's
+    shapes, e0, horizon and dt (_step_count) are checked once at entry,
+    where a non-finite e0, or a nonzero e0 on a singular P0 (see
+    initial_v), is an InputDomainError.  The covariance pass
     (_covariance_pass: P and the gain, from cand.P0, which do not depend
-    on the disturbance)
-    is shared by every draw on one observer; the error pass then steps
+    on the disturbance) is shared by every draw on the same sys and cand
+    objects; the error pass then steps
     (e, sat), sat = [sigma; eps], on the unchecked clip and bound-map cores, in
     continuous time with the continuous-time filter's saturated core and
     floored RK4 step (sigma and eps floored at 1e-12 in every stage and
@@ -909,8 +904,10 @@ def bound_trajectory_check(
     e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float, order="C")
     if e.shape != (sys.n,):
         raise ConfigurationError(f"e0 must have length {sys.n}, got shape {e.shape}")
+    if not _all_finite(e):
+        raise InputDomainError(f"e0 must be finite, got {e.tolist()}")
     n_steps = _step_count(sys.mode, horizon, dt)
-    A, C, D = sys.A, sys.C, sys.D
+    A, C, D, m = sys.A, sys.C, sys.D, sys.m
     V0 = cert.initial_v(e)
     max_ratio = 0.0
     tol = 1e-9
@@ -919,6 +916,8 @@ def bound_trajectory_check(
 
     def disturbance(where):
         d = np.asarray(d_signal(where), dtype=float).reshape(-1)
+        if len(d) != m:
+            raise ConfigurationError(f"d_signal gave {len(d)} values at {where:.6g}, not m = {m}")
         norm_d = math.sqrt(d.dot(d))
         if not norm_d <= d_limit:  # also rejects NaN
             what = "is not finite" if not math.isfinite(norm_d) else "exceeds mu"
@@ -940,7 +939,7 @@ def bound_trajectory_check(
     sat = np.concatenate((params.sigma0, params.epsilon0))
     if sys.mode == "discrete":
         lam, gam = params.lam, params.gam
-        cov = _covariance_pass(sys, cand.P0, None, n_steps + 1)
+        cov = _covariance_pass(sys, cand, None, n_steps + 1)
         gains = list(cov.gains)
         last = len(gains) - 1
         for k, bound in enumerate(_envelope_blocks(cert, n_steps + 1, None, V0)):
@@ -959,7 +958,7 @@ def bound_trajectory_check(
 
     # continuous time: RK4 on (e, sat), reading each stage's gain
     n = sys.n
-    cov = _covariance_pass(sys, cand.P0, dt, n_steps)
+    cov = _covariance_pass(sys, cand, dt, n_steps)
     stage_gains = iter(cov.gains)
 
     # e' = A e - K sat(C e - D d), written as A e + K sat(D d - C e): the

@@ -105,3 +105,19 @@ def test_every_end_to_end_metric_is_summarised(bench_pairs):
     out = bench_pairs.summarise(runs, [HIGHER, LOWER])
     assert set(out) == {"rate", "time", "fail_ratio_max"}
     assert out["time"]["wins"] == 1
+
+
+def test_the_raw_setup_and_import_times_are_summarised_per_side(bench_pairs):
+    runs = runs_of([0.20, 0.30, 0.25], [0.26, 0.21, 0.22], "setup_s")
+    for run, (setup, imported) in zip(runs, [(0.19, 0.05), (0.25, 0.06), (0.29, 0.07),
+                                             (0.20, 0.04), (0.24, 0.06), (0.21, 0.05)]):
+        run["record"] = {"wall": {"setup_s": setup}, "import_s": imported}
+    raw = bench_pairs.raw_setup(runs)
+    assert raw["parent"] == {"setup_s": pytest.approx({"median": 0.24, "q1": 0.215, "q3": 0.265}),
+                             "import_s": pytest.approx({"median": 0.06, "q1": 0.055, "q3": 0.065})}
+    assert raw["change"]["setup_s"]["median"] == 0.21
+    assert raw["change"]["import_s"]["median"] == 0.05
+    # the verdicts read only the scaled metric
+    assert bench_pairs.summarise(runs, [LOWER | {"name": "setup_s"}]) == \
+        bench_pairs.summarise(runs_of([0.20, 0.30, 0.25], [0.26, 0.21, 0.22], "setup_s"),
+                              [LOWER | {"name": "setup_s"}])

@@ -22,7 +22,6 @@ from isekf.stability import (
     BoundCheckReport,
     CertificateCandidate,
     LinearSystem,
-    _covariance_pass_of,
     _dare_step,
     _spd_inverse,
     _stationary,
@@ -387,7 +386,7 @@ def test_a_covariance_failure_fails_as_the_oracle_and_again_from_the_memo(
         mode, dt_observer, ct_observer):
     sys, cand, cert, kwargs = _failing_covariance(
         mode, dt_observer if mode == "discrete" else ct_observer)
-    _covariance_pass_of.cache_clear()
+    stability._covariance_pass.cache_clear()
     first = _outcome(bound_trajectory_check, sys, cand, cert, lambda s: np.zeros(1), **kwargs)
     assert first == _outcome(_oracle_check, sys, cand, cert, lambda s: np.zeros(1), **kwargs)
     assert first[0][0] is NumericalFailure
@@ -401,7 +400,7 @@ def test_a_covariance_failure_fails_as_the_oracle_and_again_from_the_memo(
     # the failing pass is served from the memo and fails at the same step
     assert _outcome(bound_trajectory_check, sys, cand, cert, lambda s: np.zeros(1),
                     **kwargs) == first
-    info = _covariance_pass_of.cache_info()
+    info = stability._covariance_pass.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -456,37 +455,42 @@ def _draw(sys, cand, cert, seed, check=bound_trajectory_check):
 
 def test_a_second_draw_on_the_same_observer_reuses_the_covariance_pass(ct_observer):
     sys, cand, cert = ct_observer
-    _covariance_pass_of.cache_clear()
+    stability._covariance_pass.cache_clear()
     _draw(sys, cand, cert, 1)
     _draw(sys, cand, cert, 2)
-    info = _covariance_pass_of.cache_info()
+    info = stability._covariance_pass.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def test_an_edited_system_or_start_gets_a_fresh_covariance_pass():
-    # the arrays of the frozen LinearSystem and CertificateCandidate can be
-    # edited in place: the memo is keyed by their values, not by the objects
+    # the arrays of a LinearSystem and a CertificateCandidate are read-only:
+    # an edit builds the object again, and the memo is keyed on the objects
     sys, cand, cert = _ct_observer()
-    _covariance_pass_of.cache_clear()
+    for arr in (sys.A, cand.P0):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = -2.0
+    stability._covariance_pass.cache_clear()
     before = _draw(sys, cand, cert, 1)
-    sys.A[0, 0] = -2.0
-    edited = _draw(sys, cand, cert, 1)
-    assert _covariance_pass_of.cache_info().misses == 2
+    edited_sys = dataclasses.replace(sys, A=[[-2.0]])
+    edited = _draw(edited_sys, cand, cert, 1)
+    assert stability._covariance_pass.cache_info().misses == 2
     assert edited != before
-    assert edited == _draw(sys, cand, cert, 1, _oracle_check)
-    cand = dataclasses.replace(cand, P0=np.array([[0.02]]))
-    _draw(sys, cand, cert, 1)
-    assert _covariance_pass_of.cache_info().misses == 3
-    sys.A[0, 0] = -1.0
-    cand = dataclasses.replace(cand, P0=np.array([[0.01]]))
+    assert edited == _draw(edited_sys, cand, cert, 1, _oracle_check)
+    _draw(edited_sys, dataclasses.replace(cand, P0=np.array([[0.02]])), cert, 1)
+    assert stability._covariance_pass.cache_info().misses == 3
+    # a rebuilt observer computes its own pass, with the same bits; the
+    # objects first drawn on are still served from the memo
+    rebuilt = dataclasses.replace(sys, A=[[-1.0]]), dataclasses.replace(cand, P0=[[0.01]])
+    assert _draw(*rebuilt, cert, 1) == before
     assert _draw(sys, cand, cert, 1) == before
-    assert _covariance_pass_of.cache_info().misses == 3
+    info = stability._covariance_pass.cache_info()
+    assert (info.misses, info.hits) == (4, 1)
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_the_cached_gains_are_read_only(mode, dt_observer, ct_observer):
     sys, cand, _ = dt_observer if mode == "discrete" else ct_observer
-    cov = stability._covariance_pass(sys, cand.P0, None if mode == "discrete" else 1e-3, 10)
+    cov = stability._covariance_pass(sys, cand, None if mode == "discrete" else 1e-3, 10)
     assert cov.gains.size and not cov.gains.flags.writeable
     with pytest.raises(ValueError):
         cov.gains[0, 0, 0] = 1.0
@@ -561,6 +565,36 @@ def test_a_bad_horizon_or_dt_is_rejected_at_entry(mode, kwargs, message, dt_obse
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         bound_trajectory_check(sys, cand, cert, d_signal, e0=np.array([0.05]), **kwargs)
     assert read == []
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("e0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_initial_error_is_rejected_at_entry(mode, e0, dt_observer, ct_observer):
+    # before, nan failed the envelope check at step 0 and inf the error
+    # system after it
+    sys, cand, cert = dt_observer if mode == "discrete" else ct_observer
+    read = []
+
+    def d_signal(where):
+        read.append(where)
+        return np.zeros(1)
+
+    with pytest.raises(InputDomainError, match=re.escape(f"e0 must be finite, got [{e0}]")):
+        bound_trajectory_check(sys, cand, cert, d_signal, horizon=5 if mode == "discrete" else 0.01,
+                               e0=np.array([e0]))
+    assert read == []
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("length", [0, 2])
+def test_a_disturbance_of_the_wrong_length_is_rejected_by_name(mode, length, dt_observer,
+                                                               ct_observer):
+    # before, numpy's "shapes not aligned" ValueError came out of the step
+    sys, cand, cert = dt_observer if mode == "discrete" else ct_observer
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"d_signal gave {length} values at 0, not m = 1")):
+        bound_trajectory_check(sys, cand, cert, lambda where: np.zeros(length),
+                               horizon=5 if mode == "discrete" else 0.01, e0=np.array([0.05]))
 
 
 def test_a_whole_number_float_horizon_is_taken_as_its_steps(dt_observer):

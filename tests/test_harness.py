@@ -190,12 +190,14 @@ NAN, INF = float("nan"), float("inf")
     ("gamma1", {}, {"is-ekf": {"gamma1": [100.0, INF, 0.005]}}),
     ("sigma0", {}, {"is-ekf": {"sigma0": [INF, 25.0, 0.25]}}),
     ("epsilon0", {}, {"is-ekf": {"epsilon0": [1.0, 1.0, INF]}}),
+    ("eta", {"input": {"eta": NAN}}, None),
+    ("delta_freq", {"input": {"delta_freq": INF}}, None),
 ], ids=["T-zero", "T-nan", "meas_std-nan", "process_std-negative", "filter_meas_std-inf",
         "filter_process_std-nan", "value-inf", "scale-nan", "P0-nan", "P0-not-psd",
         "P0-not-psd-near-float-limit", "seed-negative", "seed-not-integer",
         "d_routing-2-rows", "d_routing-1-column-under-the-paper-schedule", "d_routing-nan",
         "value-of-length-3", "scale-1x3", "ell-under-ekf", "ell-under-is-ekf", "gamma2-inf",
-        "gamma1-inf", "sigma0-inf", "epsilon0-inf"])
+        "gamma1-inf", "sigma0-inf", "epsilon0-inf", "eta-nan", "delta_freq-inf"])
 def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters):
     data = minimal_cfg_dict(**scenario)
     if filters is not None:
@@ -218,6 +220,10 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
     ("run", "scenario", "horizon", "abc", "scenario.horizon: must be a whole number, got 'abc'\n"),
     ("run", "scenario", "input", {"eta": "abc"},
      "scenario.input.eta: could not convert string to float: 'abc'\n"),
+    ("run", "scenario", "input", {"eta": float("nan")},
+     "scenario.input: eta must be finite, got nan\n"),
+    ("run", "scenario", "input", {"delta_freq": float("inf")},
+     "scenario.input: delta_freq must be finite, got inf\n"),
     ("run", "scenario", None, 5, "scenario must be a mapping, got int\n"),
     ("run", "scenario", "outliers", [5], "scenario.outliers[0] must be a mapping, got int\n"),
     ("run", "scenario", "horizon", 2.5, "scenario.horizon: must be a whole number, got 2.5\n"),
@@ -229,7 +235,8 @@ def test_bad_scenario_values_rejected_at_parse(tmp_path, key, scenario, filters)
     ("run", "output", "metrics", ["m.txt"], "output.metrics: must be a string, got ['m.txt']\n"),
 ], ids=["A-string", "A-ragged", "alpha-string", "mu-null", "lambda1-string", "epsilon0-inf",
         "system-list",
-        "horizon-string", "eta-string", "scenario-int", "outliers-int",
+        "horizon-string", "eta-string", "eta-nan", "delta_freq-inf", "scenario-int",
+        "outliers-int",
         "horizon-fraction", "k_lo-fraction", "plots-string", "csv-null", "dir-int",
         "metrics-list"])
 def test_a_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, command, section, key,
@@ -645,12 +652,13 @@ def _checked_objects():
             stability.LinearSystem(A=[[-1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]],
                                    mode="continuous"),
             stability.CertificateCandidate(W=[[1.0]], U=[[1.0]], alpha=0.1, Gamma2=[[1.0]],
-                                           P0=[[0.01]])]
+                                           P0=[[0.01]]),
+            cfg.scenario.input_profile, harness.certify_from_config(LINEAR_CFG)]
 
 
 @pytest.mark.parametrize("cls", ["ExperimentConfig", "OutputConfig", "ScenarioConfig",
                                  "FilterSpec", "NonlinearModel", "LinearSystem",
-                                 "CertificateCandidate"])
+                                 "CertificateCandidate", "InputProfile", "StabilityCertificate"])
 def test_every_field_of_a_checked_object_is_read_only(cls):
     (obj,) = [obj for obj in _checked_objects() if type(obj).__name__ == cls]
     for f in dataclasses.fields(obj):
@@ -691,8 +699,9 @@ def test_a_changed_system_is_tested_for_regularity_again():
     sys_ = stability.LinearSystem(A=[[0.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]],
                                   mode="discrete")
     stability.assert_regular(sys_)
-    sys_.C[0, 0] = 0.0
-    sys_.A[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        sys_.C[0, 0] = 0.0
+    sys_ = dataclasses.replace(sys_, A=[[2.0]], C=[[0.0]])
     with pytest.raises(CertificationFailure, match="not detectable"):
         stability.assert_regular(sys_)
 

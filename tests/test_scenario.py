@@ -587,7 +587,21 @@ def _ct_params():
     (lambda P0: benchmark_config(filters=[FilterSpec("is-ekf", P0=P0,
                                                      bound_params=_two_channel_params())]),
      "ScenarioConfig.filters: is-ekf bound_params has 2 channels, the measurement has 3"),
-], ids=["duplicate-labels", "2x2-P0", "ct-mode", "2-channels"])
+    # unchecked, these built and then failed simulate with a raw TypeError
+    (lambda P0: dataclasses.replace(benchmark_config(), horizon=10.5),
+     r"ScenarioConfig.horizon must be an integer, got 10\.5"),
+    (lambda P0: dataclasses.replace(benchmark_config(), horizon=True),
+     "ScenarioConfig.horizon must be an integer, got True"),
+    (lambda P0: OutlierSegment(1.5, 5, "constant", value=[1, 1]),
+     r"OutlierSegment.k_lo must be an integer, got 1\.5"),
+    (lambda P0: OutlierSegment(1, True, "constant", value=[1, 1]),
+     "OutlierSegment.k_hi must be an integer, got True"),
+    # unchecked, a nan input failed the robot at step 1, and an inf one
+    # warned in numpy first
+    (lambda P0: InputProfile(eta=math.nan), "eta must be finite, got nan"),
+    (lambda P0: InputProfile(delta_freq=math.inf), "delta_freq must be finite, got inf"),
+], ids=["duplicate-labels", "2x2-P0", "ct-mode", "2-channels", "horizon-float", "horizon-bool",
+        "k_lo-float", "k_hi-bool", "eta-nan", "delta_freq-inf"])
 def test_a_scenario_is_checked_once_when_it_is_built(build, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         build(robot_filter_p0())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -14,6 +15,7 @@ from isekf.scenario import FilterSpec
 from isekf.stability import (
     CertificateCandidate,
     LinearSystem,
+    StabilityCertificate,
     _care_flow,
     _dare_flow,
     _stationary,
@@ -40,6 +42,11 @@ def scalar_sys(a, c, q, r, d=1.0, mode="discrete"):
     return LinearSystem(A=[[a]], C=[[c]], Q=[[q]], R=[[r]], D=[[d]], mode=mode)
 
 
+def start_at(p0):
+    """A scalar candidate whose covariance start is [[p0]]."""
+    return CertificateCandidate(W=[[1.0]], U=[[1.0]], alpha=0.1, Gamma2=[[1.0]], P0=[[p0]])
+
+
 def ct_cert_setup():
     sys = scalar_sys(-1.0, 1.0, 1.0, 1.0, d=1.0, mode="continuous")
     params = BoundParams(lambda1=[-1.0], lambda2=[-1.0], gamma1=[0.1], gamma2=[1.0],
@@ -57,6 +64,55 @@ def dt_cert_setup():
     cand = CertificateCandidate(W=[[0.3]], U=[[2.0]], alpha=0.2, Gamma2=[[0.2]],
                                 P0=P_inf)
     return sys, cand, params
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+# the array fields of each type that stores them read-only
+_ARRAY_FIELDS = {
+    LinearSystem: {"A", "C", "Q", "R", "D"},
+    CertificateCandidate: {"W", "U", "Gamma2", "P0"},
+    NonlinearModel: {"Q", "R"},
+    StabilityCertificate: {"P_inf", "W", "U", "Gamma2", "P0", "_c2_times", "_c2_lmax"},
+}
+
+
+def test_the_linear_observer_copies_the_callers_arrays_and_holds_them_read_only():
+    # an in-place edit used to skip every constructor check: after
+    # sys.R[0, 0] = -1, certify failed with "innovation covariance not
+    # factorizable" where the constructor names R
+    A, C, Q, R, D, W, U, Gamma2, P0, P_inf = (
+        np.array([[v]]) for v in (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.01, 0.5))
+    sys_ = LinearSystem(A=A, C=C, Q=Q, R=R, D=D, mode="continuous")
+    cand = CertificateCandidate(W=W, U=U, alpha=0.5, Gamma2=Gamma2, P0=P0)
+    model = NonlinearModel(f=lambda x, u: x, h=lambda x: x, Q=Q, R=R, n=1, p=1)
+    cert = certify(sys_, cand, ct_cert_setup()[2], mu=0.3)
+    built = [(sys_, dict(A=A, C=C, Q=Q, R=R, D=D)),
+             (cand, dict(W=W, U=U, Gamma2=Gamma2, P0=P0)),
+             (model, dict(Q=Q, R=R)),
+             (dataclasses.replace(cert, P_inf=P_inf), dict(P_inf=P_inf))]
+    for obj, mine in built:
+        stored = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                  if isinstance(getattr(obj, f.name), np.ndarray)}
+        assert set(stored) == _ARRAY_FIELDS[type(obj)]
+        for arr in stored.values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        for name, arr in mine.items():
+            assert arr.flags.writeable, name
+            assert not np.shares_memory(arr, stored[name]), name
+    assert isinstance(cert.checkpoints, tuple)
+
+
+def test_a_linear_system_and_a_candidate_equal_only_themselves():
+    # the generated == compared arrays and raised for any matrix larger
+    # than 1x1; the bound check's covariance memo hashes the objects
+    sys_ = scalar_sys(0.5, 1.0, 1.0, 1.0)
+    cand = start_at(1.0)
+    assert sys_ == sys_ and sys_ != dataclasses.replace(sys_)
+    assert cand == cand and cand != dataclasses.replace(cand)
+    assert len({sys_, cand, dataclasses.replace(sys_), dataclasses.replace(cand)}) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +214,9 @@ def test_newton_from_a_start_with_an_unstable_closed_loop_is_a_named_failure():
     # with Q = 1e-8 the flow's right-hand side at P = 0 is already within
     # its hand-over threshold of 1e-3 (1 + ||P||); the flow steps on until the
     # closed loop is stable, and reaches the stabilizing 1 + sqrt(1 + 1e-8)
-    sys_.Q[0, 0] = 1e-8
+    with pytest.raises(ValueError, match="read-only"):
+        sys_.Q[0, 0] = 1e-8
+    sys_ = dataclasses.replace(sys_, Q=[[1e-8]])
     assert solve_care(sys_)[0, 0] == pytest.approx(1.0 + math.sqrt(1.0 + 1e-8), rel=1e-14)
 
 
@@ -321,8 +379,7 @@ def test_an_overflowed_norm_is_never_stationary():
     with pytest.raises(CertificationFailure, match="diverged"):
         _dare_flow(scalar_sys(1.0, 0.0, 1.0, 1.0), np.array([[1e160]]), record=True)
     # P jumps from 1.13 to 1.13e200, then to inf, whose gain step fails
-    cov = stability._covariance_pass(scalar_sys(1e100, 0.0, 1.0, 1.0), np.array([[1.13]]),
-                                     None, 50)
+    cov = stability._covariance_pass(scalar_sys(1e100, 0.0, 1.0, 1.0), start_at(1.13), None, 50)
     assert cov.failed_at == 2
     assert cov.failure[0] == "innovation covariance not finite"
 
@@ -332,7 +389,7 @@ def test_the_continuous_covariance_pass_stops_at_its_first_non_finite_step():
     # unobserved and fast: each RK4 step multiplies P by about 8,200 until
     # it overflows at step 77; the pass keeps the gains of its stages so far
     sys = scalar_sys(1e4, 0.0, 1.0, 1.0, mode="continuous")
-    cov = stability._covariance_pass(sys, np.array([[1.0]]), 1e-3, 200)
+    cov = stability._covariance_pass(sys, start_at(1.0), 1e-3, 200)
     assert (cov.failed_at, cov.failure, len(cov.gains)) == (77, None, 4 * 78)
 
 
