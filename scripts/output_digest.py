@@ -13,7 +13,10 @@ prints one line per artifact:
   `isekf sweep paper.cfg --seeds 70` (two batches, 64 + 6 seeds) and of
   `isekf certify linear.cfg`, line by line;
 - max_ratio, samples and final_error_norm (floats in hex) of draws 0-2 of
-  the bench's bound-dt and bound-ct workloads at seed 1;
+  the bench's bound-dt and bound-ct workloads at seed 1, and of bound-dt's
+  draw 0 on its system from P0 = 1 (the certificate sweep_candidates finds
+  there), whose Riccati recursion moves for some steps before its gain
+  freezes, where every bound-dt draw starts at the fixed point;
 - for the certificates of those two workloads at their V0, the sha256 of
   the hex of transient_bound at every sample of an op (2,001 steps,
   4,001 times);
@@ -63,8 +66,8 @@ import yaml
 from isekf.errors import NumericalFailure
 from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
 from isekf.harness import cli_main
-from isekf.stability import (LinearSystem, certify, gain_identity_residuals, solve_dare,
-                             sweep_candidates)
+from isekf.stability import (CertificateCandidate, LinearSystem, bound_trajectory_check, certify,
+                             gain_identity_residuals, solve_dare, sweep_candidates)
 from isekf.saturation import BoundParams, SaturationState, bound_rhs_ct, bound_step_dt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -162,6 +165,11 @@ def _bench_workloads():
     return module
 
 
+def _report_fields(rep) -> str:
+    return (f"max_ratio={rep.max_ratio.hex()} samples={rep.samples} "
+            f"final_error_norm={rep.final_error_norm.hex()}")
+
+
 def bound_lines() -> list[str]:
     workloads = _bench_workloads()
     lines = []
@@ -169,15 +177,32 @@ def bound_lines() -> list[str]:
         wl = workloads.WORKLOADS[name](ROOT, None, workloads.DEFAULT_SEED)
         wl.setup()
         for i in range(DRAWS):
-            rep = wl.run(wl.prepare(i, "digest"))
-            lines.append(f"{name} draw {i} max_ratio={rep.max_ratio.hex()} "
-                         f"samples={rep.samples} "
-                         f"final_error_norm={rep.final_error_norm.hex()}")
+            lines.append(f"{name} draw {i} {_report_fields(wl.run(wl.prepare(i, 'digest')))}")
     return lines
 
 
 # the initial error of each bound workload's op (see their run methods)
 BOUND_E0 = {"bound-dt": 0.3, "bound-ct": 0.05}
+
+
+def _swept_from_one(dt_wl):
+    """The certificate of the bound-dt system from P0 = 1 that
+    sweep_candidates finds at the bound-dt certificate's alpha."""
+    dt = dt_wl.cert
+    return sweep_candidates(dt_wl.sys, dt.params, dt.mu, dt.alpha, P0=[[1.0]])
+
+
+def moving_bound_lines() -> list[str]:
+    workloads = _bench_workloads()
+    wl = workloads.WORKLOADS["bound-dt"](ROOT, None, workloads.DEFAULT_SEED)
+    wl.setup()
+    cert = _swept_from_one(wl)
+    cand = CertificateCandidate(W=cert.W, U=cert.U, alpha=cert.alpha, Gamma2=cert.Gamma2,
+                                P0=cert.P0)
+    d = wl.prepare(0, "digest")
+    rep = bound_trajectory_check(wl.sys, cand, cert, lambda k: np.array([d[k]]),
+                                 horizon=wl.steps_per_op, e0=np.array([BOUND_E0["bound-dt"]]))
+    return [f"bound-dt P0=1 draw 0 {_report_fields(rep)}"]
 
 
 def envelope_inputs():
@@ -211,8 +236,7 @@ def certificates():
     ct_wl.setup()
     dt, ct = dt_wl.cert, ct_wl.cert
     yield "linear.cfg P0=fixed_point", dt
-    yield "linear.cfg P0=1", sweep_candidates(dt_wl.sys, dt.params, dt.mu, dt.alpha,
-                                              P0=[[1.0]])
+    yield "linear.cfg P0=1", _swept_from_one(dt_wl)
     yield "bound-ct P0=0.01", ct
     yield "bound-ct P0=0", certify(ct_wl.sys, dataclasses.replace(ct_wl.cand, P0=[[0.0]]),
                                    ct.params, ct.mu)
@@ -361,8 +385,8 @@ def bound_edge_lines() -> list[str]:
     return lines
 
 
-SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines, envelope_lines,
-            certificate_lines, ct_endpoint_lines, dare_lines, bound_map_lines, bound_edge_lines)
+SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines,
+            moving_bound_lines, envelope_lines, certificate_lines, ct_endpoint_lines, dare_lines, bound_map_lines, bound_edge_lines)
 
 
 def main() -> int:

@@ -105,7 +105,7 @@ def _require_noise_covariances(obj) -> None:
         raise ConfigurationError("R must be positive definite") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearModel:
     """System description used by every filter.
 
@@ -173,7 +173,7 @@ class NonlinearModel:
         return innov
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterState:
     """Estimate x_hat with covariance-like matrix P; saturated variants
     additionally carry the SaturationState.  k counts discrete steps,

@@ -279,7 +279,7 @@ def parse_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Metrics
 
-@dataclass
+@dataclass(eq=False)
 class SeedScores:
     """Scores of one filter over a batch of seeds; row i is seed i."""
 
@@ -345,7 +345,7 @@ def rmse(trace: SimulationTrace, label: str, window=None) -> np.ndarray:
     return scores.rmse_windows[windows[0]][0]
 
 
-@dataclass
+@dataclass(eq=False)
 class FilterMetrics:
     rmse_full: np.ndarray
     rmse_windows: dict          # (k_lo, k_hi] -> per-state rmse

@@ -43,7 +43,7 @@ def _as_channel_vector(value, p: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaturationState:
     """Per-channel bound state: sigma (clip level squared) and epsilon
     (innovation-energy tracker), both finite, stored as read-only copies.
@@ -77,7 +77,7 @@ class SaturationState:
         return np.sqrt(self.sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundParams:
     """Coefficients of the bound dynamics, one value per channel.
 

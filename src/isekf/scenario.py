@@ -148,7 +148,7 @@ def _require_integer(obj, names) -> None:
                                      f"got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlierSegment:
     """One schedule stage over the half-open step range (k_lo, k_hi].
 
@@ -186,7 +186,7 @@ class OutlierSegment:
         return self.k_lo < k <= self.k_hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlierSchedule:
     """Non-overlapping stages plus the channel-routing matrix D (p x m),
     stored as a read-only copy.  Outside every stage the disturbance is
@@ -296,7 +296,7 @@ def _noise_factor(R: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(R) if np.any(R) else np.zeros_like(R)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterSpec:
     """One filter to run: kind is "is-ekf" (dt-mode bound_params), "ekf" or "lsigma-ekf".
     P0 is stored as a read-only copy."""
@@ -326,7 +326,7 @@ class FilterSpec:
             object.__setattr__(self, "label", self.kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything the simulation needs apart from the seed.  The std
     vectors and the initial guess offset are stored as read-only copies."""
@@ -401,7 +401,7 @@ class ScenarioConfig:
         return np.diag(std**2)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationTrace:
     """Time-indexed record of one run; one row per step, k = 0..horizon."""
 

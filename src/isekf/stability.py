@@ -348,22 +348,28 @@ def _dare_step(sys: LinearSystem, P: np.ndarray):
     return P_next, P_filt, K
 
 
-def _dare_flow(sys: LinearSystem, P0: np.ndarray, record: bool = False):
-    """Iterate the prediction-form recursion until successive iterates are
-    stationary.  Returns (P_inf, preds, filts)."""
+def _dare_steps(sys: LinearSystem, P0: np.ndarray):
+    """The one loop of the prediction-form Riccati recursion: yields
+    (P, P_filt, K, P_next) from P0 through the first step that _stationary
+    passes, with no divergence check and no cap."""
     P = _symmetrize(np.asarray(P0, dtype=float))
-    preds, filts = [], []
-    for _ in range(_DARE_MAX_ITER):
-        P_next, P_filt, _ = _dare_step(sys, P)
-        if record:
-            preds.append(P.copy())
-            filts.append(P_filt.copy())
-        if not math.isfinite(np.linalg.norm(P_next)):  # an overflowed norm too
-            raise CertificationFailure("discrete Riccati recursion diverged")
+    while True:
+        P_next, P_filt, K = _dare_step(sys, P)
+        yield P, P_filt, K, P_next
         if _stationary(P, np.linalg.norm(P_next - P)):
-            return P_next, preds, filts
+            return
         P = P_next
-    raise CertificationFailure("discrete Riccati recursion did not converge")
+
+
+def _dare_flow(sys: LinearSystem, P0: np.ndarray):
+    """_dare_steps with a solve's checks: CertificationFailure when the
+    norm of P_next overflows, or after _DARE_MAX_ITER steps."""
+    for k, step in enumerate(_dare_steps(sys, P0)):
+        if k == _DARE_MAX_ITER:
+            raise CertificationFailure("discrete Riccati recursion did not converge")
+        if not math.isfinite(np.linalg.norm(step[3])):  # an overflowed norm too
+            raise CertificationFailure("discrete Riccati recursion diverged")
+        yield step
 
 
 def solve_dare(sys: LinearSystem) -> np.ndarray:
@@ -372,7 +378,8 @@ def solve_dare(sys: LinearSystem) -> np.ndarray:
     if sys.mode != "discrete":
         raise ConfigurationError("solve_dare requires a discrete-mode system")
     assert_regular(sys)
-    P, _, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)))
+    for _, _, _, P in _dare_flow(sys, np.zeros((sys.n, sys.n))):
+        pass
     return P
 
 
@@ -514,7 +521,7 @@ def is_psd(M: np.ndarray, tol: float = 1e-9) -> PsdReport:
 # ---------------------------------------------------------------------------
 # Certification
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityCertificate:
     """Outcome of a successful certification sweep.
 
@@ -539,7 +546,6 @@ class StabilityCertificate:
     mu: float
     params: BoundParams
     P0: np.ndarray
-    asymptotic_bound: float
     checkpoints: tuple  # (time-or-step, min_eig) pairs
     _c2_times: np.ndarray
     _c2_lmax: np.ndarray
@@ -563,6 +569,11 @@ class StabilityCertificate:
 
     def forcing(self) -> float:
         return self.c1 * self.mu**2 + self.rho
+
+    @property
+    def asymptotic_bound(self) -> float:
+        """The envelope's limit, sqrt(forcing / (alpha c3))."""
+        return math.sqrt(self.forcing() / (self.alpha * self.c3))
 
     def envelope(self, times, V0: float) -> list[float]:
         """Envelope on ||e|| at each of a sequence of continuous times or steps:
@@ -679,10 +690,11 @@ def certify(
             return build_S(sys, cand, mats[i])
     else:
         _discrete_q_inverse(sys)  # build_Z's requirements, before eps_cov inverts P_filt
-        P_inf, mats, filts = _dare_flow(sys, cand.P0, record=True)
-        times = np.arange(len(mats) + 1, dtype=float)
-        mats.append(P_inf)
-        filts.append(_dare_step(sys, P_inf)[1])
+        steps = list(_dare_flow(sys, cand.P0))
+        P_inf = steps[-1][3]
+        mats = [P for P, *_ in steps] + [P_inf]
+        filts = [P_filt for _, P_filt, *_ in steps] + [_dare_step(sys, P_inf)[1]]
+        times = np.arange(len(mats), dtype=float)
         eps_cov = 1.01 * max(float(np.linalg.eigvalsh(_spd_inverse(Pf, "P_filt")).max())
                              for Pf in filts[start:])
         c1 = -math.inf
@@ -712,10 +724,6 @@ def certify(
             )
 
     lmax_traj = np.array([float(np.linalg.eigvalsh(P).max()) for P in mats])
-    c3 = 1.0 / float(lmax_traj[-1])
-    forcing = c1 * mu**2 + rho
-    asym = math.sqrt(forcing / (cand.alpha * c3))
-
     return StabilityCertificate(
         mode=sys.mode,
         variant=variant,
@@ -725,12 +733,11 @@ def certify(
         alpha=cand.alpha,
         Gamma2=cand.Gamma2,
         c1=c1,
-        c3=c3,
+        c3=1.0 / float(lmax_traj[-1]),
         rho=rho,
         mu=float(mu),
         params=params,
         P0=cand.P0,
-        asymptotic_bound=asym,
         checkpoints=report,
         _c2_times=times,
         _c2_lmax=lmax_traj,
@@ -779,40 +786,23 @@ class BoundCheckReport:
 
 
 class _CovariancePass(NamedTuple):
-    """The disturbance-free part of a bound check.  gains is read-only:
-    discrete (k, n, p), the last gain frozen for every later step;
-    continuous (4 * steps, n, p), one gain per RK4 stage.  failed_at is
-    the step whose covariance update failed, or None; failure holds a
-    discrete failure's NumericalFailure arguments."""
+    """The disturbance-free part of a continuous bound check.  gains is
+    read-only, (4 * steps, n, p), one gain per RK4 stage; failed_at is the
+    step whose covariance update failed, or None."""
 
     gains: np.ndarray
     failed_at: Optional[int]
-    failure: Optional[tuple]
 
 
 @functools.lru_cache(maxsize=8)
-def _covariance_pass(sys: LinearSystem, cand: CertificateCandidate, dt: Optional[float],
+def _covariance_pass(sys: LinearSystem, cand: CertificateCandidate, dt: float,
                      steps: int) -> _CovariancePass:
-    """The covariance recursion of a bound check from cand.P0 over steps
-    steps (dt None in discrete mode): in discrete time the Riccati recursion
-    until it is stationary (the test solve_dare stops on), in continuous
-    time RK4 on P.  Memoized on the objects, whose arrays are read-only: a
-    rebuilt system or candidate computes its own pass."""
+    """RK4 on the continuous Riccati flow from cand.P0 over steps steps of
+    dt, keeping the gain of every stage: 4 * steps gains, which a memo
+    pays for where the discrete recursion's one or few steps do not.
+    Memoized on the objects, whose arrays are read-only: a rebuilt system
+    or candidate computes its own pass."""
     P = _symmetrize(cand.P0)
-    if sys.mode == "discrete":
-        gains = []
-        for k in range(steps):
-            try:
-                P_next, _, K = _dare_step(sys, P)
-            except NumericalFailure as exc:
-                return _CovariancePass(_read_only(gains), k,
-                                       (str(exc), _read_only(exc.context)))
-            gains.append(K)
-            if _stationary(P, np.linalg.norm(P_next - P)):
-                break
-            P = P_next
-        return _CovariancePass(_read_only(gains), None, None)
-
     CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
     gains = np.empty((4 * steps,) + CtRinv.shape)
     slots = iter(gains)
@@ -826,9 +816,9 @@ def _covariance_pass(sys: LinearSystem, cand: CertificateCandidate, dt: Optional
     for i in range(steps):
         P = _rk4(rhs, P, i * dt, dt)
         if not _all_finite(P):
-            return _CovariancePass(_read_only(gains[:4 * (i + 1)]), i, None)
+            return _CovariancePass(_read_only(gains[:4 * (i + 1)]), i)
         P = _symmetrize(P)
-    return _CovariancePass(_read_only(gains), None, None)
+    return _CovariancePass(_read_only(gains), None)
 
 
 def _step_count(mode: str, horizon, dt) -> int:
@@ -882,11 +872,13 @@ def bound_trajectory_check(
     (otherwise InputDomainError).  The bound parameters, the candidate's
     shapes, e0, horizon and dt (_step_count) are checked once at entry,
     where a non-finite e0, or a nonzero e0 on a singular P0 (see
-    initial_v), is an InputDomainError.  The covariance pass
-    (_covariance_pass: P and the gain, from cand.P0, which do not depend
-    on the disturbance) is shared by every draw on the same sys and cand
-    objects; the error pass then steps
-    (e, sat), sat = [sigma; eps], on the unchecked clip and bound-map cores, in
+    initial_v), is an InputDomainError.  The discrete check is one pass:
+    each step takes the next gain of the Riccati recursion from cand.P0
+    (_dare_steps), the last one once it is stationary.  The continuous
+    check reads each RK4 stage's gain from a covariance pass
+    (_covariance_pass), which does not depend on the disturbance and is
+    shared by every draw on the same sys and cand objects.  (e, sat),
+    sat = [sigma; eps], steps on the unchecked clip and bound-map cores, in
     continuous time with the continuous-time filter's saturated core and
     floored RK4 step (sigma and eps floored at 1e-12 in every stage and
     after every step).  A non-finite stepped state, or a failed
@@ -939,15 +931,13 @@ def bound_trajectory_check(
     sat = np.concatenate((params.sigma0, params.epsilon0))
     if sys.mode == "discrete":
         lam, gam = params.lam, params.gam
-        cov = _covariance_pass(sys, cand, None, n_steps + 1)
-        gains = list(cov.gains)
-        last = len(gains) - 1
+        gains = (K for _, _, K, _ in _dare_steps(sys, cand.P0))
+        K = None
         for k, bound in enumerate(_envelope_blocks(cert, n_steps + 1, None, V0)):
             d = disturbance(k)
             check(k, bound, e)
-            if k == cov.failed_at:
-                raise NumericalFailure(*cov.failure)
-            K = gains[min(k, last)]
+            # the last gain holds once the recursion is stationary
+            K = next(gains, K)
             innov = C.dot(e) - D.dot(d)
             e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sat[:p]))))
             sat = _bound_map_core(sat, innov, lam, gam)

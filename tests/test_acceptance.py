@@ -228,6 +228,6 @@ def test_criterion_9_monotone_riccati():
         rng = np.random.default_rng(31)
         for _ in range(20):
             sys = random_system(rng, "discrete")
-            _, preds, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)), record=True)
+            preds = [P for P, *_ in _dare_flow(sys, np.zeros((sys.n, sys.n)))]
             for Pa, Pb in zip(preds, preds[1:]):
                 assert np.linalg.eigvalsh(Pb - Pa).min() >= -1e-12

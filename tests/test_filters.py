@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -534,3 +535,36 @@ def test_angle_channel_wrap_in_update():
     pred = dt_predict(model, st, u=np.array([0.0, 0.0]))
     innov = model.innovation(pred.x_hat, y)
     assert abs(innov[2]) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# entry rejections that no run reaches, each with its type and message
+
+def _unobserved_at_a_step(x):
+    # finite at x = 0, not finite at the central-difference steps around it
+    return np.array([1.0 if x[0] == 0.0 else math.inf])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: jacobian_fd(_unobserved_at_a_step, np.zeros(1)), NumericalFailure,
+     "jacobian_fd: map evaluated to non-finite values"),
+    (lambda: linear_model([[1.0]], [[1.0]], [[1.0]], [[0.0]]), ConfigurationError,
+     "R must be positive definite"),
+    (lambda: linear_model([[1.0]], [[1.0]], np.eye(2), [[1.0]]), ConfigurationError,
+     "Q must be 1x1, got (2, 2)"),
+    (lambda: linear_model([[1.0]], [[1.0]], [[1.0]], np.eye(2)), ConfigurationError,
+     "R must be 1x1, got (2, 2)"),
+    (lambda: check_covariance(np.array([[1.0, 0.5], [0.0, 1.0]])), NumericalFailure,
+     "covariance lost symmetry"),
+    (lambda: dt_isekf_step(linear_model([[1.0]], [[1.0]], [[1.0]], [[1.0]]),
+                           scalar_state(0.0, 1.0), np.zeros(1), big_sigma_params()),
+     ConfigurationError, "dt_isekf_step requires a SaturationState"),
+    (lambda: ct_isekf_integrate(linear_model([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
+                                scalar_state(0.0, 1.0, sigma=1.0), lambda t: np.zeros(1),
+                                0.0, 1.0, big_sigma_params()),
+     ConfigurationError, "dt must be positive, got 0.0"),
+], ids=["jacobian-non-finite-step", "R-not-pd", "Q-shape", "R-shape", "asymmetric-covariance",
+        "no-saturation-state", "ct-dt-zero"])
+def test_an_entry_rejection_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

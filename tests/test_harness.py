@@ -666,6 +666,16 @@ def test_every_field_of_a_checked_object_is_read_only(cls):
             setattr(obj, f.name, getattr(obj, f.name))
 
 
+def test_an_object_holding_arrays_equals_only_itself():
+    # eq=False: the generated == compared the arrays, whose truth value is
+    # ambiguous, and the generated hash of a frozen one raised TypeError
+    cfg = parse_config(PAPER_CFG).scenario
+    assert cfg == cfg and not cfg == dataclasses.replace(cfg)
+    params = cfg.filters[0].bound_params
+    assert hash(params) == hash(params) and params in {params}
+    assert dataclasses.replace(params) != params
+
+
 def test_cli_certify(capsys):
     code = cli_main(["certify", LINEAR_CFG])
     assert code == 0
@@ -1046,3 +1056,46 @@ def test_polyline_points_match_fmt_on_special_values():
     expected = " ".join(f"{svgplot._fmt(a)},{svgplot._fmt(b)}" for a, b in zip(X, Y))
     assert svgplot._points(X, Y) == expected
     assert svgplot._points(X[:0], Y[:0]) == ""
+
+
+# ---------------------------------------------------------------------------
+# entry rejections that no run reaches, each with its type and message
+
+def _certify_without_A(tmp_path):
+    data = harness.load_yaml(LINEAR_CFG)
+    del data["system"]["A"]
+    return harness.certify_from_config(write_cfg(tmp_path, data))
+
+
+def _parse_with(tmp_path, section, key, value):
+    data = minimal_cfg_dict()
+    data[section][key] = value
+    return parse_config(write_cfg(tmp_path, data))
+
+
+def _parse_list_root(tmp_path):
+    path = tmp_path / "list.cfg"
+    path.write_text("- scenario\n- filters\n")
+    return parse_config(str(path))
+
+
+def _plot_empty_trace(tmp_path):
+    trace = simulate(benchmark_config(horizon=5), 1)
+    return render_plots(dataclasses.replace(trace, k=trace.k[:0]), str(tmp_path / "plots"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_certify_without_A, ConfigurationError, "system.A is required"),
+    (lambda tmp_path: _parse_with(tmp_path, "filters", "ekf", {"P0": [1.0, 2.0]}),
+     ConfigurationError, "filters.ekf.P0: must be a list of 3 numbers"),
+    (lambda tmp_path: _parse_with(tmp_path, "scenario", "outliers", 5), ConfigurationError,
+     "scenario.outliers must be 'paper', 'none' or a list"),
+    (_parse_list_root, ConfigurationError, "config root of {path} must be a mapping"),
+    (_plot_empty_trace, ConfigurationError, "cannot plot an empty trace"),
+    (lambda tmp_path: svgplot.LineChart("empty", "x", "y").render(), ValueError,
+     "chart has no series"),
+], ids=["required-key", "P0-length", "outliers-int", "list-root", "empty-trace", "no-series"])
+def test_an_entry_rejection_names_its_cause(tmp_path, call, error, message):
+    message = message.format(path=tmp_path / "list.cfg")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

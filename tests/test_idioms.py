@@ -150,9 +150,9 @@ def _is_dataclass(decorator) -> bool:
     return (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == "dataclass"
 
 
-def _is_frozen(decorator) -> bool:
+def _declares(decorator, arg: str, value: bool) -> bool:
     return isinstance(decorator, ast.Call) and any(
-        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        kw.arg == arg and isinstance(kw.value, ast.Constant) and kw.value.value is value
         for kw in decorator.keywords)
 
 
@@ -163,7 +163,8 @@ def _unfrozen_checked_classes(text: str):
             if isinstance(node, ast.ClassDef)
             and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
                     for f in node.body)
-            and any(_is_dataclass(d) and not _is_frozen(d) for d in node.decorator_list)]
+            and any(_is_dataclass(d) and not _declares(d, "frozen", True)
+                    for d in node.decorator_list)]
 
 
 def test_the_frozen_dataclass_scan_sees_each_spelling():
@@ -181,3 +182,46 @@ def test_every_checked_dataclass_of_the_package_is_frozen():
     found = {p.name: _unfrozen_checked_classes(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# a dataclass with an array field is eq=False, and so equals only itself:
+# the generated == compares the fields as tuples, which asks an array
+# comparison for its truth value, and a frozen class's generated hash
+# hashes the arrays
+def _array_classes_with_value_equality(text: str):
+    """Name of each class of a module's text that is a dataclass, has a
+    field annotated with ndarray (np.ndarray, Optional[np.ndarray], ...)
+    and is not declared eq=False."""
+    return [node.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.AnnAssign) and "ndarray" in ast.unparse(f.annotation)
+                    for f in node.body)
+            and any(_is_dataclass(d) and not _declares(d, "eq", False)
+                    for d in node.decorator_list)]
+
+
+def test_the_array_equality_scan_sees_each_spelling():
+    body = "class C:\n    n: int\n    x: {}\n"
+    for head, annotation in (("@dataclass\n", "np.ndarray"),
+                             ("@dataclass(frozen=True)\n", "np.ndarray"),
+                             ("@dataclass(eq=True)\n", "ndarray"),
+                             ("@dataclasses.dataclass(frozen=True)\n", "Optional[np.ndarray]")):
+        assert _array_classes_with_value_equality(head + body.format(annotation)) == ["C"]
+    for text in ("@dataclass(eq=False)\n" + body.format("np.ndarray"),
+                 "@dataclass(frozen=True, eq=False)\n" + body.format("Optional[np.ndarray]"),
+                 "@dataclass(frozen=True)\n" + body.format("float"),
+                 body.format("np.ndarray")):
+        assert _array_classes_with_value_equality(text) == [], text
+
+
+def test_every_dataclass_holding_arrays_equals_only_itself():
+    found = {p.name: _array_classes_with_value_equality(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_discrete_riccati_loop_is_written_once():
+    # stability._dare_steps is the one loop; _dare_flow, certify and the
+    # discrete bound check read its steps
+    text = (SRC / "stability.py").read_text(encoding="utf-8")
+    assert text.count("_stationary(P, np.linalg.norm(P_next - P))") == 1

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from isekf import stability
 from isekf.harness import SWEEP_BATCH, cli_main, parse_config
 from isekf.scenario import simulate
 
@@ -48,6 +49,23 @@ def test_the_sweep_section_digests_a_one_batch_and_a_two_batch_sweep():
         f"sweep paper.cfg --seeds {seeds}" for seeds in digest.SWEEP_SEEDS for _ in range(4)]
     assert lines[4:] == [f"sweep paper.cfg --seeds 70 | {line}"
                          for line in SWEEP_70.splitlines()]
+
+
+def test_the_moving_bound_section_draws_where_the_discrete_gain_moves():
+    # every bound-dt draw starts at the fixed point, where the recursion is
+    # stationary at its first step; from P0 = 1 it moves for some steps
+    digest = _output_digest()
+    workloads = digest._bench_workloads()
+    wl = workloads.WORKLOADS["bound-dt"](ROOT, None, workloads.DEFAULT_SEED)
+    wl.setup()
+    cert = digest._swept_from_one(wl)
+    assert cert.P0.tolist() == [[1.0]]
+    assert len(list(stability._dare_steps(wl.sys, wl.cert.P0))) == 1
+    gains = [K[0, 0] for _, _, K, _ in stability._dare_steps(wl.sys, cert.P0)]
+    assert len(gains) > 5 and len(set(gains)) > 5
+    (line,) = digest.moving_bound_lines()
+    assert line.startswith("bound-dt P0=1 draw 0 max_ratio=0x")
+    assert " samples=2001 final_error_norm=0x" in line
 
 
 def test_the_envelope_section_digests_the_envelope_at_every_sample():

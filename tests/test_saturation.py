@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -257,3 +258,34 @@ def test_mode_mismatch_rejected():
     p_dt = dt_params()
     with pytest.raises(ConfigurationError):
         bound_rhs_ct(p_dt.initial_state(), np.array([0.0]), p_dt)
+
+
+# ---------------------------------------------------------------------------
+# entry rejections that no run reaches, each with its type and message
+
+def _dt_params(**changes):
+    kw = dict(lambda1=[0.5], lambda2=[0.5], gamma1=[1.0], gamma2=[1.0], sigma0=[1.0],
+              epsilon0=[1.0], mode="dt")
+    kw.update(changes)
+    return BoundParams(**kw)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _dt_params(lambda2=[0.5, 0.5, 0.5], lambda1=[0.5, 0.5]), ConfigurationError,
+     "lambda2 must be a scalar or length-2 vector, got shape (3,)"),
+    (lambda: SaturationState([1.0, 1.0], [1.0]), ConfigurationError,
+     "sigma and epsilon must have equal length, got (2,) vs (1,)"),
+    (lambda: SaturationState([math.nan], [1.0]), InputDomainError,
+     "sigma and epsilon must be finite"),
+    (lambda: _dt_params(mode="xt"), ConfigurationError, "mode must be 'dt' or 'ct', got 'xt'"),
+    (lambda: saturate_vector(np.array([math.inf]), np.array([1.0])), InputDomainError,
+     "saturate_vector: non-finite input"),
+    (lambda: saturate_innovation(np.array([0.5]), SaturationState([0.0], [1.0])),
+     InputDomainError, "saturate_innovation: sigma must be strictly positive"),
+    (lambda: bound_step_dt(SaturationState([1.0], [1.0]), np.zeros(2), _dt_params()),
+     ConfigurationError, "bound_step_dt: channel count mismatch"),
+], ids=["channel-vector-length", "state-lengths", "state-not-finite", "mode", "vector-not-finite",
+        "zero-sigma", "map-channel-count"])
+def test_an_entry_rejection_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -627,3 +628,23 @@ def test_simulate_rejects_a_p0_of_the_wrong_size():
     with pytest.raises(ConfigurationError, match="P0 must be 3x3"):
         cfg = benchmark_config(horizon=5, filters=[FilterSpec("ekf", P0=np.eye(2))])
         simulate(cfg, 1)
+
+
+# ---------------------------------------------------------------------------
+# entry rejections that no run reaches, each with its message
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RobotState(math.nan, 0.0, 0.0), "robot state must be finite"),
+    (lambda: OutlierSegment(5, 10, "spike", value=[1.0]), "unknown segment kind 'spike'"),
+    (lambda: OutlierSegment(10, 10, "constant", value=[1.0]), "segment range must be non-empty"),
+    (lambda: OutlierSegment(5, 10, "constant"), "constant segment requires a value"),
+    (lambda: OutlierSegment(5, 10, "uniform"), "uniform segment requires a scale matrix"),
+    (lambda: FilterSpec("ukf", P0=robot_filter_p0()), "unknown filter kind 'ukf'"),
+    (lambda: FilterSpec("is-ekf", P0=robot_filter_p0()), "is-ekf requires bound parameters"),
+    (lambda: FilterSpec("lsigma-ekf", P0=robot_filter_p0(), ell=0.0),
+     "lsigma-ekf requires ell > 0"),
+], ids=["state-not-finite", "segment-kind", "segment-empty", "constant-without-value",
+        "uniform-without-scale", "filter-kind", "is-ekf-without-bounds", "ell-zero"])
+def test_an_entry_rejection_names_its_cause(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -352,7 +354,7 @@ def test_spd_inverse_holds_near_the_float_limit():
 def test_monotone_dare_iterates_from_zero(rng):
     for _ in range(20):
         sys = random_system(rng, "discrete")
-        _, preds, _ = _dare_flow(sys, np.zeros((sys.n, sys.n)), record=True)
+        preds = [P for P, *_ in _dare_flow(sys, np.zeros((sys.n, sys.n)))]
         for Pa, Pb in zip(preds, preds[1:]):
             assert np.linalg.eigvalsh(Pb - Pa).min() >= -1e-12
 
@@ -373,15 +375,17 @@ def test_an_overflowed_norm_is_never_stationary():
         assert care_residual(ct_sys, P_inf) <= 1e-10
     # unobserved and unstable: P quadruples from 1e155 until it overflows
     with pytest.raises(CertificationFailure, match="diverged"):
-        _dare_flow(scalar_sys(2.0, 0.0, 1.0, 1.0), np.array([[1e155]]))
+        list(_dare_flow(scalar_sys(2.0, 0.0, 1.0, 1.0), np.array([[1e155]])))
     # unobserved and neutral: P is stationary to the last bit but its norm
     # has overflowed, which fails at the first step, not after max_iter
     with pytest.raises(CertificationFailure, match="diverged"):
-        _dare_flow(scalar_sys(1.0, 0.0, 1.0, 1.0), np.array([[1e160]]), record=True)
+        list(_dare_flow(scalar_sys(1.0, 0.0, 1.0, 1.0), np.array([[1e160]])))
     # P jumps from 1.13 to 1.13e200, then to inf, whose gain step fails
-    cov = stability._covariance_pass(scalar_sys(1e100, 0.0, 1.0, 1.0), start_at(1.13), None, 50)
-    assert cov.failed_at == 2
-    assert cov.failure[0] == "innovation covariance not finite"
+    steps = stability._dare_steps(scalar_sys(1e100, 0.0, 1.0, 1.0), np.array([[1.13]]))
+    first_two = [P[0, 0] for P, *_ in itertools.islice(steps, 2)]
+    assert first_two == pytest.approx([1.13, 1.13e200], rel=1e-12)
+    with pytest.raises(NumericalFailure, match="^innovation covariance not finite$"):
+        next(steps)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -390,7 +394,7 @@ def test_the_continuous_covariance_pass_stops_at_its_first_non_finite_step():
     # it overflows at step 77; the pass keeps the gains of its stages so far
     sys = scalar_sys(1e4, 0.0, 1.0, 1.0, mode="continuous")
     cov = stability._covariance_pass(sys, start_at(1.0), 1e-3, 200)
-    assert (cov.failed_at, cov.failure, len(cov.gains)) == (77, None, 4 * 78)
+    assert (cov.failed_at, len(cov.gains)) == (77, 4 * 78)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +598,18 @@ def test_sweep_candidates_finds_certificate():
     assert cert.asymptotic_bound > 0.0
 
 
+def test_the_asymptotic_bound_follows_a_replaced_certificate():
+    # the bound is derived from the fields, so a certificate built again
+    # with another alpha or mu reports its own envelope's limit
+    sys, cand, params = dt_cert_setup()
+    cert = certify(sys, cand, params, mu=0.5)
+    assert cert.asymptotic_bound == pytest.approx(1.8202, abs=1e-4)
+    faster = dataclasses.replace(cert, alpha=0.35)
+    assert faster.asymptotic_bound == pytest.approx(1.3760, abs=1e-4)
+    for c in (cert, faster, dataclasses.replace(cert, mu=0.2)):
+        assert c.asymptotic_bound == pytest.approx(c.transient_bound(10**4, 0.0), rel=1e-12)
+
+
 def test_asymptotic_bound_monotonicity():
     sys, cand, params = dt_cert_setup()
     bounds = [certify(sys, cand, params, mu=mu).asymptotic_bound
@@ -703,3 +719,63 @@ def test_hautus_classification():
     # Q = 0 with an unstable mode is not stabilizable
     assert not is_stabilizable(scalar_sys(1.0, 1.0, 0.0, 1.0, mode="continuous"))
     assert is_stabilizable(scalar_sys(-1.0, 1.0, 0.0, 1.0, mode="continuous"))
+
+
+# ---------------------------------------------------------------------------
+# entry rejections that no run reaches, each with its type and message
+
+def _system(**changes):
+    kw = dict(A=[[0.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]], mode="discrete")
+    kw.update(changes)
+    return LinearSystem(**kw)
+
+
+def _candidate(**changes):
+    kw = dict(W=[[1.0]], U=[[1.0]], alpha=0.1, Gamma2=[[1.0]], P0=[[1.0]])
+    kw.update(changes)
+    return CertificateCandidate(**kw)
+
+
+def _certify_dt(params=None, variant="theorem"):
+    sys, cand, dt_params = dt_cert_setup()
+    return certify(sys, cand, params or dt_params, mu=0.5, variant=variant)
+
+
+def _two_channel_dt_params():
+    return BoundParams(lambda1=[0.1] * 2, lambda2=[0.1] * 2, gamma1=[0.05] * 2,
+                       gamma2=[0.2] * 2, sigma0=[0.5] * 2, epsilon0=[0.5] * 2, mode="dt")
+
+
+def _check_from(e0):
+    sys, cand, params = dt_cert_setup()
+    cert = certify(sys, cand, params, mu=0.5)
+    return bound_trajectory_check(sys, cand, cert, lambda k: np.zeros(1), horizon=5, e0=e0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _system(A=[[1.0, 0.0]]), ConfigurationError, "A must be square"),
+    (lambda: _system(C=[[1.0, 1.0]]), ConfigurationError, "C must be p x 1"),
+    (lambda: _system(Q=np.eye(2)), ConfigurationError, "Q/R dimensions inconsistent with A/C"),
+    (lambda: _system(D=[[1.0], [1.0]]), ConfigurationError, "D must have p rows"),
+    (lambda: _system(mode="hybrid"), ConfigurationError,
+     "mode must be 'continuous' or 'discrete', got 'hybrid'"),
+    (lambda: stability.assert_regular(_system(A=[[2.0]], Q=[[0.0]])), CertificationFailure,
+     "(A, Q^(1/2)) is not stabilizable"),
+    (lambda: _candidate(W=[[1.0, 0.5], [0.5, 1.0]]), ConfigurationError, "W must be diagonal"),
+    (lambda: _candidate(Gamma2=[[-1.0]]), ConfigurationError,
+     "Gamma2 must have strictly positive diagonal"),
+    (lambda: _candidate(U=[[-1.0]]), ConfigurationError, "U must be positive definite"),
+    (lambda: _candidate(alpha=0.0), ConfigurationError, "alpha must be positive"),
+    (lambda: _candidate(P0=[[-1.0]]), ConfigurationError, "P0 must be positive semidefinite"),
+    (lambda: build_Z(_system(mode="continuous"), _candidate(), np.eye(1), np.eye(1)),
+     ConfigurationError, "build_Z requires a discrete-mode system"),
+    (lambda: _certify_dt(params=_two_channel_dt_params()), ConfigurationError,
+     "bound parameters channel count != p"),
+    (lambda: _certify_dt(variant="lemma"), ConfigurationError, "unknown variant 'lemma'"),
+    (lambda: _check_from(np.zeros(2)), ConfigurationError, "e0 must have length 1, got shape (2,)"),
+], ids=["A-not-square", "C-shape", "Q-shape", "D-rows", "mode", "not-stabilizable",
+        "W-not-diagonal", "Gamma2-not-positive", "U-not-pd", "alpha-zero", "P0-not-psd",
+        "build_Z-continuous", "params-channel-count", "variant", "e0-length"])
+def test_an_entry_rejection_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
