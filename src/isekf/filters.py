@@ -95,12 +95,12 @@ def _require_symmetric(obj, names) -> None:
 
 
 def _require_noise_covariances(obj) -> None:
-    """ConfigurationError unless obj's finite Q is symmetric PSD and R symmetric PD."""
+    """ConfigurationError unless Q is symmetric PSD and R symmetric PD; sets obj.Rinv = R^-1."""
     _require_symmetric(obj, ("Q", "R"))
     if not _is_psd(obj.Q, 1e-10)[1]:
         raise ConfigurationError("Q must be positive semidefinite")
     try:
-        _spd_solve(obj.R, np.eye(len(obj.R)), "R")
+        object.__setattr__(obj, "Rinv", _read_only(_spd_inverse(obj.R, "R")))
     except NumericalFailure as exc:
         raise ConfigurationError("R must be positive definite") from exc
 
@@ -113,7 +113,7 @@ class NonlinearModel:
     measurement map.  jac_f(x, u) and jac_h(x) may be omitted, in which
     case central differences are used.  Q is the process-noise covariance
     (symmetric PSD), R the measurement-noise covariance (symmetric PD),
-    both stored as read-only copies.
+    both stored as read-only copies; so is Rinv = R^-1, derived from R.
     angle_channels lists measurement channels whose innovations are
     wrapped into (-pi, pi] before any further use.
     """
@@ -231,6 +231,14 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     Ui = np.linalg.inv(U)
     X = np.matmul(Ui, np.matmul(Ui.swapaxes(-1, -2), B))
     return np.ascontiguousarray(X.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of the symmetric part of a finite SPD matrix by _spd_solve, or NumericalFailure."""
+    if not _all_finite(M):  # the Cholesky factor of nan or inf comes back without an error
+        raise NumericalFailure(f"{what} not finite", context=M)
+    # halves first, as in _is_psd: M + M^T overflows for entries near the float limit
+    return _spd_solve(0.5 * M + 0.5 * M.T, np.eye(M.shape[0]), what)
 
 
 def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
@@ -551,17 +559,15 @@ def _riccati_rhs(A: np.ndarray, Q: np.ndarray, C: np.ndarray, K: np.ndarray,
 
 
 def _ct_rhs(model: NonlinearModel, x: np.ndarray, P: np.ndarray, sat: np.ndarray,
-            y: np.ndarray, params: BoundParams):
+            y: np.ndarray, params: BoundParams) -> np.ndarray:
     """ct_isekf_derivative on raw arrays (sat = [sigma; epsilon], P symmetric),
-    checking only the model maps: _saturated_rhs with K = P C^T R^{-1}, and P_dot.
-    Returns (x_dot, P_dot, sigma_dot, eps_dot), the first and last two views
-    of _saturated_rhs's one array."""
+    checking only the model maps: _saturated_rhs with K = P C^T R^{-1}, the
+    gain of the continuous bound check's covariance pass, and P_dot.  Returns
+    the joint [x_dot; vec(P_dot); sat_dot] (see _joint_views)."""
     A, C = model.A_at(x), model.C_at(x)
-    K = _spd_solve(model.R, C @ P, "R").T
-    innov = model.innovation(x, y)
-    out = _saturated_rhs(model.f_at(x), K, innov, sat, params)
-    n, p = len(x), model.p
-    return out[:n], _riccati_rhs(A, model.Q, C, K, P), out[n:n + p], out[n + p:]
+    K = P.dot(C.T.dot(model.Rinv))
+    out = _saturated_rhs(model.f_at(x), K, model.innovation(x, y), sat, params)
+    return np.concatenate((out[:x.size], _riccati_rhs(A, model.Q, C, K, P), out[x.size:]), None)
 
 
 def ct_isekf_derivative(
@@ -579,9 +585,10 @@ def ct_isekf_derivative(
     _check_saturated(model, st.sat, params, "ct_isekf_derivative", y, mode="ct")
     sat = np.concatenate((st.sat.sigma, st.sat.epsilon))
     out = _ct_rhs(model, st.x_hat, _symmetrize(st.P), sat, np.asarray(y, dtype=float), params)
-    if not all(_all_finite(v) for v in out):
+    if not _all_finite(out):
         raise NumericalFailure("derivative evaluation non-finite", context=st.x_hat)
-    return out
+    x_dot, P_dot, sat_dot = _joint_views(out, len(st.x_hat))
+    return x_dot, P_dot, sat_dot[:model.p], sat_dot[model.p:]
 
 
 def _rk4(f: Callable, z: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -634,10 +641,9 @@ def ct_isekf_integrate(
     n, p = st.x_hat.shape[0], st.sat.p
 
     def stage(z, t: float):
-        x, P, sat = _joint_views(z, n)
         y = np.asarray(y_provider(t), dtype=float)
         _check_measurement(y, p, f"ct_isekf_integrate at t={t:.6g}")
-        return np.concatenate(_ct_rhs(model, x, P, sat, y, params), axis=None)
+        return _ct_rhs(model, *_joint_views(z, n), y, params)
 
     out = [replace(st, t=0.0)]
     z = np.concatenate((st.x_hat, _symmetrize(st.P), st.sat.sigma, st.sat.epsilon), axis=None)

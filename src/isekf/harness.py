@@ -620,10 +620,15 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: a config path is required", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not in the flush at exit
     except IsekfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the Python docs' recipe: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def main() -> None:

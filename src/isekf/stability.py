@@ -25,7 +25,7 @@ from .errors import (
 )
 from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite,
                       _require_noise_covariances, _require_symmetric, _riccati_rhs, _rk4,
-                      _saturated_rhs, _spd_solve, _symmetrize)
+                      _saturated_rhs, _spd_inverse, _symmetrize)
 from .saturation import BoundParams, _all_finite, _bound_map_core, _clip, _read_only
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -44,16 +44,6 @@ _NEWTON_MAX_ITER = 60
 _ENVELOPE_BLOCK = 256
 
 
-def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of the symmetric part of an SPD matrix through _spd_solve.
-    The finiteness check comes first: the Cholesky factor of a matrix
-    holding nan or inf comes back without an error.  Raises NumericalFailure."""
-    if not _all_finite(M):
-        raise NumericalFailure(f"{what} not finite", context=M)
-    # halves first, as in _is_psd: M + M^T overflows for entries near the float limit
-    return _spd_solve(0.5 * M + 0.5 * M.T, np.eye(M.shape[0]), what)
-
-
 def sqrtm_psd(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition."""
     w, V = np.linalg.eigh(_symmetrize(M))
@@ -67,7 +57,7 @@ class LinearSystem:
 
     mode is "continuous" or "discrete".  Q >= 0 and R > 0 play the same
     role as in the filter; D maps the disturbance into the measurement.
-    The matrices are read-only copies, and a system equals only itself.
+    The matrices and Rinv = R^-1 are read-only, and a system equals only itself.
     """
 
     A: np.ndarray
@@ -240,7 +230,7 @@ def _care_newton(sys: LinearSystem, P: np.ndarray, CtRinv: np.ndarray) -> np.nda
     ident = np.eye(n)
     iterates = []
     for _ in range(_NEWTON_MAX_ITER):
-        K = P @ CtRinv
+        K = P.dot(CtRinv)
         A_k = sys.A - K @ sys.C
         if not np.linalg.eigvals(A_k).real.max() < 0.0:
             raise CertificationFailure(
@@ -280,11 +270,11 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
     whose closed loop A - P C^T R^-1 C is Hurwitz.  Returns (P_inf,
     samples) with samples a list of (t, P) including the start."""
     n = sys.n
-    CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
+    CtRinv = sys.C.T.dot(sys.Rinv)
     M = np.block([[-sys.A.T, _symmetrize(CtRinv @ sys.C)], [sys.Q, sys.A]])
     P = _symmetrize(np.asarray(P0, dtype=float))
     samples = [(0.0, P.copy())]
-    nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
+    nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P.dot(CtRinv), P))
     if _stationary(P, nd):
         return P, samples
 
@@ -313,11 +303,11 @@ def _care_flow(sys: LinearSystem, P0: np.ndarray):
         t += h
         steps_at_h += 1
         samples.append((t, P.copy()))
-        nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P @ CtRinv, P))
+        nd = np.linalg.norm(_riccati_rhs(sys.A, sys.Q, sys.C, P.dot(CtRinv), P))
         if _stationary(P, nd):
             return P, samples
         if (nd <= 1e-3 * (1.0 + np.linalg.norm(P))
-                and np.linalg.eigvals(sys.A - P @ CtRinv @ sys.C).real.max() < 0.0):
+                and np.linalg.eigvals(sys.A - P.dot(CtRinv) @ sys.C).real.max() < 0.0):
             # close to the fixed point: Newton's quadratic convergence meets
             # the stationarity contract past the flow steps' rounding floor
             return _care_newton(sys, P, CtRinv), samples
@@ -384,8 +374,8 @@ def solve_dare(sys: LinearSystem) -> np.ndarray:
 
 
 def care_residual(sys: LinearSystem, P: np.ndarray) -> float:
-    Rinv = _spd_inverse(sys.R, "R")
-    return float(np.linalg.norm(sys.A @ P + P @ sys.A.T + sys.Q - P @ sys.C.T @ Rinv @ sys.C @ P))
+    return float(np.linalg.norm(sys.A @ P + P @ sys.A.T + sys.Q
+                                - P @ sys.C.T @ sys.Rinv @ sys.C @ P))
 
 
 def dare_residual(sys: LinearSystem, P: np.ndarray) -> float:
@@ -442,10 +432,9 @@ def build_S(sys: LinearSystem, cand: CertificateCandidate, P_t: np.ndarray) -> n
 
     with M = P^-1 Q P^-1 + C'(R^-1 - G2)C."""
     Pinv = _spd_inverse(P_t, "P_t")
-    Rinv = _spd_inverse(sys.R, "R")
-    M = Pinv @ sys.Q @ Pinv + sys.C.T @ (Rinv - cand.Gamma2) @ sys.C
-    return _sym_blocks(M - cand.alpha * Pinv, -sys.C.T @ (Rinv + cand.W),
-                       sys.C.T @ (cand.Gamma2 - Rinv) @ sys.D,
+    M = Pinv @ sys.Q @ Pinv + sys.C.T @ (sys.Rinv - cand.Gamma2) @ sys.C
+    return _sym_blocks(M - cand.alpha * Pinv, -sys.C.T @ (sys.Rinv + cand.W),
+                       sys.C.T @ (cand.Gamma2 - sys.Rinv) @ sys.D,
                        2.0 * cand.W, cand.W @ sys.D, cand.U)
 
 
@@ -475,15 +464,14 @@ def build_Z(
         raise ConfigurationError("build_Z requires a discrete-mode system")
     n = sys.n
     Qinv = _discrete_q_inverse(sys)
-    Rinv = _spd_inverse(sys.R, "R")
     Pf_inv = _spd_inverse(P_filt, "P_filt")
     if eps_cov is None:
         eps_cov = 1.01 * float(np.linalg.eigvalsh(Pf_inv).max())
     Qbar = _spd_inverse(eps_cov * np.eye(n) + sys.A.T @ Qinv @ sys.A, "Qbar inverse")
-    CR = sys.C.T @ Rinv                       # n x p
+    CR = sys.C.T @ sys.Rinv                   # n x p
     CRC = _symmetrize(CR @ sys.C)                    # n x n
     Pdiff = P_filt - Qbar
-    G = _symmetrize(Rinv @ sys.C @ Pdiff @ sys.C.T @ Rinv)   # p x p
+    G = _symmetrize(sys.Rinv @ sys.C @ Pdiff @ sys.C.T @ sys.Rinv)   # p x p
 
     T1 = _symmetrize(CRC + Pf_inv @ Qbar @ Pf_inv - Pf_inv @ Qbar @ CRC - CRC @ Qbar @ Pf_inv
               - CRC @ Pdiff @ CRC - sys.C.T @ cand.Gamma2 @ sys.C)
@@ -803,14 +791,13 @@ def _covariance_pass(sys: LinearSystem, cand: CertificateCandidate, dt: float,
     Memoized on the objects, whose arrays are read-only: a rebuilt system
     or candidate computes its own pass."""
     P = _symmetrize(cand.P0)
-    CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")
+    CtRinv = sys.C.T.dot(sys.Rinv)
     gains = np.empty((4 * steps,) + CtRinv.shape)
     slots = iter(gains)
 
     def rhs(P_mat, t):
         # exactly symmetric, as _riccati_rhs needs: P is symmetrized every step
-        K = P_mat.dot(CtRinv)
-        next(slots)[...] = K
+        K = P_mat.dot(CtRinv, out=next(slots))
         return _riccati_rhs(sys.A, sys.Q, sys.C, K, P_mat)
 
     for i in range(steps):
@@ -867,24 +854,24 @@ def bound_trajectory_check(
     """Simulate the saturated-observer error system and assert the
     certified envelope pointwise.
 
-    d_signal(k) (discrete) or d_signal(t) (continuous) must return m
-    values (otherwise ConfigurationError), finite with ||d|| <= mu
-    (otherwise InputDomainError).  The bound parameters, the candidate's
-    shapes, e0, horizon and dt (_step_count) are checked once at entry,
-    where a non-finite e0, or a nonzero e0 on a singular P0 (see
-    initial_v), is an InputDomainError.  The discrete check is one pass:
-    each step takes the next gain of the Riccati recursion from cand.P0
-    (_dare_steps), the last one once it is stationary.  The continuous
-    check reads each RK4 stage's gain from a covariance pass
-    (_covariance_pass), which does not depend on the disturbance and is
-    shared by every draw on the same sys and cand objects.  (e, sat),
-    sat = [sigma; eps], steps on the unchecked clip and bound-map cores, in
-    continuous time with the continuous-time filter's saturated core and
-    floored RK4 step (sigma and eps floored at 1e-12 in every stage and
-    after every step).  A non-finite stepped state, or a failed
-    covariance step, raises NumericalFailure at its step.  The envelope
-    is evaluated once per sample and call, in blocks (_envelope_blocks); raises
-    PropertyFailure at the first violation of ||e|| <= envelope + 1e-9.
+    d_signal(k) (discrete) or d_signal(t) (continuous) must return m values
+    (otherwise ConfigurationError), finite with ||d|| <= mu (otherwise
+    InputDomainError).  The bound parameters, the candidate's shapes and P0
+    (cert.P0, or ConfigurationError), e0, horizon and dt (_step_count) are
+    checked once at entry, where a non-finite e0, or a nonzero e0 on a singular
+    P0 (see initial_v), is an InputDomainError.  The discrete check is one
+    pass: each step takes the next gain of the Riccati recursion from cand.P0
+    (_dare_steps), the last one once it is stationary.  The continuous check
+    reads each RK4 stage's gain from a covariance pass (_covariance_pass),
+    which does not depend on the disturbance and is shared by every draw on the
+    same sys and cand objects.  (e, sat), sat = [sigma; eps], steps on the
+    unchecked clip and bound-map cores, in continuous time with the
+    continuous-time filter's saturated core and floored RK4 step (sigma and eps
+    floored at 1e-12 in every stage and after every step).  A non-finite
+    stepped state, or a failed covariance step, raises NumericalFailure at its
+    step.  The envelope is evaluated once per sample and call, in blocks
+    (_envelope_blocks); raises PropertyFailure at the first violation of
+    ||e|| <= envelope + 1e-9.
 
     The discrete check steps once past the horizon: it reads d(N) and
     reports final_error_norm = ||e_(N+1)||, a state the envelope is never
@@ -892,6 +879,8 @@ def bound_trajectory_check(
     recorded bound-dt final norm (bench/workloads.py) depends on this."""
     params = cert.params
     _check_against_system(sys, cand, params)
+    if not np.array_equal(cand.P0, cert.P0):
+        raise ConfigurationError(f"candidate P0 {cand.P0.tolist()} != certified {cert.P0.tolist()}")
     # C order: a strided e0 would take another summation order in e.dot(e)
     e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float, order="C")
     if e.shape != (sys.n,):

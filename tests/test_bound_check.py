@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isekf import stability
+from isekf import filters, stability
 from isekf.errors import ConfigurationError, InputDomainError, NumericalFailure, PropertyFailure
-from isekf.filters import _SAT_FLOOR, _joint_views, _rk4, _symmetrize
-from isekf.saturation import BoundParams, _clip
+from isekf.filters import (_SAT_FLOOR, FilterState, NonlinearModel, _joint_views, _rk4,
+                           _symmetrize, ct_isekf_integrate)
+from isekf.saturation import BoundParams, SaturationState, _clip
 from isekf.stability import (
     BoundCheckReport,
     CertificateCandidate,
@@ -261,14 +262,16 @@ def test_the_bench_reference_draws_match_the_oracle():
 def test_discrete_draws_match_the_oracle(dt_observer):
     sys, cand, cert = dt_observer
     rng = np.random.default_rng(21)
-    # from cand.P0 = P_inf the gain freezes at once; from P0 = 0.01 the
-    # recursion runs for some steps before it does
-    moving = CertificateCandidate(W=cand.W, U=cand.U, alpha=cand.alpha, Gamma2=cand.Gamma2,
-                                  P0=[[0.01]])
+    # from cand.P0 = P_inf the gain freezes at once; from P0 = 1, under the
+    # certificate sweep_candidates finds there, the recursion runs for ten
+    # steps before it does
+    moving_cert = sweep_candidates(sys, cert.params, cert.mu, cert.alpha, P0=[[1.0]])
+    moving = CertificateCandidate(W=moving_cert.W, U=moving_cert.U, alpha=moving_cert.alpha,
+                                  Gamma2=moving_cert.Gamma2, P0=moving_cert.P0)
     for i in range(24):
         d = rng.uniform(-cert.mu, cert.mu, 401)
         e0 = rng.uniform(-0.3, 0.3, 1)
-        rep = assert_matches_oracle(sys, moving if i % 2 else cand, cert,
+        rep = assert_matches_oracle(sys, *((moving, moving_cert) if i % 2 else (cand, cert)),
                                     lambda k: np.array([d[k]]), horizon=400, e0=e0)
         assert isinstance(rep, BoundCheckReport)
 
@@ -283,12 +286,10 @@ def test_continuous_draws_match_the_oracle(ct_observer):
         assert isinstance(rep, BoundCheckReport)
 
 
-@pytest.mark.parametrize("mode", ["discrete", "continuous"])
-def test_larger_systems_match_the_oracle(mode):
-    # n = 3, p = 2: the stacked gains and the (n, p) products against the
-    # joint vector's; the envelope of a scalar certificate with a huge
-    # bound state keeps the check from failing
-    rng = np.random.default_rng(23)
+def _larger_observer(mode, rng):
+    """An n = 3, p = 2 observer with a non-diagonal R, drawn from rng, and
+    a scalar certificate with a huge bound state, whose envelope keeps a
+    check from failing."""
     A = rng.standard_normal((3, 3)) / 3.0 - (np.eye(3) if mode == "continuous" else 0.0)
     L = rng.standard_normal((3, 3))
     sys = LinearSystem(A=A, C=rng.standard_normal((2, 3)), Q=L @ L.T + 0.1 * np.eye(3),
@@ -302,6 +303,16 @@ def test_larger_systems_match_the_oracle(mode):
                                 P0=0.5 * np.eye(3))
     cert = dataclasses.replace((_ct_observer() if ct else _dt_observer())[2], params=params,
                                P0=cand.P0)
+    return sys, cand, cert
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_larger_systems_match_the_oracle(mode):
+    # n = 3, p = 2: the stacked gains and the (n, p) products against the
+    # joint vector's
+    rng = np.random.default_rng(23)
+    sys, cand, cert = _larger_observer(mode, rng)
+    ct = mode == "continuous"
     for _ in range(3):
         d = rng.uniform(-cert.mu, cert.mu, 301)
         if ct:
@@ -311,6 +322,78 @@ def test_larger_systems_match_the_oracle(mode):
             rep = assert_matches_oracle(sys, cand, cert, lambda k: np.array([d[k]]),
                                         horizon=300, e0=rng.uniform(-0.1, 0.1, 3))
         assert isinstance(rep, BoundCheckReport)
+
+
+def _observer_model(sys):
+    """sys as the continuous-time filter's model, its maps making the bound
+    check's products A.dot(x) and C.dot(x)."""
+    A, C = sys.A, sys.C
+    return NonlinearModel(f=lambda x, u=None: A.dot(x), h=lambda x: C.dot(x), Q=sys.Q, R=sys.R,
+                          n=sys.n, p=sys.p, jac_f=lambda x, u=None: A, jac_h=lambda x: C)
+
+
+def _ct_filter_run(sys, cand, params, d_signal, horizon, e0, dt=1e-3):
+    """The last state of a continuous-time filter run on the plant sys at
+    rest (x = 0), measured as y(t) = D d(t), from x_hat = e0, P = cand.P0
+    and params' bound state: x_hat is then the bound check's error."""
+    D = sys.D
+    st = FilterState(np.asarray(e0, dtype=float), cand.P0,
+                     sat=SaturationState(params.sigma0, params.epsilon0))
+    return ct_isekf_integrate(_observer_model(sys), st, lambda t: D.dot(d_signal(t)), dt,
+                              horizon, params)[-1]
+
+
+def test_the_ct_filter_takes_the_covariance_pass_gains_bit_for_bit(monkeypatch):
+    # n = 2 with a non-diagonal R: every continuous-time gain is
+    # P (C^T R^-1), so the filter's Riccati integration is the bound check's
+    sys = LinearSystem(A=[[-1.0, 0.5], [0.2, -2.0]], C=[[1.0, 0.0], [0.3, 1.0]],
+                       Q=[[1.0, 0.2], [0.2, 0.5]], R=[[1.0, 0.4], [0.4, 0.7]],
+                       D=[[1.0], [0.5]], mode="continuous")
+    cand = CertificateCandidate(W=np.eye(2), U=[[2.0]], alpha=0.1, Gamma2=np.eye(2),
+                                P0=[[0.5, 0.1], [0.1, 0.3]])
+    params = BoundParams(lambda1=[-1.0] * 2, lambda2=[-1.0] * 2, gamma1=[0.1] * 2,
+                         gamma2=[1.0] * 2, sigma0=[0.5] * 2, epsilon0=[0.5] * 2, mode="ct")
+    steps = 200
+    expected = stability._covariance_pass(sys, cand, 1e-3, steps).gains
+    gains, real = [], filters._saturated_rhs
+
+    def recording(drift, K, *rest):
+        gains.append(K.copy())
+        return real(drift, K, *rest)
+
+    monkeypatch.setattr(filters, "_saturated_rhs", recording)
+    _ct_filter_run(sys, cand, params, lambda t: np.array([math.sin(t)]), steps * 1e-3,
+                   np.array([0.1, -0.2]))
+    assert np.stack(gains).tobytes() == expected.tobytes()
+
+
+def _bench_ct_observer():
+    """The bound-ct op of bench/workloads.py at seed 1, op 0, and its
+    recorded final error norm."""
+    workloads = _bench_workloads()
+    ct_draw = workloads.BoundCT(ROOT, None, 1)
+    ct_draw.setup()
+    hold = ct_draw.prepare(0, "")
+    return (ct_draw.sys, ct_draw.cand, ct_draw.cert, _held(hold), 4.0, np.array([0.05]),
+            workloads.BOUND_CT_FINAL)
+
+
+def _larger_ct_observer():
+    rng = np.random.default_rng(29)
+    sys, cand, cert = _larger_observer("continuous", rng)
+    d = rng.uniform(-cert.mu, cert.mu, 6)
+    return sys, cand, cert, _held(d), 0.3, rng.uniform(-0.1, 0.1, 3), None
+
+
+@pytest.mark.parametrize("observer", [_bench_ct_observer, _larger_ct_observer],
+                         ids=["bench-scalar", "n3-p2"])
+def test_the_ct_filter_on_a_plant_at_rest_is_the_continuous_bound_check(observer):
+    sys, cand, cert, d_signal, horizon, e0, recorded = observer()
+    rep = bound_trajectory_check(sys, cand, cert, d_signal, horizon, e0=e0, dt=1e-3)
+    end = _ct_filter_run(sys, cand, cert.params, d_signal, horizon, e0)
+    assert float(np.linalg.norm(end.x_hat)) == rep.final_error_norm
+    if recorded is not None:  # within the bench's own tolerance
+        assert rep.final_error_norm == pytest.approx(recorded, rel=1e-9, abs=0.0)
 
 
 def test_a_strided_initial_error_matches_the_oracle():
@@ -374,7 +457,8 @@ def _failing_covariance(mode, observer):
         # negative at step 4
         sys = LinearSystem(A=[[1.0]], C=[[1.0]], Q=[[0.1]], R=[[1.0]], D=[[1.0]], mode=mode)
         object.__setattr__(cand, "P0", np.array([[-0.3]]))
-        return sys, cand, cert, dict(horizon=50, e0=np.zeros(1))
+        # the bound check takes only the certified P0
+        return sys, cand, dataclasses.replace(cert, P0=cand.P0), dict(horizon=50, e0=np.zeros(1))
     # no output and a fast unstable mode: P grows until it overflows
     sys = LinearSystem(A=[[1e4]], C=[[0.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]], mode=mode)
     return sys, cand, cert, dict(horizon=0.2, e0=np.zeros(1), dt=1e-3)
@@ -478,7 +562,8 @@ def test_an_edited_system_or_start_gets_a_fresh_covariance_pass():
     assert stability._covariance_pass.cache_info().misses == 2
     assert edited != before
     assert edited == _draw(edited_sys, cand, cert, 1, _oracle_check)
-    _draw(edited_sys, dataclasses.replace(cand, P0=np.array([[0.02]])), cert, 1)
+    edited_cand = dataclasses.replace(cand, P0=np.array([[0.02]]))
+    _draw(edited_sys, edited_cand, certify(edited_sys, edited_cand, cert.params, cert.mu), 1)
     assert stability._covariance_pass.cache_info().misses == 3
     # a rebuilt observer computes its own pass, with the same bits; the
     # objects first drawn on are still served from the memo

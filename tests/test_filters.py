@@ -387,8 +387,14 @@ def test_ct_integrate_endpoint_is_pinned():
     # continuous-time core
     m, params, st, y_of = _clipping_setup()
     end = ct_isekf_integrate(m, st, y_of, 1e-3, 2.0, params)[-1]
-    assert (end.x_hat[0], end.P[0, 0], end.sat.sigma[0], end.sat.epsilon[0]) == (
+    got = (end.x_hat[0], end.P[0, 0], end.sat.sigma[0], end.sat.epsilon[0])
+    assert got == (
+        0.07498306904812013, 0.04580058039062151, 0.1590725871955267, 1.2025211404060772)
+    # the endpoint of the gain solved against R at each stage, before the
+    # gain became P (C^T R^-1): the order of K's operations moved x_hat 1 ulp
+    solved_gain = (
         0.07498306904812015, 0.04580058039062151, 0.1590725871955267, 1.2025211404060772)
+    np.testing.assert_allclose(got, solved_gain, rtol=1e-15, atol=0.0)
 
 
 def _ct_failure_case(case):

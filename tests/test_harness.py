@@ -716,15 +716,36 @@ def test_a_changed_system_is_tested_for_regularity_again():
         stability.assert_regular(sys_)
 
 
+def _isekf_env() -> dict:
+    """The environment of a fresh interpreter that imports this isekf."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _run_python(code: str) -> str:
     """stdout of code run by a fresh interpreter that imports this isekf."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=_isekf_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.parametrize("argv", [["certify", LINEAR_CFG], ["sweep", PAPER_CFG, "--seeds", "2"]],
+                         ids=["certify", "sweep"])
+def test_a_closed_stdout_ends_the_cli_quietly(tmp_path, argv):
+    # the pipe's reader is gone before the command writes, as after
+    # `| head -1` but without the race of head's exit: the write or the
+    # flush fails with EPIPE, and the command ends with code 1 and no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "isekf.harness", *argv], env=_isekf_env(),
+                              cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_run_and_discrete_certify_load_no_scipy(tmp_path):

@@ -225,3 +225,49 @@ def test_the_discrete_riccati_loop_is_written_once():
     # discrete bound check read its steps
     text = (SRC / "stability.py").read_text(encoding="utf-8")
     assert text.count("_stationary(P, np.linalg.norm(P_next - P))") == 1
+
+
+# the observer's R^-1, computed once: _require_noise_covariances stores it
+# as Rinv on NonlinearModel and LinearSystem, and every other site reads it
+_R_SOLVES = {"_spd_inverse", "_spd_solve"}
+_R_OWNERS = {"sys", "model", "self", "obj"}
+_R_INVERSE_HOME = "_require_noise_covariances"
+
+
+def _r_inverse_offenders(text: str):
+    """(line number, call) of each _spd_inverse or _spd_solve call of a
+    module's text whose first argument is an observer's R (sys.R, model.R,
+    self.R, obj.R) outside the body of _require_noise_covariances.  A
+    helper that takes R as an argument (gain_identity_residuals) does not
+    match."""
+    tree = ast.parse(text)
+    home = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == _R_INVERSE_HOME]
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in _R_SOLVES
+            and node.args and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "R" and isinstance(node.args[0].value, ast.Name)
+            and node.args[0].value.id in _R_OWNERS
+            and not any(node.lineno in r for r in home)]
+
+
+def test_the_r_inverse_scan_sees_each_spelling():
+    for line in ('Rinv = _spd_inverse(sys.R, "R")', 'CtRinv = sys.C.T @ _spd_inverse(sys.R, "R")',
+                 'K = _spd_solve(model.R, C @ P, "R").T', "X = _spd_solve(self.R, B, 'R')",
+                 'Rinv = filters._spd_inverse(obj.R, "R")'):
+        assert _r_inverse_offenders(line), line
+    for line in ('Rinv = _spd_inverse(R, "R")', 'Qinv = _spd_inverse(sys.Q, "Q")',
+                 'K = _spd_solve(S, CP, "innovation covariance").T', "CtRinv = sys.C.T.dot(sys.Rinv)",
+                 'Pinv = _spd_inverse(sys.R_t, "R_t")'):
+        assert not _r_inverse_offenders(line), line
+    home = f'def {_R_INVERSE_HOME}(obj):\n    Rinv = _spd_inverse(obj.R, "R")\n'
+    assert not _r_inverse_offenders(home)
+    assert _r_inverse_offenders(home + 'Rinv = _spd_inverse(sys.R, "R")\n') == [
+        (3, "_spd_inverse(sys.R, 'R')")]
+
+
+def test_an_observers_r_is_inverted_once():
+    found = {p.name: _r_inverse_offenders(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

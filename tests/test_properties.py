@@ -21,6 +21,7 @@ from isekf.filters import (
     FilterState,
     _innovation_gain,
     _rk4,
+    _spd_inverse,
     _spd_solve,
     _wrap_float,
     ct_isekf_integrate,
@@ -277,8 +278,27 @@ def test_innovation_gain_agrees_with_scipy_cho_solve(case):
     F = P - K.dot(S).dot(K.T)
     assert np.array_equal(P_filt, 0.5 * (F + F.T))
     assert agree(K, cho_solve(cho_factor(S_ref), C @ P).T, S)
-    # the solve on its own, as ct_isekf_derivative uses it with R
+    # the solve on its own, as _spd_inverse uses it on R
     assert agree(_spd_solve(R, C, "R"), cho_solve(cho_factor(R), C), R)
+
+
+@settings(deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda dims: st.tuples(_matrix(dims[0], dims[0]).map(lambda L: L @ L.T),
+                           _matrix(dims[1], dims[0]), _spd(dims[1]))))
+def test_the_continuous_gain_agrees_with_the_gain_solved_against_r(case):
+    # every continuous-time gain is P (C^T R^-1), with the observer's one
+    # R^-1; the gain the continuous-time filter solved against R at each
+    # stage is the reference.  Two stable forms differ by O(cond(R) eps)
+    # of the componentwise scale |P| |C^T| |R^-1|, and by a subnormal's
+    # rounding below the smallest normal float
+    P, C, R = case
+    Rinv = _spd_inverse(R, "R")
+    K = P.dot(C.T.dot(Rinv))
+    K_ref = _spd_solve(R, C @ P, "R").T
+    scale = (np.abs(P) @ np.abs(C.T) @ np.abs(Rinv)).max()
+    tol = 1e-12 * max(1.0, np.linalg.cond(R) / 1e3)
+    assert np.abs(K - K_ref).max() <= tol * scale + np.finfo(float).tiny
 
 
 @given(_spd_stack(1, 4))

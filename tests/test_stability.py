@@ -11,7 +11,7 @@ from conftest import random_system
 from isekf import stability
 from isekf.errors import (CertificationFailure, ConfigurationError, InputDomainError,
                           NumericalFailure)
-from isekf.filters import NonlinearModel
+from isekf.filters import NonlinearModel, _spd_inverse
 from isekf.saturation import BoundParams
 from isekf.scenario import FilterSpec
 from isekf.stability import (
@@ -115,6 +115,26 @@ def test_a_linear_system_and_a_candidate_equal_only_themselves():
     assert sys_ == sys_ and sys_ != dataclasses.replace(sys_)
     assert cand == cand and cand != dataclasses.replace(cand)
     assert len({sys_, cand, dataclasses.replace(sys_), dataclasses.replace(cand)}) == 4
+
+
+def test_an_observer_holds_one_read_only_r_inverse_that_replace_computes_again():
+    # R^-1 is derived once, in the constructor, with the bits of a per-call
+    # _spd_inverse; it is not a field, so replace derives it from the new R
+    R = np.array([[2.0, 0.3], [0.3, 1.0]])
+    sys_ = LinearSystem(A=np.eye(2), C=np.eye(2), Q=np.eye(2), R=R, D=np.ones((2, 1)),
+                        mode="discrete")
+    model = NonlinearModel(f=lambda x, u: x, h=lambda x: x, Q=np.eye(2), R=R, n=2, p=2)
+    for obj in (sys_, model):
+        assert obj.Rinv.tobytes() == _spd_inverse(R, "R").tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            obj.Rinv[0, 0] = 0.0
+        assert "Rinv" not in {f.name for f in dataclasses.fields(obj)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.Rinv = np.eye(2)
+        rebuilt = dataclasses.replace(obj, R=4.0 * R)
+        assert rebuilt.Rinv.tobytes() == _spd_inverse(4.0 * R, "R").tobytes()
+        np.testing.assert_allclose(rebuilt.Rinv, np.linalg.inv(4.0 * R), rtol=1e-14)
+        assert not rebuilt.Rinv.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +766,12 @@ def _two_channel_dt_params():
                        gamma2=[0.2] * 2, sigma0=[0.5] * 2, epsilon0=[0.5] * 2, mode="dt")
 
 
-def _check_from(e0):
+def _check_from(e0, P0=None):
+    # the candidate's P0 replaced after certification when P0 is given
     sys, cand, params = dt_cert_setup()
     cert = certify(sys, cand, params, mu=0.5)
+    if P0 is not None:
+        cand = dataclasses.replace(cand, P0=P0)
     return bound_trajectory_check(sys, cand, cert, lambda k: np.zeros(1), horizon=5, e0=e0)
 
 
@@ -773,9 +796,12 @@ def _check_from(e0):
      "bound parameters channel count != p"),
     (lambda: _certify_dt(variant="lemma"), ConfigurationError, "unknown variant 'lemma'"),
     (lambda: _check_from(np.zeros(2)), ConfigurationError, "e0 must have length 1, got shape (2,)"),
+    (lambda: _check_from(None, P0=[[50.0]]), ConfigurationError,
+     "candidate P0 [[50.0]] != certified [[1.1327822185372831]]"),
 ], ids=["A-not-square", "C-shape", "Q-shape", "D-rows", "mode", "not-stabilizable",
         "W-not-diagonal", "Gamma2-not-positive", "U-not-pd", "alpha-zero", "P0-not-psd",
-        "build_Z-continuous", "params-channel-count", "variant", "e0-length"])
+        "build_Z-continuous", "params-channel-count", "variant", "e0-length",
+        "P0-not-certified"])
 def test_an_entry_rejection_names_its_cause(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
