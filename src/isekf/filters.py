@@ -315,9 +315,9 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
     wrong per step (non-finite f, h, S or estimate, S not positive
     definite, bound-map overflow, sigma underflow: all NumericalFailure);
     the inputs are checked once by the caller (see _check_saturated).
-    _Lanes.step is its stacked form and gives its bits lane by lane; the
-    public steps over this core are the reference simulate is tested
-    against."""
+    _Lanes.step is its stacked form and gives its bits lane by lane; it
+    re-runs through this core each lane that may have failed.  The public
+    steps over this core are the reference simulate is tested against."""
     x, P = _predict(model, x, P, u)
     return _update(model, x, P, y, sat, params, ell)
 
@@ -336,10 +336,13 @@ class _Lanes:
     step runs the arithmetic of _filter_step on every lane at once, with
     the same bits lane by lane: stacked matmul makes the BLAS calls that
     ndarray.dot makes, and one stacked _spd_solve factors every lane's S.
-    Each per-step check of _filter_step is made per lane.  A lane that
-    fails one is dead from then on: it holds its last estimate, covariance
-    and bound state, and it never changes another lane.  The model maps
-    must accept a stack of states (robot_model's do).
+    It makes none of _filter_step's checks.  Screens flag each live lane
+    that may have failed one (every live lane when the stacked solve
+    fails), and a flagged lane is re-run from its held state through
+    _filter_step itself, which gives the stacked bits or raises.  A lane
+    whose re-run raises NumericalFailure is dead from then on: it holds its
+    last estimate, covariance and bound state, and it never changes another
+    lane.  The model maps must accept a stack of states (robot_model's do).
     """
 
     def __init__(self, model: NonlinearModel, x: np.ndarray, P: np.ndarray,
@@ -351,6 +354,7 @@ class _Lanes:
         self.x = np.array(x, dtype=float)
         self.P = np.array(P, dtype=float)
         self.ell = np.array(ell, dtype=float)[:, None]
+        self.params = list(params)
         self.live = np.ones(len(self.x), dtype=bool)
         self.all_live = True  # live.all(), kept so that no step before a failure reads the mask
         self.sat_rows = np.array([l for l, bp in enumerate(params) if bp is not None], dtype=int)
@@ -367,73 +371,59 @@ class _Lanes:
     def step(self, y: np.ndarray, u) -> dict:
         """One predict + update of every live lane on its measurement y[l]
         (the input u is shared).  Returns {lane: NumericalFailure} for the
-        lanes that failed in this step, each with _filter_step's message."""
-        model, live, failures = self.model, self.live, {}
-
-        def kill(l, exc):
-            nonlocal live
-            if not failures:  # the first kill of this step: self.live stays as it was
-                live = live.copy()
-            live[l] = False
-            failures[l] = exc
-
-        def fail(ok, message, context, lanes=None):
-            # kills each live lane lanes[i] (default i) whose row ok[i] is
-            # not all true; context[i] is its payload
-            if np.count_nonzero(ok) == ok.size:
-                return
-            for i in np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist():
-                l = i if lanes is None else int(lanes[i])
-                if live[l]:
-                    kill(l, NumericalFailure(message, context=context[i]))
-
-        # dead lanes compute on their held state and are discarded; every
-        # failure is reported per lane, not as a floating-point warning
+        lanes that failed in this step, each _filter_step's own error; any
+        other error of a re-run propagates, as from the public steps."""
+        model, rows = self.model, self.sat_rows
+        # dead lanes compute on their held state and are discarded; a failure
+        # is reported as its error alone, not as a floating-point warning
         with np.errstate(all="ignore"):
             # _predict
             A = model.A_at(self.x, u)
             x = np.asarray(model.f(self.x, u), dtype=float)
-            fail(np.isfinite(x), "state map produced non-finite values", self.x)
             P = _symmetrize(np.matmul(np.matmul(A, self.P), A.swapaxes(-1, -2)) + model.Q)
             # _update, with _innovation_gain stacked
             C = model.C_at(x)
             CP = np.matmul(C, P)
             S = _symmetrize(np.matmul(CP, C.swapaxes(-1, -2)) + model.R)
-            fail(np.isfinite(S), "innovation covariance not finite", S)
-            if failures or not self.all_live:  # a dead lane's S must not fail the stack
-                S = np.where(live[:, None, None], S, np.eye(model.p))
+            if not self.all_live:  # a dead lane's S must not fail the stack
+                S = np.where(self.live[:, None, None], S, np.eye(model.p))
             try:
                 K = _spd_solve(S, CP, "innovation covariance").swapaxes(-1, -2)
-            except NumericalFailure:  # lane by lane: each failing lane gets its own message
-                K = np.zeros((len(x), model.n, model.p))
-                for l in np.flatnonzero(live).tolist():
-                    try:
-                        K[l] = _spd_solve(S[l], CP[l], "innovation covariance").T
-                    except NumericalFailure as exc:
-                        kill(l, exc)
-            hx = np.asarray(model.h(x), dtype=float)
-            fail(np.isfinite(hx), "measurement map produced non-finite values", x)
-            innov = model.wrap_channels(y - hx)
-            x_new = x + _matvec(K, _gated(_clip(innov, self.bound), S, self.ell))
-            fail(np.isfinite(x_new), "update produced non-finite estimate", x)
-            P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))
-            # _bound_step and the underflow check on the saturated lanes
-            rows = self.sat_rows
-            sat = self.sat
-            if rows.size:
-                innov_s = innov[rows]
-                sat = _bound_map_core(sat, innov_s, self.lam, self.gam)
-                finite = np.isfinite(sat)
-                if np.count_nonzero(finite) != finite.size:
-                    over = ~finite.all(axis=1) & live[rows]
-                    if (over & ~np.isfinite(innov_s).all(axis=1)).any():
-                        raise InputDomainError("bound_step_dt: non-finite innovation")
-                    fail(finite, "bound_step_dt: bound map overflowed", innov_s, rows)
-                sigma = sat[:, :model.p]
-                fail(sigma > 0.0, "clip level sigma underflowed to 0", sigma, rows)
+            except (NumericalFailure, np.linalg.LinAlgError):  # every live lane is re-run
+                # (the message's cond() of a stack that holds a non-finite S raises)
+                x_new, P_new, sat = self.x.copy(), self.P.copy(), self.sat.copy()
+                suspects = np.flatnonzero(self.live).tolist()
+            else:
+                hx = np.asarray(model.h(x), dtype=float)
+                innov = model.wrap_channels(y - hx)
+                x_new = x + _matvec(K, _gated(_clip(innov, self.bound), S, self.ell))
+                P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))
+                sat = _bound_map_core(self.sat, innov[rows], self.lam, self.gam)
+                sigma, suspects = sat[:, :model.p], []
+                if not (_all_finite(S) and _all_finite(hx) and _all_finite(x_new)
+                        and _all_finite(sat) and np.count_nonzero(sigma > 0.0) == sigma.size):
+                    # the screens lane by lane; a non-finite f(x) shows in x + K v
+                    ok = (np.isfinite(S).all(axis=(1, 2)) & np.isfinite(hx).all(axis=1)
+                          & np.isfinite(x_new).all(axis=1))
+                    ok[rows] &= np.isfinite(sat).all(axis=1) & (sigma > 0.0).all(axis=1)
+                    suspects = np.flatnonzero(self.live & ~ok).tolist()
+            failures = {}
+            for l in suspects:  # through _filter_step from the held state
+                bp, r = self.params[l], rows.searchsorted(l)  # rows is sorted
+                held = None if bp is None else SaturationState(*np.split(self.sat[r], 2))
+                try:
+                    x_new[l], P_new[l], out = _filter_step(model, self.x[l], self.P[l], y[l], u,
+                                                           held, bp, self.ell[l, 0])
+                except NumericalFailure as exc:
+                    failures[l] = exc
+                    continue
+                if out is not None:
+                    sat[r] = np.concatenate((out.sigma, out.epsilon))
 
         if failures or not self.all_live:
             # a dead lane holds its last state
+            live = self.live.copy()
+            live[list(failures)] = False
             x_new = np.where(live[:, None], x_new, self.x)
             P_new = np.where(live[:, None, None], P_new, self.P)
             sat = np.where(live[rows][:, None], sat, self.sat)
@@ -441,7 +431,6 @@ class _Lanes:
         self.x, self.P, self.sat = x_new, P_new, sat
         self.bound[rows] = np.sqrt(sat[:, :model.p])
         return failures
-
 
 def _check_saturated(model: NonlinearModel, sat: Optional[SaturationState],
                      params: Optional[BoundParams], caller: str, y=None, mode: str = "dt") -> None:
@@ -461,6 +450,14 @@ def _check_saturated(model: NonlinearModel, sat: Optional[SaturationState],
         _check_measurement(y, model.p, caller)
 
 
+def _check_estimate(model: NonlinearModel, st: FilterState, caller: str) -> None:
+    """ConfigurationError unless st.x_hat has shape (n,) and st.P (n, n)."""
+    n = model.n
+    if st.x_hat.shape != (n,) or st.P.shape != (n, n):
+        raise ConfigurationError(f"{caller}: estimate of shape {st.x_hat.shape} with P of "
+                                 f"shape {st.P.shape}, not ({n},) and ({n}, {n})")
+
+
 def _check_measurement(y, p: int, caller: str) -> None:
     """A measurement broadcasts to p channels (shape (p,), (1,) or ()) and is finite."""
     if np.ndim(y) > 1 or np.size(y) not in (1, p):
@@ -472,6 +469,7 @@ def _check_measurement(y, p: int, caller: str) -> None:
 def dt_predict(model: NonlinearModel, st: FilterState, u=None) -> FilterState:
     """Time update: x = f(x, u), P = A P A^T + Q with A at the filtered
     estimate.  The saturation state is unchanged."""
+    _check_estimate(model, st, "dt_predict")
     x, P = _predict(model, st.x_hat, st.P, u)
     return replace(st, x_hat=x, P=P, k=st.k + 1)
 
@@ -489,6 +487,7 @@ def dt_update(
     innovation.  Covariance update: P - K (C P C^T + R) K^T, then
     symmetrization.
     """
+    _check_estimate(model, st, "dt_update")
     if st.sat is None:
         _check_measurement(y, model.p, "dt_update")
         x, P, _ = _update(model, st.x_hat, st.P, y)
@@ -507,6 +506,7 @@ def dt_isekf_step(
 ) -> FilterState:
     """One full saturated-EKF cycle: predict, correct with the clipped
     innovation, advance the bound recursion."""
+    _check_estimate(model, st, "dt_isekf_step")
     _check_saturated(model, st.sat, params, "dt_isekf_step", y)
     x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, st.sat, params)
     return replace(st, x_hat=x, P=P, sat=sat, k=st.k + 1)
@@ -514,6 +514,7 @@ def dt_isekf_step(
 
 def ekf_step(model: NonlinearModel, st: FilterState, y: np.ndarray, u=None) -> FilterState:
     """Standard EKF cycle (no innovation clipping)."""
+    _check_estimate(model, st, "ekf_step")
     _check_measurement(y, model.p, "ekf_step")
     x, P, _ = _filter_step(model, st.x_hat, st.P, y, u)
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
@@ -533,6 +534,7 @@ def sigma_gate_step(
     usual with the gated innovation."""
     if not ell > 0.0:
         raise ConfigurationError(f"ell must be positive, got {ell}")
+    _check_estimate(model, st, "sigma_gate_step")
     _check_measurement(y, model.p, "sigma_gate_step")
     x, P, _ = _filter_step(model, st.x_hat, st.P, y, u, ell=ell)
     return replace(st, x_hat=x, P=P, sat=None, k=st.k + 1)
@@ -582,6 +584,7 @@ def ct_isekf_derivative(
     x_dot = f(x) + K sat(y - h(x)), K = P C^T R^{-1},
     P_dot = A P + P A^T + Q - K C P at sym(P) (returned symmetric).  The
     checked form of _ct_rhs; a non-finite result raises NumericalFailure."""
+    _check_estimate(model, st, "ct_isekf_derivative")
     _check_saturated(model, st.sat, params, "ct_isekf_derivative", y, mode="ct")
     sat = np.concatenate((st.sat.sigma, st.sat.epsilon))
     out = _ct_rhs(model, st.x_hat, _symmetrize(st.P), sat, np.asarray(y, dtype=float), params)
@@ -637,6 +640,7 @@ def ct_isekf_integrate(
     symmetrized at entry and after every step.  Returns the trajectory including st."""
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    _check_estimate(model, st, "ct_isekf_integrate")
     _check_saturated(model, st.sat, params, "ct_isekf_integrate", mode="ct")
     n, p = st.x_hat.shape[0], st.sat.p
 

@@ -352,6 +352,7 @@ class FilterMetrics:
     max_abs: np.ndarray
     diverged: bool
     failed_at: Optional[int]
+    failure: Optional[str]      # the failure's message, when failed_at is a step
     step_seconds: float
 
 
@@ -369,6 +370,8 @@ class MetricsReport:
                 lines.append(f"  rmse ({lo},{hi}] = " + np.array2string(v, precision=6))
             lines.append("  max |err|      = " + np.array2string(fm.max_abs, precision=6))
             lines.append(f"  diverged       = {fm.diverged} (failed_at={fm.failed_at})")
+            if fm.failure is not None:
+                lines.append(f"  failure        = {fm.failure}")
             lines.append(f"  wall clock     = {fm.step_seconds * 1e6:.2f} us/step")
         return "\n".join(lines) + "\n"
 
@@ -395,6 +398,7 @@ def metrics_report(trace: SimulationTrace) -> MetricsReport:
             max_abs=scores.max_abs[0],
             diverged=bool(scores.diverged[0]),
             failed_at=trace.failed_at[label],
+            failure=trace.failure[label],
             step_seconds=trace.step_seconds[label],
         )
     return MetricsReport(per_filter=per_filter, windows=windows)

@@ -414,6 +414,7 @@ class SimulationTrace:
     estimates: dict                        # label -> (N+1, 3)
     sqrt_sigma: dict                       # label -> (N+1, 3), saturated filters only
     failed_at: dict                        # label -> step of first numerical failure, or None
+    failure: dict                          # label -> that failure's message, or None
     step_seconds: dict                     # label -> mean wall clock per step
     schedule: OutlierSchedule
     T: float
@@ -462,8 +463,9 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
     seed are generated first.  Then every (filter, seed) pair is a lane of
     one filters._Lanes, and all lanes advance together, one step at a
     time.  A filter that raises NumericalFailure keeps its last estimate,
-    is reported in failed_at and logged at WARNING on the "isekf" logger;
-    the run continues for the other lanes.  step_seconds is the filter
+    is reported in failed_at (its message in failure) and logged at
+    WARNING on the "isekf" logger; the run continues for the other lanes.
+    step_seconds is the filter
     phase's wall clock per lane-step, the same for every filter.
     """
     seeds = [check_seed(s) for s in seeds]
@@ -495,12 +497,12 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
     sqrt_sigma = np.empty((len(lanes.sat_rows), N + 1, 3))
     estimates[:, 0] = lanes.x
     sqrt_sigma[:, 0] = lanes.bound[lanes.sat_rows]
-    failed_at = [None] * len(params)
+    failed_at, failure = [None] * len(params), [None] * len(params)
 
     t0 = time.perf_counter()
     for k in range(1, N + 1):
         for lane, exc in lanes.step(y_lanes[:, k], u[k - 1]).items():
-            failed_at[lane] = k
+            failed_at[lane], failure[lane] = k, str(exc)
             log.warning("filter %s (seed %d) failed at step %d: %s",
                         cfg.filters[lane // n_seeds].label, seeds[seed_of[lane]], k, exc)
         estimates[:, k] = lanes.x
@@ -517,6 +519,7 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
             estimates={lbl: estimates[l] for lbl, l in lane.items()},
             sqrt_sigma={lbl: sqrt_sigma[slot[l]] for lbl, l in lane.items() if l in slot},
             failed_at={lbl: failed_at[l] for lbl, l in lane.items()},
+            failure={lbl: failure[l] for lbl, l in lane.items()},
             step_seconds=dict.fromkeys(lane, per_step),
             schedule=sched, T=cfg.T,
         ))

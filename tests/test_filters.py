@@ -551,6 +551,23 @@ def _unobserved_at_a_step(x):
     return np.array([1.0 if x[0] == 0.0 else math.inf])
 
 
+_CT_PARAMS = BoundParams(lambda1=[-1.0], lambda2=[-1.0], gamma1=[1.0], gamma2=[1.0],
+                         sigma0=[1.0], epsilon0=[1.0], mode="ct")
+
+# each public step taking a FilterState: (name, A of its scalar model, call(model, st))
+_WRONG_SHAPE_CALLS = [
+    ("dt_predict", 1.0, lambda m, st: dt_predict(m, st)),
+    ("dt_update", 1.0, lambda m, st: dt_update(m, st, np.zeros(1), big_sigma_params())),
+    ("dt_isekf_step", 1.0, lambda m, st: dt_isekf_step(m, st, np.zeros(1), big_sigma_params())),
+    ("ekf_step", 1.0, lambda m, st: ekf_step(m, st, np.zeros(1))),
+    ("sigma_gate_step", 1.0, lambda m, st: sigma_gate_step(m, st, np.zeros(1))),
+    ("ct_isekf_derivative", -1.0, lambda m, st: ct_isekf_derivative(
+        m, st, np.zeros(1), _CT_PARAMS)),
+    ("ct_isekf_integrate", -1.0, lambda m, st: ct_isekf_integrate(
+        m, st, lambda t: np.zeros(1), 0.1, 1.0, _CT_PARAMS)),
+]
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: jacobian_fd(_unobserved_at_a_step, np.zeros(1)), NumericalFailure,
      "jacobian_fd: map evaluated to non-finite values"),
@@ -569,8 +586,14 @@ def _unobserved_at_a_step(x):
                                 scalar_state(0.0, 1.0, sigma=1.0), lambda t: np.zeros(1),
                                 0.0, 1.0, big_sigma_params()),
      ConfigurationError, "dt must be positive, got 0.0"),
+] + [
+    # a 2-entry estimate (2x2 P) on a scalar model, at every public step
+    (lambda a=a, call=call: call(linear_model([[a]], [[1.0]], [[1.0]], [[1.0]]),
+                  FilterState(np.zeros(2), np.eye(2), sat=SaturationState([1.0], [1.0]))),
+     ConfigurationError, f"{name}: estimate of shape (2,) with P of shape (2, 2), not (1,) and (1, 1)")
+    for name, a, call in _WRONG_SHAPE_CALLS
 ], ids=["jacobian-non-finite-step", "R-not-pd", "Q-shape", "R-shape", "asymmetric-covariance",
-        "no-saturation-state", "ct-dt-zero"])
+        "no-saturation-state", "ct-dt-zero"] + [f"{name}-shape" for name, _, _ in _WRONG_SHAPE_CALLS])
 def test_an_entry_rejection_names_its_cause(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -18,8 +18,8 @@ _EXEMPT_FILES = {"svgplot.py"}
 def _offenders(text: str):
     """(line number, line) of each finiteness reduction in a module's text.
     _all_finite's own body (np.isfinite, then np.count_nonzero) and
-    _Lanes.step's per-lane masks (fail(np.isfinite(...), ...) and the row
-    reductions .all(axis=1)) do not match."""
+    _Lanes.step's per-lane screens (the row reductions
+    np.isfinite(...).all(axis=1)) do not match."""
     return [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())
             if _FINITE_REDUCTION.search(line)]
 
@@ -29,8 +29,7 @@ def test_the_scan_sees_each_spelling():
                  "if not all(np.isfinite(v).all() for v in out):",
                  "ok = np.isfinite(np.linalg.norm(P)).all()"):
         assert _offenders(line), line
-    for line in ("fail(np.isfinite(x), 'state map produced non-finite values', self.x)",
-                 "if (over & ~np.isfinite(innov_s).all(axis=1)).any():",
+    for line in ("ok = np.isfinite(S).all(axis=(1, 2)) & np.isfinite(hx).all(axis=1)",
                  "if not _all_finite(x):", "if not math.isfinite(r):"):
         assert not _offenders(line), line
 
@@ -41,6 +40,31 @@ def test_every_finiteness_screen_of_the_package_goes_through_one_helper():
         p.name for p in modules}
     found = {p.name: _offenders(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# each per-step failure of a filter, raised in one place: the serial core
+# (and the bound map it calls); _Lanes re-runs a failing lane through it
+_STEP_FAILURES = ("state map produced non-finite values", "innovation covariance not finite",
+                  "measurement map produced non-finite values",
+                  "update produced non-finite estimate", "clip level sigma underflowed to 0",
+                  "bound map overflowed", "non-finite innovation")
+
+
+def _failure_counts(texts):
+    """How often each step-failure message occurs in the given module texts."""
+    return {msg: sum(text.count(msg) for text in texts) for msg in _STEP_FAILURES}
+
+
+def test_the_failure_scan_sees_a_second_copy():
+    once = ['raise NumericalFailure("state map produced non-finite values", context=x)']
+    assert _failure_counts(once)["state map produced non-finite values"] == 1
+    twice = once + ['fail(ok, "state map produced non-finite values", self.x)']
+    assert _failure_counts(twice)["state map produced non-finite values"] == 2
+
+
+def test_each_step_failure_message_is_written_once():
+    texts = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert _failure_counts(texts) == dict.fromkeys(_STEP_FAILURES, 1)
 
 
 # the filtered covariance P - K S K^T, written once: in filters._innovation_gain

@@ -15,10 +15,14 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from conftest import linear_model
 from isekf import stability
-from isekf.errors import CertificationFailure
+from isekf.errors import CertificationFailure, NumericalFailure
 from isekf.filters import (
     _SAT_FLOOR,
     FilterState,
+    NonlinearModel,
+    _filter_step,
+    _Lanes,
+    _matvec,
     _innovation_gain,
     _rk4,
     _spd_inverse,
@@ -355,3 +359,77 @@ def test_pade_expm_agrees_with_scipy_on_the_flow_hamiltonians(case):
         # Hamiltonians with n, p <= 4 and entries up to 10)
         tol = 1e4 * np.finfo(float).eps * max(1.0, np.linalg.norm(hM, 1))
         assert np.linalg.norm(E - E_ref) <= tol * np.linalg.norm(E_ref)
+
+
+# lanes of a stacked linear model (A = 2 I, C >= 2 entrywise) that start in
+# a state where a step fails a check of _filter_step, from the model's
+# parameters; a lane is saturated when its entry of `saturated` is true
+def _lane_start(kind, n, p, x, P, y):
+    """(x0, P0, y, bound params or None for the lane's own choice) of a lane kind."""
+    tiny = BoundParams(mode="dt", lambda1=[0.01] * p, lambda2=[0.5] * p, gamma1=[0.1] * p,
+                       gamma2=[0.1] * p, sigma0=[5e-324] * p, epsilon0=[5e-324] * p)
+    return {
+        "normal": (x, P, y, None),
+        "f-overflow": (np.full(n, 1e308), P, y, None),              # 2e308
+        "h-overflow": (np.full(n, 5e307), P, y, None),              # f finite, C x not
+        "S-not-finite": (x, 1e308 * np.eye(n), y, None),            # A P A^T = 4e308
+        "S-indefinite": (x, -1e3 * np.eye(n), y, None),
+        "bound-overflow": (x, P, np.full(p, 1e200), "sat"),        # innov^2 overflows
+        "sigma-underflow": (x, P, y, tiny),
+    }[kind]
+
+
+_LANE_KINDS = ["normal", "f-overflow", "h-overflow", "S-not-finite", "S-indefinite",
+               "bound-overflow", "sigma-underflow"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda d: st.tuples(
+    st.just(d),
+    arrays(float, (d[1], d[0]), elements=st.floats(2.0, 10.0)),
+    _spd(d[0]).map(lambda Q: 0.01 * Q), _spd(d[1]),
+    st.lists(st.tuples(st.sampled_from(_LANE_KINDS), st.booleans(),
+                       st.sampled_from([np.inf, 3.0]),
+                       arrays(float, d[0], elements=st.floats(-10.0, 10.0)), _spd(d[0])),
+             min_size=1, max_size=6),
+    arrays(float, (3, 6, d[1]), elements=st.floats(-10.0, 10.0)))))
+def test_the_lanes_equal_the_serial_core_failures_included(case):
+    (n, p), C, Q, R, lanes, ys = case
+    A = 2.0 * np.eye(n)
+    model = NonlinearModel(f=lambda x, u=None: _matvec(A, x), h=lambda x: _matvec(C, x),
+                           Q=Q, R=R, n=n, p=p, jac_f=lambda x, u=None: A, jac_h=lambda x: C)
+    default = BoundParams(mode="dt", lambda1=[0.5] * p, lambda2=[0.5] * p, gamma1=[1.0] * p,
+                          gamma2=[1.0] * p, sigma0=[4.0] * p, epsilon0=[1.0] * p)
+    starts, params, ells = [], [], []
+    for kind, saturated, ell, x, P in lanes:
+        x0, P0, y_kind, bp = _lane_start(kind, n, p, x, P, None)
+        starts.append((x0, P0, y_kind))
+        params.append(bp if isinstance(bp, BoundParams)
+                      else default if saturated or bp == "sat" else None)
+        ells.append(ell)
+    L = len(lanes)
+    stack = _Lanes(model, [s[0] for s in starts], [s[1] for s in starts], ells, params)
+    # the serial reference: lane l through _filter_step until it raises
+    ref = [[s[0], s[1], None if bp is None else bp.initial_state(), None] for s, bp in
+           zip(starts, params)]
+    for k, y_step in enumerate(ys[:, :L], start=1):
+        y = np.array([s[2] if s[2] is not None else y_step[l] for l, s in enumerate(starts)])
+        failures = stack.step(y, None)
+        for l, (bp, ell) in enumerate(zip(params, ells)):
+            if ref[l][3] is not None:
+                continue
+            try:
+                ref[l][:3] = _filter_step(model, ref[l][0], ref[l][1], y[l], None, ref[l][2],
+                                          bp, ell)
+            except NumericalFailure as exc:
+                ref[l][3] = (k, type(exc), str(exc))
+                assert l in failures
+                assert (type(failures[l]), str(failures[l])) == ref[l][3][1:], l
+            else:
+                assert l not in failures
+    for l, (x, P, sat, failed) in enumerate(ref):
+        assert np.array_equal(stack.x[l], x) and np.array_equal(stack.P[l], P), l
+        assert stack.live[l] == (failed is None)
+        if sat is not None:
+            row = stack.sat_rows.tolist().index(l)
+            assert np.array_equal(stack.sat[row], np.concatenate((sat.sigma, sat.epsilon)))

@@ -12,7 +12,7 @@ from conftest import benchmark_config, paper_bound_params, robot_filter_p0
 from isekf import filters
 from isekf.errors import ConfigurationError, NumericalFailure
 from isekf.filters import FilterState, dt_isekf_step, ekf_step, sigma_gate_step
-from isekf.harness import DEFAULT_BOUND, parse_config
+from isekf.harness import DEFAULT_BOUND, metrics_report, parse_config
 from isekf.saturation import BoundParams
 from isekf.scenario import (
     FilterSpec,
@@ -441,6 +441,37 @@ def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(cap
     for label in ("is-ekf", "lsigma-ekf"):
         np.testing.assert_array_equal(tr.estimates[label], estimates[label])
     np.testing.assert_array_equal(tr.sqrt_sigma["is-ekf"], sqrt_sigma["is-ekf"])
+
+
+def _indefinite_config():
+    # the ekf lane's S is finite and not positive definite at step 1
+    P0 = robot_filter_p0()
+    return benchmark_config(horizon=30, filters=[
+        FilterSpec("is-ekf", P0=P0, bound_params=paper_bound_params()),
+        FilterSpec("ekf", P0=np.diag([1e6, 1e6, -9e-5]), label="ekf-indefinite"),
+        FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
+
+
+@pytest.mark.parametrize("make_cfg, expected", [
+    (_two_saturated_config, {"is-ekf-fast": "clip level sigma underflowed to 0",
+                             "is-ekf-slow": "clip level sigma underflowed to 0",
+                             "ekf": "innovation covariance not finite", "lsigma-ekf": None}),
+    (_indefinite_config, {"is-ekf": None, "lsigma-ekf": None, "ekf-indefinite":
+                          "innovation covariance not factorizable (cond ~ 3.883e+10)"}),
+], ids=["two-saturated", "dead-lane"])
+def test_a_failed_filters_reason_is_recorded_in_the_trace_and_the_metrics(make_cfg, expected):
+    cfg = make_cfg()
+    with np.errstate(all="ignore"):
+        tr = simulate(cfg, 1)
+        _, _, _, reasons = _replay(cfg, tr)
+    assert tr.failure == expected
+    assert {lbl: msg for lbl, msg in expected.items() if msg is not None} == reasons
+    text = metrics_report(tr).text()
+    for label, msg in expected.items():
+        block = text.split(f"[{label}]\n")[1].split("\n[")[0]
+        assert ("  failure        = " in block) == (msg is not None)
+        if msg is not None:
+            assert f"(failed_at={tr.failed_at[label]})\n  failure        = {msg}\n" in block
 
 
 @pytest.mark.parametrize("horizon", [200, 0])
