@@ -432,6 +432,7 @@ class _Lanes:
         self.bound[rows] = np.sqrt(sat[:, :model.p])
         return failures
 
+
 def _check_saturated(model: NonlinearModel, sat: Optional[SaturationState],
                      params: Optional[BoundParams], caller: str, y=None, mode: str = "dt") -> None:
     """Entry checks of a saturated filter whose bound parameters must be of

@@ -18,8 +18,8 @@ _EXEMPT_FILES = {"svgplot.py"}
 def _offenders(text: str):
     """(line number, line) of each finiteness reduction in a module's text.
     _all_finite's own body (np.isfinite, then np.count_nonzero) and
-    _Lanes.step's per-lane screens (the row reductions
-    np.isfinite(...).all(axis=1)) do not match."""
+    per-lane masks (a bare np.isfinite(...) and the row reductions
+    np.isfinite(...).all(axis=1), as in _Lanes.step's screens) do not match."""
     return [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())
             if _FINITE_REDUCTION.search(line)]
 
@@ -29,7 +29,9 @@ def test_the_scan_sees_each_spelling():
                  "if not all(np.isfinite(v).all() for v in out):",
                  "ok = np.isfinite(np.linalg.norm(P)).all()"):
         assert _offenders(line), line
-    for line in ("ok = np.isfinite(S).all(axis=(1, 2)) & np.isfinite(hx).all(axis=1)",
+    for line in ("fail(np.isfinite(x), 'state map produced non-finite values', self.x)",
+                 "if (over & ~np.isfinite(innov_s).all(axis=1)).any():",
+                 "ok = np.isfinite(S).all(axis=(1, 2)) & np.isfinite(hx).all(axis=1)",
                  "if not _all_finite(x):", "if not math.isfinite(r):"):
         assert not _offenders(line), line
 
