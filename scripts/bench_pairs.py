@@ -14,9 +14,11 @@ run's metrics and run record, and per end-to-end metric of BENCHMARK.json:
 each side's median and quartiles, the ratio of the medians (change /
 parent), the pairs the change won (ties count for neither), whether the
 change's median is worse than the parent's by more than the metric's bound,
-and whether the metric is unresolved: the parent's own quartile spread is
+whether the metric is unresolved: the parent's own quartile spread is
 wider than the bound and the change's runs do not all read better than all
-of the parent's.  Beside the summary, each workload reports each side's
+of the parent's, and whether the change gained: it won at least 9 in 10 of
+the pairs and its median is better than the parent's by more than the
+parent's quartile spread (q3 - q1).  Beside the summary, each workload reports each side's
 spread of the raw set-up time (record.wall.setup_s, before the host-speed
 scaling of the setup_s metric) and of record.import_s; they decide nothing.
 """
@@ -90,8 +92,9 @@ def spread(values: list) -> dict:
 
 def summarise(runs: list, end_to_end: list) -> dict:
     """Per metric: both sides' spread, the median ratio, the change's wins
-    over its pairs, whether it regressed beyond the metric's bound and
-    whether the parent's own spread is too wide to tell."""
+    over its pairs, whether it regressed beyond the metric's bound, whether
+    the parent's own spread is too wide to tell and whether the change
+    gained: 9 in 10 pairs won and a median gain beyond the parent's spread."""
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -104,13 +107,15 @@ def summarise(runs: list, end_to_end: list) -> dict:
         separated = (min(side["change"]) > max(side["parent"]) if higher
                      else max(side["change"]) < min(side["parent"]))
         margin = metric["bound"] * abs(parent["median"])
+        pairs = len(side["change"])
         out[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": parent, "change": change,
             "ratio": change["median"] / parent["median"] if parent["median"] else None,
-            "wins": wins, "pairs": len(side["change"]),
+            "wins": wins, "pairs": pairs,
             "regressed": worse > margin,
             "unresolved": parent["q3"] - parent["q1"] > margin and not separated,
+            "gained": 10 * wins >= 9 * pairs and -worse > parent["q3"] - parent["q1"],
         }
     fails = [r["failed"] / r["attempted"] for r in runs]
     out["fail_ratio_max"] = max(fails)

@@ -617,6 +617,50 @@ def _floored_rk4_step(rhs: Callable, z: np.ndarray, t: float, dt: float, n: int,
     return z_next
 
 
+def _read_once_per_time(read: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
+    """read(t) memoized on the last time asked for, compared as a float.
+
+    RK4 asks for its input at t, twice at t + dt/2 and at t + dt, which is
+    often the next step's t: through this memo, read runs once per distinct
+    stage time, in stage order.  A repeated time gets the same array back,
+    which the caller must not edit in place; a read that raises stores
+    nothing."""
+    last_t, last = math.nan, None  # nan equals no time
+
+    def memo(t: float):
+        nonlocal last_t, last
+        if t != last_t:
+            last = read(t)
+            last_t = t
+        return last
+    return memo
+
+
+def _step_count(mode: str, horizon, dt) -> int:
+    """The steps of a run over horizon: a whole-number horizon >= 0 in
+    discrete time, round(horizon / dt) for a finite horizon >= 0 and a
+    finite dt > 0 in continuous time (dt is not read in discrete time).
+    The rule of both continuous integrators and of the discrete bound
+    check.  Raises ConfigurationError."""
+    try:
+        h = float(horizon + 0.0)  # a number: float() would also parse a string
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"horizon must be a number, got {horizon!r}") from None
+    if not 0.0 <= h < math.inf:
+        raise ConfigurationError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if mode == "discrete":
+        if h != int(h):
+            raise ConfigurationError(f"a discrete horizon must be a whole number of steps, "
+                                     f"got {horizon!r}")
+        return int(h)
+    if not 0.0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    steps = h / dt
+    if not steps < math.inf:
+        raise ConfigurationError(f"horizon / dt overflows: {horizon!r} / {dt!r}")
+    return int(round(steps))
+
+
 def _joint_views(z: np.ndarray, n: int):
     """Views (x, P, sat) of a joint vector stacked as [x; vec(P); sigma; epsilon],
     x of length n and sat = [sigma; epsilon]."""
@@ -634,25 +678,32 @@ def ct_isekf_integrate(
 ) -> list[FilterState]:
     """Integrate the coupled (x, P, sigma, eps) system with classical RK4.
 
-    Inputs are checked at entry, then each y_provider(t) sample as it is read
-    at the RK4 stage times (it may be held between samples).  Stages run the
-    unchecked core _ct_rhs on the flat [x; vec(P); sigma; eps].  Floor policy:
-    sigma/eps floored at 1e-12 in every stage and after every step; P is
-    symmetrized at entry and after every step.  Returns the trajectory including st."""
-    if not dt > 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    Inputs are checked at entry, horizon and dt by the continuous bound
+    check's rule (_step_count: round(horizon / dt) steps, a finite horizon
+    >= 0 and a finite dt > 0).  y_provider is asked once per distinct RK4
+    stage time, in stage order (_read_once_per_time: a stage at the time of
+    the one before reuses its sample), and each sample is checked as it is
+    read; it may be held between samples.  Stages run the unchecked core
+    _ct_rhs on the flat [x; vec(P); sigma; eps].  Floor policy: sigma/eps
+    floored at 1e-12 in every stage and after every step; P is symmetrized
+    at entry and after every step.  Returns the trajectory including st."""
+    steps = _step_count("continuous", horizon, dt)
     _check_estimate(model, st, "ct_isekf_integrate")
     _check_saturated(model, st.sat, params, "ct_isekf_integrate", mode="ct")
     n, p = st.x_hat.shape[0], st.sat.p
 
-    def stage(z, t: float):
+    @_read_once_per_time
+    def measurement(t: float):
         y = np.asarray(y_provider(t), dtype=float)
         _check_measurement(y, p, f"ct_isekf_integrate at t={t:.6g}")
-        return _ct_rhs(model, *_joint_views(z, n), y, params)
+        return y
+
+    def stage(z, t: float):
+        return _ct_rhs(model, *_joint_views(z, n), measurement(t), params)
 
     out = [replace(st, t=0.0)]
     z = np.concatenate((st.x_hat, _symmetrize(st.P), st.sat.sigma, st.sat.epsilon), axis=None)
-    for i in range(int(round(horizon / dt))):
+    for i in range(steps):
         z = _floored_rk4_step(stage, z, i * dt, dt, n, p)
         x, P, sat = _joint_views(z, n)
         P[...] = _symmetrize(P)

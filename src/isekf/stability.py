@@ -23,9 +23,10 @@ from .errors import (
     NumericalFailure,
     PropertyFailure,
 )
-from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _require_finite,
-                      _require_noise_covariances, _require_symmetric, _riccati_rhs, _rk4,
-                      _saturated_rhs, _spd_inverse, _symmetrize)
+from .filters import (_floored_rk4_step, _innovation_gain, _is_psd, _read_once_per_time,
+                      _require_finite, _require_noise_covariances, _require_symmetric,
+                      _riccati_rhs, _rk4, _saturated_rhs, _spd_inverse, _step_count,
+                      _symmetrize)
 from .saturation import BoundParams, _all_finite, _bound_map_core, _clip, _read_only
 # The checked public forms of the cores above; bench/tracer.py wraps them
 # under these names.
@@ -808,30 +809,6 @@ def _covariance_pass(sys: LinearSystem, cand: CertificateCandidate, dt: float,
     return _CovariancePass(_read_only(gains), None)
 
 
-def _step_count(mode: str, horizon, dt) -> int:
-    """The steps of a bound check: a whole-number horizon >= 0 in discrete
-    time, round(horizon / dt) for a finite horizon >= 0 and a finite dt > 0
-    in continuous time (dt is not read in discrete time).  Raises
-    ConfigurationError."""
-    try:
-        h = float(horizon)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"horizon must be a number, got {horizon!r}") from None
-    if not 0.0 <= h < math.inf:
-        raise ConfigurationError(f"horizon must be finite and nonnegative, got {horizon!r}")
-    if mode == "discrete":
-        if h != int(h):
-            raise ConfigurationError(f"a discrete horizon must be a whole number of steps, "
-                                     f"got {horizon!r}")
-        return int(h)
-    if not 0.0 < dt < math.inf:
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    steps = h / dt
-    if not steps < math.inf:
-        raise ConfigurationError(f"horizon / dt overflows: {horizon!r} / {dt!r}")
-    return int(round(steps))
-
-
 def _envelope_blocks(cert: StabilityCertificate, samples: int, dt: Optional[float],
                      V0: float):
     """cert.envelope at the steps 0 .. samples - 1 (at the times i * dt in
@@ -856,10 +833,14 @@ def bound_trajectory_check(
 
     d_signal(k) (discrete) or d_signal(t) (continuous) must return m values
     (otherwise ConfigurationError), finite with ||d|| <= mu (otherwise
-    InputDomainError).  The bound parameters, the candidate's shapes and P0
-    (cert.P0, or ConfigurationError), e0, horizon and dt (_step_count) are
-    checked once at entry, where a non-finite e0, or a nonzero e0 on a singular
-    P0 (see initial_v), is an InputDomainError.  The discrete check is one
+    InputDomainError); it is asked once per step k, and in continuous time
+    once per distinct RK4 stage time, in stage order (_read_once_per_time: a
+    stage at the time of the one before reuses its D d).  The bound
+    parameters, the candidate's shapes, and its W, U, alpha, Gamma2 and P0
+    (those of cert, or ConfigurationError), e0, horizon and dt (_step_count,
+    the rule ct_isekf_integrate counts its steps by) are checked once at
+    entry, where a non-finite e0, or a nonzero e0 on a singular P0 (see
+    initial_v), is an InputDomainError.  The discrete check is one
     pass: each step takes the next gain of the Riccati recursion from cand.P0
     (_dare_steps), the last one once it is stationary.  The continuous check
     reads each RK4 stage's gain from a covariance pass (_covariance_pass),
@@ -879,8 +860,11 @@ def bound_trajectory_check(
     recorded bound-dt final norm (bench/workloads.py) depends on this."""
     params = cert.params
     _check_against_system(sys, cand, params)
-    if not np.array_equal(cand.P0, cert.P0):
-        raise ConfigurationError(f"candidate P0 {cand.P0.tolist()} != certified {cert.P0.tolist()}")
+    for name in ("W", "U", "alpha", "Gamma2", "P0"):
+        mine, certified = np.asarray(getattr(cand, name)), np.asarray(getattr(cert, name))
+        if not np.array_equal(mine, certified):
+            raise ConfigurationError(f"candidate {name} {mine.tolist()} != certified "
+                                     f"{certified.tolist()}")
     # C order: a strided e0 would take another summation order in e.dot(e)
     e = np.zeros(sys.n) if e0 is None else np.asarray(e0, dtype=float, order="C")
     if e.shape != (sys.n,):
@@ -942,11 +926,12 @@ def bound_trajectory_check(
 
     # e' = A e - K sat(C e - D d), written as A e + K sat(D d - C e): the
     # clip is odd and negation is exact, so both forms give the same bits
+    forcing = _read_once_per_time(lambda t: D.dot(disturbance(t)))
+
     def rhs(z, t):
-        d = disturbance(t)
+        Dd = forcing(t)
         e_vec = z[:n]
-        return _saturated_rhs(A.dot(e_vec), next(stage_gains), D.dot(d) - C.dot(e_vec), z[n:],
-                              params)
+        return _saturated_rhs(A.dot(e_vec), next(stage_gains), Dd - C.dot(e_vec), z[n:], params)
 
     z = np.concatenate((e, sat))
     for i, bound in enumerate(_envelope_blocks(cert, n_steps + 1, dt, V0)):

@@ -83,6 +83,29 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(bench_pairs):
     assert not out["rate"]["unresolved"]
 
 
+@pytest.mark.parametrize("metric, parent, change, gained", [
+    # 10 of 10 pairs won, median 110 against 100 with a parent spread of 4.5
+    (HIGHER, list(range(96, 106)), list(range(106, 116)), True),
+    # 9 of 10 is enough; 8 of 10 is not
+    (HIGHER, list(range(96, 106)), list(range(106, 115)) + [90], True),
+    (HIGHER, list(range(96, 106)), list(range(106, 114)) + [90, 90], False),
+    # every pair won, but the median gain (3) is within the parent's spread (4.5)
+    (HIGHER, list(range(96, 106)), list(range(99, 109)), False),
+    # lower is better: faster by 10 in every pair
+    (LOWER, list(range(96, 106)), list(range(86, 96)), True),
+    (LOWER, list(range(96, 106)), list(range(106, 116)), False),
+    # ties count for neither side: 9 wins and a tie in 10 pairs
+    (HIGHER, [100] * 10, [110] * 9 + [100], True),
+    (HIGHER, [100] * 10, [110] * 8 + [100] * 2, False),
+    # a gain no larger than the spread does not count: a zero spread and no gain
+    (HIGHER, [100] * 10, [100] * 10, False),
+])
+def test_gained_needs_nine_in_ten_pairs_and_a_median_gain_beyond_the_spread(
+        bench_pairs, metric, parent, change, gained):
+    out = bench_pairs.summarise(runs_of(parent, change, metric["name"]), [metric])
+    assert out[metric["name"]]["gained"] is gained
+
+
 def test_a_single_pair_has_a_zero_spread(bench_pairs):
     assert bench_pairs.spread([7.5]) == {"median": 7.5, "q1": 7.5, "q3": 7.5}
     out = bench_pairs.summarise(runs_of([100], [60], "rate"), [HIGHER])

@@ -5,13 +5,14 @@ replaced, the memo of the covariance pass, and the entry checks."""
 import dataclasses
 import functools
 import importlib.util
+import itertools
 import math
 import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isekf import filters, stability
@@ -166,9 +167,26 @@ def _outcome(check, sys, cand, cert, d_signal, *args, **kwargs):
     return result, calls
 
 
+def _distinct(times):
+    """times with each consecutive repeat dropped."""
+    return [t for i, t in enumerate(times) if i == 0 or t != times[i - 1]]
+
+
+def _stage_times(steps, dt):
+    """The times at which RK4 asks for its input over steps steps of dt, in
+    stage order (t, twice t + dt/2, t + dt), each consecutive repeat dropped:
+    the reads of both continuous integrators."""
+    half = 0.5 * dt
+    return _distinct([t for i in range(steps) for t in (i * dt, i * dt + half, i * dt + half,
+                                                       i * dt + dt)])
+
+
 def assert_matches_oracle(*args, **kwargs):
+    # the oracle asks for the disturbance at every RK4 stage, the check once
+    # per distinct stage time
     new = _outcome(bound_trajectory_check, *args, **kwargs)
-    assert new == _outcome(_oracle_check, *args, **kwargs)
+    result, calls = _outcome(_oracle_check, *args, **kwargs)
+    assert new == (result, _distinct(calls))
     return new[0]
 
 
@@ -289,7 +307,8 @@ def test_continuous_draws_match_the_oracle(ct_observer):
 def _larger_observer(mode, rng):
     """An n = 3, p = 2 observer with a non-diagonal R, drawn from rng, and
     a scalar certificate with a huge bound state, whose envelope keeps a
-    check from failing."""
+    check from failing; the certificate takes the candidate's W, U, alpha,
+    Gamma2 and P0, which the check binds."""
     A = rng.standard_normal((3, 3)) / 3.0 - (np.eye(3) if mode == "continuous" else 0.0)
     L = rng.standard_normal((3, 3))
     sys = LinearSystem(A=A, C=rng.standard_normal((2, 3)), Q=L @ L.T + 0.1 * np.eye(3),
@@ -302,6 +321,7 @@ def _larger_observer(mode, rng):
     cand = CertificateCandidate(W=np.eye(2), U=[[2.0]], alpha=0.1, Gamma2=np.eye(2),
                                 P0=0.5 * np.eye(3))
     cert = dataclasses.replace((_ct_observer() if ct else _dt_observer())[2], params=params,
+                               W=cand.W, U=cand.U, alpha=cand.alpha, Gamma2=cand.Gamma2,
                                P0=cand.P0)
     return sys, cand, cert
 
@@ -396,6 +416,30 @@ def test_the_ct_filter_on_a_plant_at_rest_is_the_continuous_bound_check(observer
         assert rep.final_error_norm == pytest.approx(recorded, rel=1e-9, abs=0.0)
 
 
+@settings(deadline=None, max_examples=40)
+@given(dt=st.floats(1e-4, 0.05), steps=st.integers(1, 40))
+def test_both_integrators_read_each_distinct_stage_time_once(ct_observer, dt, steps):
+    # a dt at which some step's t_i + dt is not the next step's (i + 1) dt,
+    # so that the next step reads its input again
+    assume(any(i * dt + dt != (i + 1) * dt for i in range(1, steps)))
+    sys, cand, cert = ct_observer
+    reads = {"bound check": [], "filter": []}
+
+    def reading(calls):
+        return lambda t: calls.append(t) or np.zeros(1)
+
+    bound_trajectory_check(sys, cand, cert, reading(reads["bound check"]), steps * dt,
+                           e0=np.zeros(1), dt=dt)
+    _ct_filter_run(sys, cand, cert.params, reading(reads["filter"]), steps * dt, np.zeros(1), dt)
+    for calls in reads.values():
+        assert calls == _stage_times(steps, dt)
+        assert len(set(calls)) == len(calls) < 4 * steps
+        # ascending, but for a step's (i + 1) dt that rounds just below the
+        # last step's t_i + dt
+        assert all(b > a or math.isclose(a, b, rel_tol=1e-15)
+                   for a, b in itertools.pairwise(calls))
+
+
 def test_a_strided_initial_error_matches_the_oracle():
     # n = 5: BLAS sums a strided vector's dot product in another order
     # than a contiguous one's, and np.linalg.norm takes a contiguous copy
@@ -472,7 +516,8 @@ def test_a_covariance_failure_fails_as_the_oracle_and_again_from_the_memo(
         mode, dt_observer if mode == "discrete" else ct_observer)
     stability._covariance_pass.cache_clear()
     first = _outcome(bound_trajectory_check, sys, cand, cert, lambda s: np.zeros(1), **kwargs)
-    assert first == _outcome(_oracle_check, sys, cand, cert, lambda s: np.zeros(1), **kwargs)
+    result, calls = _outcome(_oracle_check, sys, cand, cert, lambda s: np.zeros(1), **kwargs)
+    assert first == (result, _distinct(calls))
     assert first[0][0] is NumericalFailure
     # raised at a later step than the first, after that step's
     # disturbance and envelope checks
@@ -480,7 +525,9 @@ def test_a_covariance_failure_fails_as_the_oracle_and_again_from_the_memo(
         assert "not factorizable" in first[0][1] and first[1] == [0, 1, 2, 3, 4]
     else:
         assert first[0][1].startswith("integration step rejected at t=")
-        assert len(first[1]) > 4 and len(first[1]) % 4 == 0
+        # every stage time of the steps up to the failed one, read once
+        steps = round(float(first[0][1].rpartition("=")[2]) / kwargs["dt"])
+        assert steps > 1 and first[1] == _stage_times(steps, kwargs["dt"])
     # a second draw fails at the same step: the continuous one on the
     # failing pass served from the memo, the discrete one stepping its
     # recursion again
@@ -505,7 +552,8 @@ def test_a_recorded_covariance_failure_is_raised_while_the_error_stays_finite(
                                          lambda t: np.zeros(1), horizon=0.01,
                                          e0=np.array([0.05]), dt=1e-3)
     assert (kind, message) == (NumericalFailure, "integration step rejected at t=0.003")
-    assert len(calls) == 12
+    # the twelve stages of steps 0-2 at seven distinct times
+    assert calls == _stage_times(3, 1e-3) == [0.0, 0.0005, 0.001, 0.0015, 0.002, 0.0025, 0.003]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -628,6 +676,7 @@ def test_a_singular_discrete_start_is_skipped_as_a_continuous_one(dt_observer):
     ("discrete", dict(horizon=math.nan), "finite and nonnegative, got nan"),
     ("discrete", dict(horizon=math.inf), "finite and nonnegative, got inf"),
     ("discrete", dict(horizon="ten"), "must be a number, got 'ten'"),
+    ("discrete", dict(horizon="2"), "must be a number, got '2'"),
     ("continuous", dict(horizon=-0.5), "finite and nonnegative, got -0.5"),
     ("continuous", dict(horizon=math.nan), "finite and nonnegative, got nan"),
     ("continuous", dict(horizon=math.inf), "finite and nonnegative, got inf"),
@@ -636,9 +685,9 @@ def test_a_singular_discrete_start_is_skipped_as_a_continuous_one(dt_observer):
     ("continuous", dict(horizon=1.0, dt=0.0), "dt must be positive and finite, got 0.0"),
     ("continuous", dict(horizon=1.0, dt=-1e-3), "dt must be positive and finite, got -0.001"),
     ("continuous", dict(horizon=1e308, dt=1e-3), "horizon / dt overflows"),
-], ids=["dt-negative", "dt-fraction", "dt-nan", "dt-inf", "dt-string", "ct-negative",
-        "ct-nan", "ct-inf", "ct-dt-inf", "ct-dt-nan", "ct-dt-zero", "ct-dt-negative",
-        "ct-steps-overflow"])
+], ids=["dt-negative", "dt-fraction", "dt-nan", "dt-inf", "dt-string", "dt-numeric-string",
+        "ct-negative", "ct-nan", "ct-inf", "ct-dt-inf", "ct-dt-nan", "ct-dt-zero",
+        "ct-dt-negative", "ct-steps-overflow"])
 def test_a_bad_horizon_or_dt_is_rejected_at_entry(mode, kwargs, message, dt_observer,
                                                   ct_observer):
     sys, cand, cert = dt_observer if mode == "discrete" else ct_observer

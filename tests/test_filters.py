@@ -568,6 +568,18 @@ _WRONG_SHAPE_CALLS = [
 ]
 
 
+# ct_isekf_integrate's rejections of a step count: id -> (dt, horizon, message)
+_CT_STEP_COUNTS = {
+    "dt-zero": (0.0, 1.0, "dt must be positive and finite, got 0.0"),
+    "dt-inf": (math.inf, 1.0, "dt must be positive and finite, got inf"),
+    "horizon-negative": (0.1, -1.0, "horizon must be finite and nonnegative, got -1.0"),
+    "horizon-nan": (0.1, math.nan, "horizon must be finite and nonnegative, got nan"),
+    "horizon-inf": (0.1, math.inf, "horizon must be finite and nonnegative, got inf"),
+    "horizon-string": (0.1, "2", "horizon must be a number, got '2'"),
+    "steps-overflow": (1e-3, 1e308, "horizon / dt overflows: 1e+308 / 0.001"),
+}
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: jacobian_fd(_unobserved_at_a_step, np.zeros(1)), NumericalFailure,
      "jacobian_fd: map evaluated to non-finite values"),
@@ -582,10 +594,13 @@ _WRONG_SHAPE_CALLS = [
     (lambda: dt_isekf_step(linear_model([[1.0]], [[1.0]], [[1.0]], [[1.0]]),
                            scalar_state(0.0, 1.0), np.zeros(1), big_sigma_params()),
      ConfigurationError, "dt_isekf_step requires a SaturationState"),
-    (lambda: ct_isekf_integrate(linear_model([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
-                                scalar_state(0.0, 1.0, sigma=1.0), lambda t: np.zeros(1),
-                                0.0, 1.0, big_sigma_params()),
-     ConfigurationError, "dt must be positive, got 0.0"),
+] + [
+    # the bound check's step-count rule: no horizon or dt that would run no
+    # step, or fail inside the count, is taken
+    (lambda dt=dt, horizon=horizon: ct_isekf_integrate(
+        linear_model([[-1.0]], [[1.0]], [[1.0]], [[1.0]]), scalar_state(0.0, 1.0, sigma=1.0),
+        lambda t: np.zeros(1), dt, horizon, _CT_PARAMS), ConfigurationError, message)
+    for dt, horizon, message in _CT_STEP_COUNTS.values()
 ] + [
     # a 2-entry estimate (2x2 P) on a scalar model, at every public step
     (lambda a=a, call=call: call(linear_model([[a]], [[1.0]], [[1.0]], [[1.0]]),
@@ -593,7 +608,8 @@ _WRONG_SHAPE_CALLS = [
      ConfigurationError, f"{name}: estimate of shape (2,) with P of shape (2, 2), not (1,) and (1, 1)")
     for name, a, call in _WRONG_SHAPE_CALLS
 ], ids=["jacobian-non-finite-step", "R-not-pd", "Q-shape", "R-shape", "asymmetric-covariance",
-        "no-saturation-state", "ct-dt-zero"] + [f"{name}-shape" for name, _, _ in _WRONG_SHAPE_CALLS])
+        "no-saturation-state"] + [f"ct-{name}" for name in _CT_STEP_COUNTS]
+    + [f"{name}-shape" for name, _, _ in _WRONG_SHAPE_CALLS])
 def test_an_entry_rejection_names_its_cause(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -766,12 +766,11 @@ def _two_channel_dt_params():
                        gamma2=[0.2] * 2, sigma0=[0.5] * 2, epsilon0=[0.5] * 2, mode="dt")
 
 
-def _check_from(e0, P0=None):
-    # the candidate's P0 replaced after certification when P0 is given
+def _check_from(e0, **fields):
+    # the candidate's fields replaced after certification by those given
     sys, cand, params = dt_cert_setup()
     cert = certify(sys, cand, params, mu=0.5)
-    if P0 is not None:
-        cand = dataclasses.replace(cand, P0=P0)
+    cand = dataclasses.replace(cand, **fields)
     return bound_trajectory_check(sys, cand, cert, lambda k: np.zeros(1), horizon=5, e0=e0)
 
 
@@ -798,10 +797,19 @@ def _check_from(e0, P0=None):
     (lambda: _check_from(np.zeros(2)), ConfigurationError, "e0 must have length 1, got shape (2,)"),
     (lambda: _check_from(None, P0=[[50.0]]), ConfigurationError,
      "candidate P0 [[50.0]] != certified [[1.1327822185372831]]"),
+    (lambda: _check_from(None, W=[[7.0]]), ConfigurationError,
+     "candidate W [[7.0]] != certified [[0.3]]"),
+    (lambda: _check_from(None, U=[[9.0]]), ConfigurationError,
+     "candidate U [[9.0]] != certified [[2.0]]"),
+    (lambda: _check_from(None, alpha=0.01), ConfigurationError,
+     "candidate alpha 0.01 != certified 0.2"),
+    (lambda: _check_from(None, Gamma2=[[0.3]]), ConfigurationError,
+     "candidate Gamma2 [[0.3]] != certified [[0.2]]"),
 ], ids=["A-not-square", "C-shape", "Q-shape", "D-rows", "mode", "not-stabilizable",
         "W-not-diagonal", "Gamma2-not-positive", "U-not-pd", "alpha-zero", "P0-not-psd",
         "build_Z-continuous", "params-channel-count", "variant", "e0-length",
-        "P0-not-certified"])
+        "P0-not-certified", "W-not-certified", "U-not-certified", "alpha-not-certified",
+        "Gamma2-not-certified"])
 def test_an_entry_rejection_names_its_cause(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
