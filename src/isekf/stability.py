@@ -926,10 +926,10 @@ def bound_trajectory_check(
 
     # e' = A e - K sat(C e - D d), written as A e + K sat(D d - C e): the
     # clip is odd and negation is exact, so both forms give the same bits
-    forcing = _read_once_per_time(lambda t: D.dot(disturbance(t)))
+    read_Dd = _read_once_per_time(lambda t: D.dot(disturbance(t)))
 
     def rhs(z, t):
-        Dd = forcing(t)
+        Dd = read_Dd(t)
         e_vec = z[:n]
         return _saturated_rhs(A.dot(e_vec), next(stage_gains), Dd - C.dot(e_vec), z[n:], params)
 
