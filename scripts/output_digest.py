@@ -9,6 +9,10 @@ prints one line per artifact:
 - the sha256 of trace.csv of `isekf run` at those seeds on paper.cfg with
   delta_amp 40, written to a temporary file: a heading that turns up to
   4 rad a step and wraps at +-pi, which paper.cfg's never does;
+- the failed_at of each filter and the sha256 of trace.csv and of
+  metrics.txt (without its wall-clock line) of a run at seed 1 whose
+  filters fail at steps 1, 164 and 193 (failing_lanes_scenario), which no
+  paper.cfg run does: a failed filter's re-run and held state;
 - the stdout of `isekf sweep paper.cfg --seeds 20` (one batch), of
   `isekf sweep paper.cfg --seeds 70` (two batches, 64 + 6 seeds) and of
   `isekf certify linear.cfg`, line by line;
@@ -65,7 +69,10 @@ import yaml
 
 from isekf.errors import NumericalFailure
 from isekf.filters import FilterState, NonlinearModel, ct_isekf_integrate
-from isekf.harness import cli_main
+from isekf.harness import (DEFAULT_BOUND, DEFAULT_P0_DIAG, ExperimentConfig, cli_main,
+                           export_csv, run_experiment)
+from isekf.scenario import (FilterSpec, OutlierSchedule, OutlierSegment, ScenarioConfig,
+                            paper_schedule)
 from isekf.stability import (CertificateCandidate, LinearSystem, bound_trajectory_check, certify,
                              gain_identity_residuals, solve_dare, sweep_candidates)
 from isekf.saturation import BoundParams, SaturationState, bound_rhs_ct, bound_step_dt
@@ -138,6 +145,39 @@ def spinning_lines() -> list[str]:
             lines.append(f"run spinning seed={seed} trace.csv "
                          f"{_sha256(os.path.join(out, 'trace.csv'))}")
     return lines
+
+
+def failing_lanes_scenario() -> ScenarioConfig:
+    """paper.cfg's scenario for 200 steps under a 1e100 outlier on the x
+    channel at every step, with four filters: two is-ekf whose lambda1 of
+    0.01 and 0.02 underflow their clip levels at steps 164 and 193, an ekf
+    whose P0 of 1e308 overflows S at step 1, and an lsigma-ekf that runs
+    through."""
+    P0 = np.diag(DEFAULT_P0_DIAG)
+
+    def decay(lambda1):
+        return BoundParams(mode="dt", **{**DEFAULT_BOUND, "lambda1": [lambda1] * 3})
+
+    huge = OutlierSegment(0, 200, "constant", value=[1e100, 0.0])
+    return ScenarioConfig(
+        horizon=200, schedule=OutlierSchedule((huge,), D=paper_schedule().D),
+        filters=[FilterSpec("is-ekf", P0=P0, bound_params=decay(0.01), label="is-ekf-fast"),
+                 FilterSpec("is-ekf", P0=P0, bound_params=decay(0.02), label="is-ekf-slow"),
+                 FilterSpec("ekf", P0=np.diag([1e308, 1e308, 5e-5])),
+                 FilterSpec("lsigma-ekf", P0=P0, ell=3.0)])
+
+
+def failing_lanes_lines() -> list[str]:
+    trace, report = run_experiment(ExperimentConfig(failing_lanes_scenario(), seed=1))
+    failed = " ".join(f"{label}={k}" for label, k in trace.failed_at.items())
+    with tempfile.TemporaryDirectory() as out:
+        csv, metrics = os.path.join(out, "trace.csv"), os.path.join(out, "metrics.txt")
+        export_csv(trace, csv)
+        with open(metrics, "w", encoding="utf-8") as fh:
+            fh.write(report.text())
+        return [f"failing lanes seed=1 failed_at {failed}",
+                f"failing lanes seed=1 trace.csv {_sha256(csv)}",
+                f"failing lanes seed=1 metrics.txt {_sha256(metrics, 'wall clock')}"]
 
 
 def _stdout_lines(argv, label: str) -> list[str]:
@@ -385,8 +425,9 @@ def bound_edge_lines() -> list[str]:
     return lines
 
 
-SECTIONS = (run_lines, spinning_lines, sweep_lines, certify_lines, bound_lines,
-            moving_bound_lines, envelope_lines, certificate_lines, ct_endpoint_lines, dare_lines, bound_map_lines, bound_edge_lines)
+SECTIONS = (run_lines, spinning_lines, failing_lanes_lines, sweep_lines, certify_lines,
+            bound_lines, moving_bound_lines, envelope_lines, certificate_lines, ct_endpoint_lines,
+            dare_lines, bound_map_lines, bound_edge_lines)
 
 
 def main() -> int:

@@ -2,12 +2,12 @@
 
 Model maps take the state and an optional control input.  Discrete-time
 steps are pure: each returns a new FilterState.  They check their inputs
-once and run one array-level core, _filter_step.  _Lanes runs the same
-arithmetic on a stack of filters at once; scenario.simulate steps every
-filter of every seed through it.  Linearization points
-follow the recursion exactly: the state Jacobian is evaluated at the
-filtered estimate, the measurement Jacobian at the predicted estimate
-(continuous time: both at the current estimate).
+once and run one array-level core (_predict, _correct, _sat_step) that
+takes one filter or a stack: _filter_step runs it on one filter, _Lanes
+on every filter of every seed of scenario.simulate at once.
+Linearization points follow the recursion exactly: the state Jacobian is
+evaluated at the filtered estimate, the measurement Jacobian at the
+predicted estimate (continuous time: both at the current estimate).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .saturation import (
     BoundParams,
     SaturationState,
     _all_finite,
-    _bound_map,
     _bound_map_core,
+    _bound_step,
     _clip,
     _read_only,
 )
@@ -243,15 +243,16 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
 
 def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
     """Gain K = P C^T S^{-1} via an SPD factorization, S = C P C^T + R, and
-    the one filtered covariance P - K S K^T, symmetrized: (K, S, P_filt).
+    the one filtered covariance P - K S K^T, symmetrized: (K, S, P_filt), of
+    one filter or of a stack.
 
     Raises NumericalFailure when S is not finite or not positive definite."""
-    CP = C.dot(P)
-    S = _symmetrize(CP.dot(C.T) + R)
+    CP = np.matmul(C, P)
+    S = _symmetrize(np.matmul(CP, C.swapaxes(-1, -2)) + R)
     if not _all_finite(S):
         raise NumericalFailure("innovation covariance not finite", context=S)
-    K = _spd_solve(S, CP, "innovation covariance").T
-    return K, S, _symmetrize(P - K.dot(S).dot(K.T))
+    K = _spd_solve(S, CP, "innovation covariance").swapaxes(-1, -2)
+    return K, S, _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))
 
 
 def _gated(innov, S, ell):
@@ -268,58 +269,52 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _predict(model: NonlinearModel, x: np.ndarray, P: np.ndarray, u):
-    """Predict core: x = f(x, u), P = A P A^T + Q with A at x; under the
-    floating-point policy of _update."""
-    with np.errstate(all="ignore"):
-        A = model.A_at(x, u)
-        return model.f_at(x, u), _symmetrize(A.dot(P).dot(A.T) + model.Q)
+    """Predict core: x = f(x, u), P = A P A^T + Q with A at x.  As
+    _correct, it leaves floating-point warnings to its caller."""
+    A = model.A_at(x, u)
+    return model.f_at(x, u), _symmetrize(np.matmul(np.matmul(A, P), A.swapaxes(-1, -2)) + model.Q)
 
 
-def _update(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
-            sat: Optional[SaturationState] = None, params: Optional[BoundParams] = None,
-            ell: float = np.inf):
-    """Update core that every discrete-time filter shares.
+def _correct(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray, bound, ell):
+    """Correct core that every discrete-time filter shares: (x, P, innov),
+    the estimate corrected with _gated(_clip(innov, bound), S, ell), the
+    filtered covariance and the raw innovation, which drives the bound map.
+    A saturated filter clips at bound = sqrt(sigma), the gated EKF gates at
+    ell; the policy a filter lacks is +inf, which leaves the innovation
+    unchanged bit for bit."""
+    C = model.C_at(x)
+    K, S, P_new = _innovation_gain(P, C, model.R)
+    innov = model.innovation(x, y)
+    x_new = x + _matvec(K, _gated(_clip(innov, bound), S, ell))
+    if not _all_finite(x_new):
+        raise NumericalFailure("update produced non-finite estimate", context=x)
+    return x_new, P_new, innov
 
-    The innovation policy is data, as in _Lanes: the estimate is corrected
-    with _gated(_clip(innov, bound), S, ell), where the clip level bound is
-    sqrt(sigma) of a saturated filter's sat and the gate width ell that of
-    the gated EKF; the policy a filter lacks is +inf, which leaves the
-    innovation unchanged bit for bit.  The covariance update is
-    P - K (C P C^T + R) K^T, then symmetrization.  sat advances through the
-    bound map on the raw innovation; a clip level that underflows to 0 is a
-    NumericalFailure, so no step hands on a state that the entry checks
-    reject.  Returns (x, P, sat).
 
-    As in _Lanes.step, floating-point warnings are off: a failure is
-    reported as its error alone, on both paths."""
-    with np.errstate(all="ignore"):
-        C = model.C_at(x)
-        K, S, P_new = _innovation_gain(P, C, model.R)
-        innov = model.innovation(x, y)
-        bound = np.inf if sat is None else np.sqrt(sat.sigma)
-        x_new = x + K.dot(_gated(_clip(innov, bound), S, ell))
-        if not _all_finite(x_new):
-            raise NumericalFailure("update produced non-finite estimate", context=x)
-        if sat is not None:
-            sat = SaturationState(*_bound_map(sat, innov, params, "dt"))
-            if not (sat.sigma > 0.0).all():
-                raise NumericalFailure("clip level sigma underflowed to 0", context=sat.sigma)
-    return x_new, P_new, sat
+def _sat_step(sat: np.ndarray, innov: np.ndarray, lam, gam) -> np.ndarray:
+    """The discrete bound map on sat = [sigma; epsilon]: _bound_step, then
+    a clip level that underflowed to 0 is a NumericalFailure, so no step
+    hands on a state that the entry checks reject."""
+    sat = _bound_step(sat, innov, lam, gam, "bound_step_dt")
+    sigma = sat[..., :innov.shape[-1]]
+    if np.count_nonzero(sigma > 0.0) != sigma.size:
+        raise NumericalFailure("clip level sigma underflowed to 0", context=sigma)
+    return sat
 
 
 def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray, u,
                  sat=None, params: Optional[BoundParams] = None, ell: float = np.inf):
-    """One predict + update cycle on raw arrays; returns (x, P, sat).
-
-    The core behind every discrete-time step.  It checks only what can go
-    wrong per step (non-finite f, h, S or estimate, S not positive
-    definite, bound-map overflow, sigma underflow: all NumericalFailure);
-    the inputs are checked once by the caller (see _check_saturated).
-    _Lanes.step is its stacked form and gives its bits lane by lane; it
-    re-runs through this core each lane that may have failed.  The public
-    steps over this core are the reference simulate is tested against."""
-    x, P = _predict(model, x, P, u)
-    return _update(model, x, P, y, sat, params, ell)
+    """One predict + correct cycle of one filter on raw arrays, sat =
+    [sigma; epsilon] or None; returns (x, P, sat).  The core of the public
+    steps and of the lanes' re-run, and the lanes' reference.  It checks
+    only what can fail per step (non-finite f, h, S or estimate, S not
+    positive definite, bound-map overflow, sigma underflow: all
+    NumericalFailure); the caller checks the inputs (_check_saturated)."""
+    with np.errstate(all="ignore"):
+        x, P = _predict(model, x, P, u)
+        bound = np.inf if sat is None else np.sqrt(sat[:model.p])
+        x, P, innov = _correct(model, x, P, y, bound, ell)
+    return x, P, None if sat is None else _sat_step(sat, innov, params.lam, params.gam)
 
 
 class _Lanes:
@@ -333,16 +328,13 @@ class _Lanes:
     The policy a lane lacks is +inf, which leaves the innovation unchanged
     bit for bit, so a plain EKF lane has both at +inf.
 
-    step runs the arithmetic of _filter_step on every lane at once, with
-    the same bits lane by lane: stacked matmul makes the BLAS calls that
-    ndarray.dot makes, and one stacked _spd_solve factors every lane's S.
-    It makes none of _filter_step's checks.  Screens flag each live lane
-    that may have failed one (every live lane when the stacked solve
-    fails), and a flagged lane is re-run from its held state through
-    _filter_step itself, which gives the stacked bits or raises.  A lane
-    whose re-run raises NumericalFailure is dead from then on: it holds its
-    last estimate, covariance and bound state, and it never changes another
-    lane.  The model maps must accept a stack of states (robot_model's do).
+    step runs _filter_step's core (_predict, _correct, _sat_step) once on
+    the stack of live lanes, with _filter_step's bits lane by lane.  When
+    that call raises (the core's NumericalFailure, or the stacked solve's
+    LinAlgError), every live lane is re-run through _filter_step.  A lane
+    whose re-run raises NumericalFailure leaves the stack and holds its
+    last state; it never changes another lane.  The model maps must accept
+    a stack of states (robot_model's do).
     """
 
     def __init__(self, model: NonlinearModel, x: np.ndarray, P: np.ndarray,
@@ -356,7 +348,6 @@ class _Lanes:
         self.ell = np.array(ell, dtype=float)[:, None]
         self.params = list(params)
         self.live = np.ones(len(self.x), dtype=bool)
-        self.all_live = True  # live.all(), kept so that no step before a failure reads the mask
         self.sat_rows = np.array([l for l, bp in enumerate(params) if bp is not None], dtype=int)
         sat = [bp for bp in params if bp is not None]
         p = model.p
@@ -367,69 +358,58 @@ class _Lanes:
                              for bp in sat]).reshape(-1, 2 * p)
         self.bound = np.full((len(self.x), p), np.inf)
         self.bound[self.sat_rows] = np.sqrt(self.sat[:, :p])
+        self._restack()
+
+    def _restack(self) -> None:
+        """The live lanes' stack: their lanes and rows of sat (None while all
+        live), its saturated lanes' places and lanes, gate widths and lam, gam."""
+        on, sat_on = np.flatnonzero(self.live), np.flatnonzero(self.live[self.sat_rows])
+        sat_lanes = self.sat_rows[sat_on]
+        self.stack = ((None, None) if on.size == self.live.size else (on, sat_on)) + (
+            on.searchsorted(sat_lanes), sat_lanes, self.ell[on], self.lam[sat_on], self.gam[sat_on])
 
     def step(self, y: np.ndarray, u) -> dict:
-        """One predict + update of every live lane on its measurement y[l]
+        """One predict + correct of every live lane on its measurement y[l]
         (the input u is shared).  Returns {lane: NumericalFailure} for the
         lanes that failed in this step, each _filter_step's own error; any
-        other error of a re-run propagates, as from the public steps."""
-        model, rows = self.model, self.sat_rows
-        # dead lanes compute on their held state and are discarded; a failure
-        # is reported as its error alone, not as a floating-point warning
-        with np.errstate(all="ignore"):
-            # _predict
-            A = model.A_at(self.x, u)
-            x = np.asarray(model.f(self.x, u), dtype=float)
-            P = _symmetrize(np.matmul(np.matmul(A, self.P), A.swapaxes(-1, -2)) + model.Q)
-            # _update, with _innovation_gain stacked
-            C = model.C_at(x)
-            CP = np.matmul(C, P)
-            S = _symmetrize(np.matmul(CP, C.swapaxes(-1, -2)) + model.R)
-            if not self.all_live:  # a dead lane's S must not fail the stack
-                S = np.where(self.live[:, None, None], S, np.eye(model.p))
-            try:
-                K = _spd_solve(S, CP, "innovation covariance").swapaxes(-1, -2)
-            except (NumericalFailure, np.linalg.LinAlgError):  # every live lane is re-run
-                # (the message's cond() of a stack that holds a non-finite S raises)
-                x_new, P_new, sat = self.x.copy(), self.P.copy(), self.sat.copy()
-                suspects = np.flatnonzero(self.live).tolist()
-            else:
-                hx = np.asarray(model.h(x), dtype=float)
-                innov = model.wrap_channels(y - hx)
-                x_new = x + _matvec(K, _gated(_clip(innov, self.bound), S, self.ell))
-                P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))
-                sat = _bound_map_core(self.sat, innov[rows], self.lam, self.gam)
-                sigma, suspects = sat[:, :model.p], []
-                if not (_all_finite(S) and _all_finite(hx) and _all_finite(x_new)
-                        and _all_finite(sat) and np.count_nonzero(sigma > 0.0) == sigma.size):
-                    # the screens lane by lane; a non-finite f(x) shows in x + K v
-                    ok = (np.isfinite(S).all(axis=(1, 2)) & np.isfinite(hx).all(axis=1)
-                          & np.isfinite(x_new).all(axis=1))
-                    ok[rows] &= np.isfinite(sat).all(axis=1) & (sigma > 0.0).all(axis=1)
-                    suspects = np.flatnonzero(self.live & ~ok).tolist()
-            failures = {}
-            for l in suspects:  # through _filter_step from the held state
-                bp, r = self.params[l], rows.searchsorted(l)  # rows is sorted
-                held = None if bp is None else SaturationState(*np.split(self.sat[r], 2))
-                try:
-                    x_new[l], P_new[l], out = _filter_step(model, self.x[l], self.P[l], y[l], u,
-                                                           held, bp, self.ell[l, 0])
-                except NumericalFailure as exc:
-                    failures[l] = exc
-                    continue
-                if out is not None:
-                    sat[r] = np.concatenate((out.sigma, out.epsilon))
+        other error propagates, as from the public steps."""
+        on, sat_on, rows, sat_lanes, ell, lam, gam = self.stack
+        if on is None:  # every lane lives: the stack is the lanes' own arrays, rebound below
+            x, P, sat, bound, y_on = self.x, self.P, self.sat, self.bound, y
+        else:
+            x, P, sat, bound, y_on = self.x[on], self.P[on], self.sat[sat_on], self.bound[on], y[on]
+        try:
+            with np.errstate(all="ignore"):
+                x, P = _predict(self.model, x, P, u)
+                x, P, innov = _correct(self.model, x, P, y_on, bound, ell)
+            sat = _sat_step(sat, innov[rows], lam, gam)
+        except (NumericalFailure, np.linalg.LinAlgError):
+            return self._rerun(y, u)
+        if on is None:
+            self.x, self.P, self.sat = x, P, sat
+        else:
+            self.x[on], self.P[on], self.sat[sat_on] = x, P, sat
+        self.bound[sat_lanes] = np.sqrt(sat[:, :self.model.p])
+        return {}
 
-        if failures or not self.all_live:
-            # a dead lane holds its last state
-            live = self.live.copy()
-            live[list(failures)] = False
-            x_new = np.where(live[:, None], x_new, self.x)
-            P_new = np.where(live[:, None, None], P_new, self.P)
-            sat = np.where(live[rows][:, None], sat, self.sat)
-            self.live, self.all_live = live, False
-        self.x, self.P, self.sat = x_new, P_new, sat
-        self.bound[rows] = np.sqrt(sat[:, :model.p])
+    def _rerun(self, y: np.ndarray, u) -> dict:
+        """step through _filter_step, lane by lane; a lane whose re-run
+        raises NumericalFailure leaves the stack with its state as it was."""
+        failures = {}
+        for l in np.flatnonzero(self.live).tolist():
+            bp, r = self.params[l], self.sat_rows.searchsorted(l)  # sat_rows is sorted
+            try:
+                x, P, sat = _filter_step(self.model, self.x[l], self.P[l], y[l], u,
+                                         None if bp is None else self.sat[r], bp, self.ell[l, 0])
+            except NumericalFailure as exc:
+                failures[l] = exc
+                continue
+            self.x[l], self.P[l] = x, P
+            if sat is not None:
+                self.sat[r], self.bound[l] = sat, np.sqrt(sat[:self.model.p])
+        if failures:
+            self.live[list(failures)] = False
+            self._restack()
         return failures
 
 
@@ -471,7 +451,8 @@ def dt_predict(model: NonlinearModel, st: FilterState, u=None) -> FilterState:
     """Time update: x = f(x, u), P = A P A^T + Q with A at the filtered
     estimate.  The saturation state is unchanged."""
     _check_estimate(model, st, "dt_predict")
-    x, P = _predict(model, st.x_hat, st.P, u)
+    with np.errstate(all="ignore"):
+        x, P = _predict(model, st.x_hat, st.P, u)
     return replace(st, x_hat=x, P=P, k=st.k + 1)
 
 
@@ -491,11 +472,14 @@ def dt_update(
     _check_estimate(model, st, "dt_update")
     if st.sat is None:
         _check_measurement(y, model.p, "dt_update")
-        x, P, _ = _update(model, st.x_hat, st.P, y)
+        with np.errstate(all="ignore"):
+            x, P, _ = _correct(model, st.x_hat, st.P, y, np.inf, np.inf)
         return replace(st, x_hat=x, P=P)
     _check_saturated(model, st.sat, params, "dt_update", y)
-    x, P, sat = _update(model, st.x_hat, st.P, y, st.sat, params)
-    return replace(st, x_hat=x, P=P, sat=sat)
+    with np.errstate(all="ignore"):
+        x, P, innov = _correct(model, st.x_hat, st.P, y, st.sat.bounds(), np.inf)
+    sat = _sat_step(np.concatenate((st.sat.sigma, st.sat.epsilon)), innov, params.lam, params.gam)
+    return replace(st, x_hat=x, P=P, sat=SaturationState(sat[:model.p], sat[model.p:]))
 
 
 def dt_isekf_step(
@@ -509,8 +493,10 @@ def dt_isekf_step(
     innovation, advance the bound recursion."""
     _check_estimate(model, st, "dt_isekf_step")
     _check_saturated(model, st.sat, params, "dt_isekf_step", y)
-    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u, st.sat, params)
-    return replace(st, x_hat=x, P=P, sat=sat, k=st.k + 1)
+    x, P, sat = _filter_step(model, st.x_hat, st.P, y, u,
+                             np.concatenate((st.sat.sigma, st.sat.epsilon)), params)
+    return replace(st, x_hat=x, P=P, sat=SaturationState(sat[:model.p], sat[model.p:]),
+                   k=st.k + 1)
 
 
 def ekf_step(model: NonlinearModel, st: FilterState, y: np.ndarray, u=None) -> FilterState:

@@ -34,7 +34,6 @@ must be a whole number, got 2.5``).
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import os
 import sys
@@ -132,8 +131,20 @@ def _read(section: dict, key: str, where: str, kind, default=...):
         raise ConfigurationError(f"{where}.{key}: {exc}") from exc
 
 
-# Value kinds of _read.  float is the kind of a real number.
-_floats = functools.partial(np.asarray, dtype=float)
+# Value kinds of _read.  A number is never a YAML boolean, but may be a
+# numeric string: PyYAML reads 5e-3, with no dot, as a string.
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _floats(value) -> np.ndarray:
+    """A float array of a number or of (nested) lists of numbers."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise ValueError(f"must hold numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 def _whole(value) -> int:
@@ -175,7 +186,7 @@ def _diagonal_or_matrix(value) -> np.ndarray:
 
 # scenario keys read by a kind alone; the dataclass defaults are the paper's
 _SCENARIO_KINDS = {
-    "horizon": _whole, "T": float, "process_std": _vec3, "meas_std": _vec3,
+    "horizon": _whole, "T": _real, "process_std": _vec3, "meas_std": _vec3,
     "filter_process_std": _vec3, "filter_meas_std": _vec3, "initial_guess_offset": _vec3,
     "initial_truth": lambda value: RobotState(*_vec3(value)),
 }
@@ -233,7 +244,7 @@ def _parse_filters(data: dict) -> list[FilterSpec]:
                 name: _read(sub, name, where, _vec3, default)
                 for name, default in DEFAULT_BOUND.items()})
         elif "ell" in sub:
-            kw["ell"] = _read(sub, "ell", where, float)
+            kw["ell"] = _read(sub, "ell", where, _real)
         specs.append(_build(where, FilterSpec, kind, **kw))
     return specs
 
@@ -265,7 +276,7 @@ def parse_config(path: str) -> ExperimentConfig:
     kw = {key: _read(sc, key, "scenario", kind) for key, kind in _SCENARIO_KINDS.items()
           if key in sc}
     kw["input_profile"] = _build("scenario.input", InputProfile,
-                                 **{key: _read(inp, key, "scenario.input", float) for key in inp})
+                                 **{key: _read(inp, key, "scenario.input", _real) for key in inp})
     if "outliers" in sc or "d_routing" in sc:
         kw["schedule"] = _parse_schedule(sc)
     kw["filters"] = _parse_filters(data)
@@ -494,9 +505,9 @@ def certify_from_config(path: str):
     cand = _build("certificate", stability.CertificateCandidate,
                   W=_read(cc, "W", "certificate", _diagonal_or_matrix),
                   U=_read(cc, "U", "certificate", _matrix),
-                  alpha=_read(cc, "alpha", "certificate", float, 0.0),
+                  alpha=_read(cc, "alpha", "certificate", _real, 0.0),
                   Gamma2=np.diag(params.gamma2), P0=P0)
-    return stability.certify(system, cand, params, _read(bc, "mu", "bounds", float, 0.0),
+    return stability.certify(system, cand, params, _read(bc, "mu", "bounds", _real, 0.0),
                              variant=_read(bc, "variant", "bounds", _text, "theorem"))
 
 

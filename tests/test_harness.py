@@ -264,6 +264,14 @@ def test_a_non_finite_bound_parameter_is_named_by_its_key(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def test_numeric_strings_are_read_as_numbers(tmp_path):
+    # PyYAML reads an exponent with no dot (5e-3) as a string
+    cfg = _parse_paper_text(tmp_path, "T: 0.1", "T: 5e-2")
+    assert cfg.scenario.T == 0.05
+    data = minimal_cfg_dict(meas_std=["5e-1", 0.5, "8e-3"])
+    assert parse_config(write_cfg(tmp_path, data)).scenario.meas_std.tolist() == [0.5, 0.5, 0.008]
+
+
 def test_whole_number_floats_are_read_as_integers(tmp_path):
     data = minimal_cfg_dict(horizon=40.0, outliers=[
         {"k_lo": 5.0, "k_hi": 10, "kind": "constant", "value": [1.0, 2.0]}])
@@ -1094,6 +1102,22 @@ def _parse_with(tmp_path, section, key, value):
     return parse_config(write_cfg(tmp_path, data))
 
 
+def _certify_with(tmp_path, section, key, value):
+    data = harness.load_yaml(LINEAR_CFG)
+    data[section][key] = value
+    return harness.certify_from_config(write_cfg(tmp_path, data))
+
+
+def _parse_paper_text(tmp_path, old, new):
+    """parse_config of paper.cfg's text with old replaced by new."""
+    with open(PAPER_CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.cfg"
+    path.write_text(text.replace(old, new))
+    return parse_config(str(path))
+
+
 def _parse_list_root(tmp_path):
     path = tmp_path / "list.cfg"
     path.write_text("- scenario\n- filters\n")
@@ -1115,7 +1139,19 @@ def _plot_empty_trace(tmp_path):
     (_plot_empty_trace, ConfigurationError, "cannot plot an empty trace"),
     (lambda tmp_path: svgplot.LineChart("empty", "x", "y").render(), ValueError,
      "chart has no series"),
-], ids=["required-key", "P0-length", "outliers-int", "list-root", "empty-trace", "no-series"])
+    # a YAML boolean where a number is read
+    (lambda tmp_path: _parse_with(tmp_path, "scenario", "T", True), ConfigurationError,
+     "scenario.T: must be a number, got True"),
+    (lambda tmp_path: _parse_with(tmp_path, "scenario", "meas_std", [True, True, 0.008]),
+     ConfigurationError, "scenario.meas_std: must hold numbers, got [True, True, 0.008]"),
+    (lambda tmp_path: _parse_paper_text(tmp_path, "ell: 3.0", "ell: yes"), ConfigurationError,
+     "filters.lsigma-ekf.ell: must be a number, got True"),
+    (lambda tmp_path: _certify_with(tmp_path, "certificate", "alpha", True), ConfigurationError,
+     "certificate.alpha: must be a number, got True"),
+    (lambda tmp_path: _certify_with(tmp_path, "system", "A", [[False]]), ConfigurationError,
+     "system.A: must hold numbers, got [[False]]"),
+], ids=["required-key", "P0-length", "outliers-int", "list-root", "empty-trace", "no-series",
+        "T-bool", "meas_std-bool", "ell-yes", "alpha-bool", "A-bool"])
 def test_an_entry_rejection_names_its_cause(tmp_path, call, error, message):
     message = message.format(path=tmp_path / "list.cfg")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

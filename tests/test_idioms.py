@@ -17,9 +17,9 @@ _EXEMPT_FILES = {"svgplot.py"}
 
 def _offenders(text: str):
     """(line number, line) of each finiteness reduction in a module's text.
-    _all_finite's own body (np.isfinite, then np.count_nonzero) and
-    per-lane masks (a bare np.isfinite(...) and the row reductions
-    np.isfinite(...).all(axis=1), as in _Lanes.step's screens) do not match."""
+    _all_finite's own body (np.isfinite, then np.count_nonzero), a bare
+    np.isfinite(...) mask and the row reductions np.isfinite(...).all(axis=1)
+    do not match."""
     return [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())
             if _FINITE_REDUCTION.search(line)]
 
@@ -44,8 +44,9 @@ def test_every_finiteness_screen_of_the_package_goes_through_one_helper():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-# each per-step failure of a filter, raised in one place: the serial core
-# (and the bound map it calls); _Lanes re-runs a failing lane through it
+# each per-step failure of a filter, raised in one place: the step core
+# (and the bound map it calls), which _Lanes runs on its stack and re-runs
+# lane by lane when the stack fails
 _STEP_FAILURES = ("state map produced non-finite values", "innovation covariance not finite",
                   "measurement map produced non-finite values",
                   "update produced non-finite estimate", "clip level sigma underflowed to 0",
@@ -70,15 +71,16 @@ def test_each_step_failure_message_is_written_once():
 
 
 # the filtered covariance P - K S K^T, written once: in filters._innovation_gain
-_FILTERED_COVARIANCE = re.compile(r"\bK\.dot\(S\)\.dot\(K\.T\)|\bK\s*@\s*S\s*@\s*K\.T\b")
+_FILTERED_COVARIANCE = re.compile(r"\bK\.dot\(S\)\.dot\(K\.T\)|\bK\s*@\s*S\s*@\s*K\.T\b"
+                                  r"|np\.matmul\(np\.matmul\(K, S\), K\.swapaxes\(-1, -2\)\)")
 _COVARIANCE_HOME = "_innovation_gain"
 
 
 def _covariance_offenders(text: str):
     """(line number, line) of each K S K^T product of a module's text
-    outside the body of a function named _innovation_gain.  _Lanes.step's
-    stacked form (np.matmul(np.matmul(K, S), K.swapaxes(-1, -2))) does not
-    match."""
+    outside the body of a function named _innovation_gain, in its 2-D
+    spellings or its stacked one (np.matmul(np.matmul(K, S), K.swapaxes(-1,
+    -2)))."""
     home = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(ast.parse(text))
             if isinstance(node, ast.FunctionDef) and node.name == _COVARIANCE_HOME]
     return [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())
@@ -87,10 +89,10 @@ def _covariance_offenders(text: str):
 
 def test_the_covariance_scan_sees_each_spelling():
     for line in ("P_new = _symmetrize(P - K.dot(S).dot(K.T))",
-                 "P_filt = _symmetrize(P - K @ S @ K.T)", "X = K@S@K.T"):
+                 "P_filt = _symmetrize(P - K @ S @ K.T)", "X = K@S@K.T",
+                 "P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))"):
         assert _covariance_offenders(line), line
-    for line in ("P_new = _symmetrize(P - np.matmul(np.matmul(K, S), K.swapaxes(-1, -2)))",
-                 "KS = K.dot(S)", "G = K @ S"):
+    for line in ("KS = K.dot(S)", "G = K @ S", "KS = np.matmul(K, S)"):
         assert not _covariance_offenders(line), line
     home = f"def {_COVARIANCE_HOME}(P, C, R):\n    return K, S, P - K.dot(S).dot(K.T)\n"
     assert not _covariance_offenders(home)
@@ -104,6 +106,43 @@ def test_the_filtered_covariance_is_written_once():
     assert {name: hits for name, hits in found.items() if hits} == {}
     filters = (SRC / "filters.py").read_text(encoding="utf-8")
     assert len(_FILTERED_COVARIANCE.findall(filters)) == 1
+
+
+# the lanes run the step core on their stack: the body of filters._Lanes
+# holds no arithmetic of its own (no matmul product, no solve of S, no bound
+# map)
+_CORE_CALLS = {"matmul", "_spd_solve", "_bound_map_core"}
+
+
+def _core_calls_in(text: str, cls: str = "_Lanes"):
+    """(line number, call) of each np.matmul, _spd_solve or _bound_map_core
+    call in the body of the classes named cls of a module's text."""
+    return [(node.lineno, ast.unparse(node.func))
+            for owner in ast.walk(ast.parse(text))
+            if isinstance(owner, ast.ClassDef) and owner.name == cls
+            for node in ast.walk(owner)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in _CORE_CALLS]
+
+
+def test_the_lanes_scan_sees_each_core_call():
+    body = "class _Lanes:\n    def step(self, x):\n        {}\n"
+    for line in ("P = np.matmul(np.matmul(A, P), A.swapaxes(-1, -2))",
+                 "K = _spd_solve(S, CP, 'innovation covariance')",
+                 "K = filters._spd_solve(S, CP, 'S')", "sat = _bound_map_core(sat, v, lam, gam)",
+                 "x = x + matmul(K, v)"):
+        assert _core_calls_in(body.format(line)), line
+    for line in ("x, P = _predict(model, x, P, u)", "sat = _sat_step(sat, innov, lam, gam)",
+                 "x = x + _matvec(K, v)", "return self._rerun(y, u)"):
+        assert not _core_calls_in(body.format(line)), line
+    # outside the class, the core's own functions make these calls
+    assert not _core_calls_in("def _predict(x):\n    return np.matmul(x, x)\n")
+
+
+def test_the_lanes_make_no_step_arithmetic_of_their_own():
+    text = (SRC / "filters.py").read_text(encoding="utf-8")
+    assert "class _Lanes" in text
+    assert _core_calls_in(text) == []
 
 
 # the bound map, written once: saturation._bound_map_core's one multiply-add

@@ -11,6 +11,7 @@ import pytest
 from isekf import stability
 from isekf.harness import SWEEP_BATCH, cli_main, parse_config
 from isekf.scenario import simulate
+from test_scenario import _two_saturated_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -106,6 +107,25 @@ def test_the_spinning_section_runs_a_heading_that_wraps(tmp_path):
     assert cfg.scenario.input_profile.delta_amp == 40.0
     heading = simulate(cfg.scenario, cfg.seed).truth[:, 2]
     assert np.abs(np.diff(heading)).max() > np.pi
+
+
+def test_the_failing_lanes_section_runs_filters_that_fail_at_three_steps():
+    # the two-saturated scenario of the scenario tests: paper.cfg runs fail no filter
+    digest = _output_digest()
+    tr = simulate(digest.failing_lanes_scenario(), 1)
+    assert tr.failed_at == {"is-ekf-fast": 164, "is-ekf-slow": 193, "ekf": 1, "lsigma-ekf": None}
+    with np.errstate(all="ignore"):
+        ref = simulate(_two_saturated_config(), 1)
+    for name in ("estimates", "sqrt_sigma", "failure"):
+        got, want = getattr(tr, name), getattr(ref, name)
+        assert got.keys() == want.keys()
+        for label in want:
+            np.testing.assert_array_equal(got[label], want[label], err_msg=f"{name} {label}")
+    lines = digest.failing_lanes_lines()
+    assert lines[0] == ("failing lanes seed=1 failed_at is-ekf-fast=164 is-ekf-slow=193 ekf=1 "
+                        "lsigma-ekf=None")
+    assert [line.rsplit(" ", 1)[0] for line in lines[1:]] == [
+        "failing lanes seed=1 trace.csv", "failing lanes seed=1 metrics.txt"]
 
 
 def test_the_dare_section_digests_every_shape_up_to_four_states_and_channels():

@@ -410,8 +410,8 @@ def test_the_lanes_equal_the_serial_core_failures_included(case):
     L = len(lanes)
     stack = _Lanes(model, [s[0] for s in starts], [s[1] for s in starts], ells, params)
     # the serial reference: lane l through _filter_step until it raises
-    ref = [[s[0], s[1], None if bp is None else bp.initial_state(), None] for s, bp in
-           zip(starts, params)]
+    ref = [[s[0], s[1], None if bp is None else np.concatenate((bp.sigma0, bp.epsilon0)), None]
+           for s, bp in zip(starts, params)]
     for k, y_step in enumerate(ys[:, :L], start=1):
         y = np.array([s[2] if s[2] is not None else y_step[l] for l, s in enumerate(starts)])
         failures = stack.step(y, None)
@@ -432,4 +432,4 @@ def test_the_lanes_equal_the_serial_core_failures_included(case):
         assert stack.live[l] == (failed is None)
         if sat is not None:
             row = stack.sat_rows.tolist().index(l)
-            assert np.array_equal(stack.sat[row], np.concatenate((sat.sigma, sat.epsilon)))
+            assert np.array_equal(stack.sat[row], sat)

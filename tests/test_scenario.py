@@ -407,8 +407,9 @@ def test_failures_raise_no_floating_point_warnings(caplog):
 def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(caplog, monkeypatch):
     # P0 passes the PSD test within its tolerance, but its heading variance
     # is more negative than R's: S stays finite and not positive definite on
-    # the held state, so the dead lane's S must not be factored again: it
-    # would be reported again and push the live lanes off the stacked solve
+    # the held state, so the dead lane must leave the stack: its S factored
+    # again would be reported again and push the live lanes off the stacked
+    # solve
     P0 = robot_filter_p0()
     bad = FilterSpec("ekf", P0=np.diag([1e6, 1e6, -9e-5]), label="ekf-indefinite")
     cfg = benchmark_config(horizon=30, filters=[
@@ -418,7 +419,7 @@ def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(cap
 
     def counted(M, B, what):
         if what == "innovation covariance":
-            solves.append(M.ndim)
+            solves.append(M.shape)
         return spd_solve(M, B, what)
 
     spd_solve = filters._spd_solve
@@ -432,8 +433,9 @@ def test_dead_lane_with_an_indefinite_innovation_covariance_is_reported_once(cap
                 if r.name == "isekf" and r.levelno == logging.WARNING]
     assert logged == ["filter ekf-indefinite (seed 1) failed at step 1: "
                       "innovation covariance not factorizable (cond ~ 3.883e+10)"]
-    # one stacked solve per step; lane by lane (3 lanes) only in step 1
-    assert sorted(solves) == [2] * 3 + [3] * 30
+    # one stacked solve per step: in step 1 the 3-lane stack fails and each
+    # lane is solved alone; from step 2 on the stack holds the 2 live lanes
+    assert solves == [(3, 3, 3)] + [(3, 3)] * 3 + [(2, 3, 3)] * 29
     # the surviving lanes replay the public steps bit for bit after it dies
     estimates, sqrt_sigma, failed_at, reasons = _replay(cfg, tr)
     assert failed_at == tr.failed_at
