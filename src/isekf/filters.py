@@ -258,8 +258,7 @@ def _innovation_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray):
 def _gated(innov, S, ell):
     """Zero channel i where |innov_i| > ell * sqrt(S_ii); innov and S may
     be stacks (channels last), ell a matching column of gate widths."""
-    return np.where(np.abs(innov) > ell * np.sqrt(np.diagonal(S, axis1=-2, axis2=-1)),
-                    0.0, innov)
+    return np.where(np.abs(innov) > ell * np.sqrt(S.diagonal(0, -2, -1)), 0.0, innov)
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -294,7 +293,8 @@ def _correct(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndarray,
 def _sat_step(sat: np.ndarray, innov: np.ndarray, lam, gam) -> np.ndarray:
     """The discrete bound map on sat = [sigma; epsilon]: _bound_step, then
     a clip level that underflowed to 0 is a NumericalFailure, so no step
-    hands on a state that the entry checks reject."""
+    hands on a state that the entry checks reject.  As _predict and
+    _correct, it leaves floating-point warnings to its caller."""
     sat = _bound_step(sat, innov, lam, gam, "bound_step_dt")
     sigma = sat[..., :innov.shape[-1]]
     if np.count_nonzero(sigma > 0.0) != sigma.size:
@@ -309,12 +309,22 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
     steps and of the lanes' re-run, and the lanes' reference.  It checks
     only what can fail per step (non-finite f, h, S or estimate, S not
     positive definite, bound-map overflow, sigma underflow: all
-    NumericalFailure); the caller checks the inputs (_check_saturated)."""
+    NumericalFailure); the caller checks the inputs (_check_saturated).
+    The whole step runs in one floating-point context."""
     with np.errstate(all="ignore"):
         x, P = _predict(model, x, P, u)
         bound = np.inf if sat is None else np.sqrt(sat[:model.p])
         x, P, innov = _correct(model, x, P, y, bound, ell)
-    return x, P, None if sat is None else _sat_step(sat, innov, params.lam, params.gam)
+        return x, P, None if sat is None else _sat_step(sat, innov, params.lam, params.gam)
+
+
+def _as_slice(idx: np.ndarray):
+    """A sorted array of distinct indices as the slice it spans when it is
+    one contiguous run (indexing by it is then a view), else unchanged."""
+    start = int(idx[0]) if idx.size else 0
+    if idx.size and idx[-1] != start + idx.size - 1:
+        return idx
+    return slice(start, start + idx.size)
 
 
 class _Lanes:
@@ -362,11 +372,13 @@ class _Lanes:
 
     def _restack(self) -> None:
         """The live lanes' stack: their lanes and rows of sat (None while all
-        live), its saturated lanes' places and lanes, gate widths and lam, gam."""
+        live), its saturated lanes' places and lanes (slices where they are
+        contiguous: a view, not a gather), gate widths and lam, gam."""
         on, sat_on = np.flatnonzero(self.live), np.flatnonzero(self.live[self.sat_rows])
         sat_lanes = self.sat_rows[sat_on]
         self.stack = ((None, None) if on.size == self.live.size else (on, sat_on)) + (
-            on.searchsorted(sat_lanes), sat_lanes, self.ell[on], self.lam[sat_on], self.gam[sat_on])
+            _as_slice(on.searchsorted(sat_lanes)), _as_slice(sat_lanes), self.ell[on],
+            self.lam[sat_on], self.gam[sat_on])
 
     def step(self, y: np.ndarray, u) -> dict:
         """One predict + correct of every live lane on its measurement y[l]
@@ -382,7 +394,7 @@ class _Lanes:
             with np.errstate(all="ignore"):
                 x, P = _predict(self.model, x, P, u)
                 x, P, innov = _correct(self.model, x, P, y_on, bound, ell)
-            sat = _sat_step(sat, innov[rows], lam, gam)
+                sat = _sat_step(sat, innov[rows], lam, gam)
         except (NumericalFailure, np.linalg.LinAlgError):
             return self._rerun(y, u)
         if on is None:
@@ -472,14 +484,16 @@ def dt_update(
     _check_estimate(model, st, "dt_update")
     if st.sat is None:
         _check_measurement(y, model.p, "dt_update")
-        with np.errstate(all="ignore"):
-            x, P, _ = _correct(model, st.x_hat, st.P, y, np.inf, np.inf)
-        return replace(st, x_hat=x, P=P)
-    _check_saturated(model, st.sat, params, "dt_update", y)
+        bound, sat = np.inf, None
+    else:
+        _check_saturated(model, st.sat, params, "dt_update", y)
+        bound, sat = st.sat.bounds(), np.concatenate((st.sat.sigma, st.sat.epsilon))
     with np.errstate(all="ignore"):
-        x, P, innov = _correct(model, st.x_hat, st.P, y, st.sat.bounds(), np.inf)
-    sat = _sat_step(np.concatenate((st.sat.sigma, st.sat.epsilon)), innov, params.lam, params.gam)
-    return replace(st, x_hat=x, P=P, sat=SaturationState(sat[:model.p], sat[model.p:]))
+        x, P, innov = _correct(model, st.x_hat, st.P, y, bound, np.inf)
+        if sat is not None:
+            sat = _sat_step(sat, innov, params.lam, params.gam)
+    return replace(st, x_hat=x, P=P,
+                   sat=None if sat is None else SaturationState(sat[:model.p], sat[model.p:]))
 
 
 def dt_isekf_step(
@@ -570,11 +584,13 @@ def ct_isekf_derivative(
     Returns (x_dot, P_dot, sigma_dot, eps_dot) with
     x_dot = f(x) + K sat(y - h(x)), K = P C^T R^{-1},
     P_dot = A P + P A^T + Q - K C P at sym(P) (returned symmetric).  The
-    checked form of _ct_rhs; a non-finite result raises NumericalFailure."""
+    checked form of _ct_rhs; a non-finite result raises NumericalFailure,
+    without a floating-point warning."""
     _check_estimate(model, st, "ct_isekf_derivative")
     _check_saturated(model, st.sat, params, "ct_isekf_derivative", y, mode="ct")
     sat = np.concatenate((st.sat.sigma, st.sat.epsilon))
-    out = _ct_rhs(model, st.x_hat, _symmetrize(st.P), sat, np.asarray(y, dtype=float), params)
+    with np.errstate(all="ignore"):
+        out = _ct_rhs(model, st.x_hat, _symmetrize(st.P), sat, np.asarray(y, dtype=float), params)
     if not _all_finite(out):
         raise NumericalFailure("derivative evaluation non-finite", context=st.x_hat)
     x_dot, P_dot, sat_dot = _joint_views(out, len(st.x_hat))
@@ -672,7 +688,9 @@ def ct_isekf_integrate(
     read; it may be held between samples.  Stages run the unchecked core
     _ct_rhs on the flat [x; vec(P); sigma; eps].  Floor policy: sigma/eps
     floored at 1e-12 in every stage and after every step; P is symmetrized
-    at entry and after every step.  Returns the trajectory including st."""
+    at entry and after every step.  The steps run in one floating-point
+    context: a failure is its error alone, without a warning.  Returns the
+    trajectory including st."""
     steps = _step_count("continuous", horizon, dt)
     _check_estimate(model, st, "ct_isekf_integrate")
     _check_saturated(model, st.sat, params, "ct_isekf_integrate", mode="ct")
@@ -689,10 +707,11 @@ def ct_isekf_integrate(
 
     out = [replace(st, t=0.0)]
     z = np.concatenate((st.x_hat, _symmetrize(st.P), st.sat.sigma, st.sat.epsilon), axis=None)
-    for i in range(steps):
-        z = _floored_rk4_step(stage, z, i * dt, dt, n, p)
-        x, P, sat = _joint_views(z, n)
-        P[...] = _symmetrize(P)
-        out.append(FilterState(x_hat=x, P=P, sat=SaturationState(sat[:p], sat[p:]),
-                               t=(i + 1) * dt))
+    with np.errstate(all="ignore"):
+        for i in range(steps):
+            z = _floored_rk4_step(stage, z, i * dt, dt, n, p)
+            x, P, sat = _joint_views(z, n)
+            P[...] = _symmetrize(P)
+            out.append(FilterState(x_hat=x, P=P, sat=SaturationState(sat[:p], sat[p:]),
+                                   t=(i + 1) * dt))
     return out

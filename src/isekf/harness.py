@@ -141,8 +141,9 @@ def _real(value) -> float:
 
 
 def _floats(value) -> np.ndarray:
-    """A float array of a number or of (nested) lists of numbers."""
-    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+    """A float array of a number or of (nested) lists of numbers; a YAML
+    boolean or null is not one (float() would read null as nan)."""
+    if any(v is None or isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
         raise ValueError(f"must hold numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 

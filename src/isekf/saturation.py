@@ -203,10 +203,10 @@ def _bound_map_core(sat: np.ndarray, innov: np.ndarray, lam: np.ndarray, gam: np
 def _bound_step(sat: np.ndarray, innov: np.ndarray, lam, gam, name: str) -> np.ndarray:
     """_bound_map_core with its overflow check: raises NumericalFailure when
     the result is not finite (an innovation so large that its square
-    overflows), InputDomainError when the innovation itself is not; the
-    error alone, without a floating-point warning."""
-    with np.errstate(all="ignore"):
-        sat = _bound_map_core(sat, innov, lam, gam)
+    overflows), InputDomainError when the innovation itself is not.  As
+    filters._predict and _correct, it leaves floating-point warnings to its
+    caller, which opens one context per step or entry."""
+    sat = _bound_map_core(sat, innov, lam, gam)
     if not _all_finite(sat):
         if not _all_finite(innov):
             raise InputDomainError(f"{name}: non-finite innovation")
@@ -215,15 +215,19 @@ def _bound_step(sat: np.ndarray, innov: np.ndarray, lam, gam, name: str) -> np.n
 
 
 def _bound_map(sat: SaturationState, innov: np.ndarray, params: BoundParams, mode: str):
-    """_bound_step behind the mode and channel-count checks; returns views
-    (sigma, epsilon) of its stacked result."""
+    """_bound_step behind the mode and channel-count checks, in the one
+    floating-point context of the entry: an overflow is reported as its
+    error alone, without a warning.  Returns views (sigma, epsilon) of its
+    stacked result."""
     name = "bound_step_dt" if mode == "dt" else "bound_rhs_ct"
     if params.mode != mode:
         raise ConfigurationError(f"{name} requires {mode}-mode parameters")
     innov = np.asarray(innov, dtype=float)
     if innov.shape != sat.sigma.shape or params.p != sat.p:
         raise ConfigurationError(f"{name}: channel count mismatch")
-    out = _bound_step(np.concatenate((sat.sigma, sat.epsilon)), innov, params.lam, params.gam, name)
+    with np.errstate(all="ignore"):
+        out = _bound_step(np.concatenate((sat.sigma, sat.epsilon)), innov, params.lam, params.gam,
+                          name)
     return out[:sat.p], out[sat.p:]
 
 

@@ -494,19 +494,24 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
     seed_of = np.tile(np.arange(n_seeds), len(cfg.filters))
     y_lanes = y[seed_of]
     estimates = np.empty((len(params), N + 1, 3))
+    # each saturated lane's sigma, square-rooted after the loop: the clip
+    # level lanes.bound holds is sqrt(sigma), held lanes included
     sqrt_sigma = np.empty((len(lanes.sat_rows), N + 1, 3))
     estimates[:, 0] = lanes.x
-    sqrt_sigma[:, 0] = lanes.bound[lanes.sat_rows]
+    sqrt_sigma[:, 0] = lanes.sat[:, :3]
     failed_at, failure = [None] * len(params), [None] * len(params)
 
+    # the inputs as Python floats (exact), so the model maps do float arithmetic
+    u_rows = u.tolist()
     t0 = time.perf_counter()
     for k in range(1, N + 1):
-        for lane, exc in lanes.step(y_lanes[:, k], u[k - 1]).items():
+        for lane, exc in lanes.step(y_lanes[:, k], u_rows[k - 1]).items():
             failed_at[lane], failure[lane] = k, str(exc)
             log.warning("filter %s (seed %d) failed at step %d: %s",
                         cfg.filters[lane // n_seeds].label, seeds[seed_of[lane]], k, exc)
         estimates[:, k] = lanes.x
-        sqrt_sigma[:, k] = lanes.bound[lanes.sat_rows]
+        sqrt_sigma[:, k] = lanes.sat[:, :3]
+    np.sqrt(sqrt_sigma, out=sqrt_sigma)
     lane_steps = N * len(params)
     per_step = (time.perf_counter() - t0) / lane_steps if lane_steps else 0.0
 

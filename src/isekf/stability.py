@@ -547,13 +547,14 @@ class StabilityCertificate:
     def initial_v(self, e0: np.ndarray) -> float:
         """Lyapunov level at the start: e0' P0^-1 e0 + sum(sigma0) + sum(eps0).
         A nonzero e0 on a singular P0 (the start certify skips) is an
-        InputDomainError."""
+        InputDomainError.  A level that overflows is inf, without a warning."""
         e0 = np.asarray(e0, dtype=float)
         v = float(np.sum(self.params.sigma0) + np.sum(self.params.epsilon0))
         if np.any(e0 != 0.0):
             if not _is_psd(self.P0, -1e-12)[1]:
                 raise InputDomainError("P0 is singular: the initial error e0 must be zero")
-            v += float(e0 @ np.linalg.solve(self.P0, e0))
+            with np.errstate(all="ignore"):
+                v += float(e0 @ np.linalg.solve(self.P0, e0))
         return v
 
     def forcing(self) -> float:
@@ -850,7 +851,8 @@ def bound_trajectory_check(
     continuous-time filter's saturated core and floored RK4 step (sigma and eps
     floored at 1e-12 in every stage and after every step).  A non-finite
     stepped state, or a failed covariance step, raises NumericalFailure at its
-    step.  The envelope is evaluated once per sample and call, in blocks
+    step, without a floating-point warning: the steps run in one context per
+    call.  The envelope is evaluated once per sample and call, in blocks
     (_envelope_blocks); raises PropertyFailure at the first violation of
     ||e|| <= envelope + 1e-9.
 
@@ -902,46 +904,48 @@ def bound_trajectory_check(
 
     p = sys.p
     sat = np.concatenate((params.sigma0, params.epsilon0))
-    if sys.mode == "discrete":
-        lam, gam = params.lam, params.gam
-        gains = (K for _, _, K, _ in _dare_steps(sys, cand.P0))
-        K = None
-        for k, bound in enumerate(_envelope_blocks(cert, n_steps + 1, None, V0)):
-            d = disturbance(k)
-            check(k, bound, e)
-            # the last gain holds once the recursion is stationary
-            K = next(gains, K)
-            innov = C.dot(e) - D.dot(d)
-            e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sat[:p]))))
-            sat = _bound_map_core(sat, innov, lam, gam)
-            if not (_all_finite(e) and _all_finite(sat)):
-                raise NumericalFailure(f"error system non-finite after step {k}", context=e)
-        return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps), samples=n_steps + 1,
-                                final_error_norm=float(np.linalg.norm(e)))
+    with np.errstate(all="ignore"):  # one context per call, not per step
+        if sys.mode == "discrete":
+            lam, gam = params.lam, params.gam
+            gains = (K for _, _, K, _ in _dare_steps(sys, cand.P0))
+            K = None
+            for k, bound in enumerate(_envelope_blocks(cert, n_steps + 1, None, V0)):
+                d = disturbance(k)
+                check(k, bound, e)
+                # the last gain holds once the recursion is stationary
+                K = next(gains, K)
+                innov = C.dot(e) - D.dot(d)
+                e = A.dot(e) - A.dot(K.dot(_clip(innov, np.sqrt(sat[:p]))))
+                sat = _bound_map_core(sat, innov, lam, gam)
+                if not (_all_finite(e) and _all_finite(sat)):
+                    raise NumericalFailure(f"error system non-finite after step {k}", context=e)
+            return BoundCheckReport(max_ratio=max_ratio, horizon=float(n_steps),
+                                    samples=n_steps + 1, final_error_norm=float(np.linalg.norm(e)))
 
-    # continuous time: RK4 on (e, sat), reading each stage's gain
-    n = sys.n
-    cov = _covariance_pass(sys, cand, dt, n_steps)
-    stage_gains = iter(cov.gains)
+        # continuous time: RK4 on (e, sat), reading each stage's gain
+        n = sys.n
+        cov = _covariance_pass(sys, cand, dt, n_steps)
+        stage_gains = iter(cov.gains)
 
-    # e' = A e - K sat(C e - D d), written as A e + K sat(D d - C e): the
-    # clip is odd and negation is exact, so both forms give the same bits
-    read_Dd = _read_once_per_time(lambda t: D.dot(disturbance(t)))
+        # e' = A e - K sat(C e - D d), written as A e + K sat(D d - C e): the
+        # clip is odd and negation is exact, so both forms give the same bits
+        read_Dd = _read_once_per_time(lambda t: D.dot(disturbance(t)))
 
-    def rhs(z, t):
-        Dd = read_Dd(t)
-        e_vec = z[:n]
-        return _saturated_rhs(A.dot(e_vec), next(stage_gains), Dd - C.dot(e_vec), z[n:], params)
+        def rhs(z, t):
+            Dd = read_Dd(t)
+            e_vec = z[:n]
+            return _saturated_rhs(A.dot(e_vec), next(stage_gains), Dd - C.dot(e_vec), z[n:],
+                                  params)
 
-    z = np.concatenate((e, sat))
-    for i, bound in enumerate(_envelope_blocks(cert, n_steps + 1, dt, V0)):
-        t = i * dt
-        check(t, bound, z[:n])
-        if i == n_steps:
-            break
-        z = _floored_rk4_step(rhs, z, t, dt, n, p, i == cov.failed_at)
-    return BoundCheckReport(max_ratio=max_ratio, horizon=float(horizon), samples=n_steps + 1,
-                            final_error_norm=float(np.linalg.norm(z[:n])))
+        z = np.concatenate((e, sat))
+        for i, bound in enumerate(_envelope_blocks(cert, n_steps + 1, dt, V0)):
+            t = i * dt
+            check(t, bound, z[:n])
+            if i == n_steps:
+                break
+            z = _floored_rk4_step(rhs, z, t, dt, n, p, i == cov.failed_at)
+        return BoundCheckReport(max_ratio=max_ratio, horizon=float(horizon),
+                                samples=n_steps + 1, final_error_norm=float(np.linalg.norm(z[:n])))
 
 
 def gain_identity_residuals(C: np.ndarray, R: np.ndarray, P_pred: np.ndarray):

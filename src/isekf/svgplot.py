@@ -30,18 +30,24 @@ def _points(X: np.ndarray, Y: np.ndarray) -> str:
     return " ".join(["%.6g,%.6g"] * len(X)) % tuple(np.column_stack([X, Y]).ravel().tolist())
 
 
+def _span_end(lo: float, hi: float) -> float:
+    """hi, or for an empty span (hi <= lo) lo plus one unit, or plus one
+    part in 2^40 of |lo| above 2^40, where lo + 1 rounds back to lo."""
+    return hi if hi > lo else lo + max(1.0, abs(lo) * 2.0**-40)
+
+
 def _nice_ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _span_end(lo, hi)
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    # not below the least subnormal, to which a span of two of them divides
+    raw = max(span / max(n - 1, 1), math.ulp(0.0))
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    else:
-        step = 10.0 * mag
+    else:  # mag underflowed to 0: raw is one of the two least subnormals
+        step = raw
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
@@ -78,12 +84,8 @@ class LineChart:
     def _limits(self):
         xs = np.concatenate([s[2] for s in self.series])
         ys = np.concatenate([s[3] for s in self.series])
-        x_lo, x_hi = float(xs.min()), float(xs.max())
-        y_lo, y_hi = float(ys.min()), float(ys.max())
-        if x_hi == x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
+        x_lo, y_lo = float(xs.min()), float(ys.min())
+        x_hi, y_hi = _span_end(x_lo, float(xs.max())), _span_end(y_lo, float(ys.max()))
         mx = 0.05 * (x_hi - x_lo)
         my = 0.05 * (y_hi - y_lo)
         return x_lo - mx, x_hi + mx, y_lo - my, y_hi + my

@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,32 @@ def test_an_epsilon_that_overflows_at_an_rk4_stage_fails_as_the_oracle(ct_observ
     outcome = assert_matches_oracle(sys, cand, cert, lambda t: np.zeros(1), horizon=0.01,
                                     e0=np.array([1e160]), dt=1e-3)
     assert outcome == (NumericalFailure, "integration step rejected at t=0.001", None)
+
+
+@pytest.mark.parametrize("case", ["e", "bound-state", "rk4-epsilon", "dt-covariance",
+                                  "ct-covariance"])
+def test_a_failing_bound_check_raises_without_a_warning(case, dt_observer, ct_observer):
+    # the cases above with the oracle left out: each failure is the entry's
+    # error alone, under warnings as errors (its one context is per call)
+    if case in ("e", "bound-state"):
+        _, cand, cert = dt_observer
+        A, e0 = (1e300, 1e10) if case == "e" else (0.5, 1e200)
+        sys = LinearSystem(A=[[A]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], D=[[1.0]], mode="discrete")
+        kwargs, message = dict(horizon=5, e0=np.array([e0])), "error system non-finite"
+    elif case == "rk4-epsilon":
+        sys, cand, cert = ct_observer
+        kwargs = dict(horizon=0.01, e0=np.array([1e160]), dt=1e-3)
+        message = "integration step rejected"
+    else:
+        mode = "discrete" if case == "dt-covariance" else "continuous"
+        sys, cand, cert, kwargs = _failing_covariance(
+            mode, dt_observer if mode == "discrete" else ct_observer)
+        message = "innovation covariance not" if mode == "discrete" else "integration step"
+    stability._covariance_pass.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=f"^{message}"):
+            bound_trajectory_check(sys, cand, cert, lambda s: np.zeros(1), **kwargs)
 
 
 # the memo of the covariance pass

@@ -417,7 +417,6 @@ def _ct_failure_case(case):
     return params, y_of
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case, error", [
     ("dt-mode params", ConfigurationError),
     ("channel mismatch", ConfigurationError),

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.metadata
 import json
+import math
 import os
 import re
 import subprocess
@@ -156,6 +157,14 @@ def test_explicit_outlier_list(tmp_path):
     ])
     cfg = parse_config(write_cfg(tmp_path, data))
     assert cfg.scenario.schedule.active_ranges() == [(5, 10), (20, 25)]
+
+
+def test_no_outliers(tmp_path):
+    # an empty schedule: the measurements are noise alone
+    cfg = parse_config(write_cfg(tmp_path, minimal_cfg_dict(outliers="none")))
+    assert cfg.scenario.schedule.segments == ()
+    assert cfg.scenario.schedule.active_ranges() == []
+    assert not np.any(simulate(cfg.scenario, 1).d)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1087,6 +1096,38 @@ def test_polyline_points_match_fmt_on_special_values():
     assert svgplot._points(X[:0], Y[:0]) == ""
 
 
+def test_an_empty_tick_span_is_widened():
+    # by one unit, or by one part in 2^40 of the bound where a unit rounds away
+    assert svgplot._nice_ticks(3.0, 3.0) == [3.0, 3.25, 3.5, 3.75, 4.0]
+    assert svgplot._nice_ticks(-1.0, -2.0) == [-1.0, -0.75, -0.5, -0.25, 0.0]
+    ticks = svgplot._nice_ticks(1e17, 1e17)
+    assert len(ticks) == 4 and ticks[0] == 1e17 < ticks[1]
+
+
+def test_a_span_of_a_few_subnormals_steps_by_the_raw_step():
+    # 10^floor(log10(raw)) underflows to 0 for the two least subnormal raw
+    # steps, where no round step fits and the raw step itself is taken; a
+    # span of one or two subnormals divides to raw = 0, floored at the least
+    tiny = math.ulp(0.0)
+    assert svgplot._nice_ticks(0.0, 4 * tiny) == [0.0, tiny, 2 * tiny, 3 * tiny, 4 * tiny]
+    assert svgplot._nice_ticks(0.0, 8 * tiny) == [0.0, 2 * tiny, 4 * tiny, 6 * tiny, 8 * tiny]
+    assert svgplot._nice_ticks(0.0, 2 * tiny) == [0.0, tiny, 2 * tiny]
+    assert svgplot._nice_ticks(0.0, tiny) == [0.0, tiny]
+    # a raw step just above them has a magnitude of its own
+    assert svgplot._nice_ticks(0.0, 12 * tiny) == [0.0, 4 * tiny, 8 * tiny, 12 * tiny]
+
+
+@pytest.mark.parametrize("y", [[3.0, 3.0], [1e17, 1e17], [0.0, 2 * math.ulp(0.0)]],
+                         ids=["flat", "flat-beyond-unit-rounding", "two-subnormals"])
+def test_a_degenerate_series_renders(y):
+    # flat in x as well: both axes are widened
+    chart = svgplot.LineChart("flat", "t [s]", "y")
+    chart.add_series("s", [5.0, 5.0], y)
+    (points,) = re.findall(r'<polyline points="([^"]*)"', chart.render())
+    coords = [float(c) for pair in points.split() for c in pair.split(",")]
+    assert len(coords) == 4 and all(map(math.isfinite, coords))
+
+
 # ---------------------------------------------------------------------------
 # entry rejections that no run reaches, each with its type and message
 
@@ -1124,6 +1165,11 @@ def _parse_list_root(tmp_path):
     return parse_config(str(path))
 
 
+def _segment(**keys):
+    """An outlier segment of the config, a constant one unless keys say otherwise."""
+    return {"k_lo": 10, "k_hi": 20, "kind": "constant", "value": [1.0, 2.0], **keys}
+
+
 def _plot_empty_trace(tmp_path):
     trace = simulate(benchmark_config(horizon=5), 1)
     return render_plots(dataclasses.replace(trace, k=trace.k[:0]), str(tmp_path / "plots"))
@@ -1150,8 +1196,18 @@ def _plot_empty_trace(tmp_path):
      "certificate.alpha: must be a number, got True"),
     (lambda tmp_path: _certify_with(tmp_path, "system", "A", [[False]]), ConfigurationError,
      "system.A: must hold numbers, got [[False]]"),
+    # a YAML null where a number array is read (float() would read it as nan)
+    (lambda tmp_path: _parse_with(tmp_path, "scenario", "outliers", [_segment(value=None)]),
+     ConfigurationError, "scenario.outliers[0].value: must hold numbers, got None"),
+    (lambda tmp_path: _parse_with(tmp_path, "scenario", "outliers", [_segment(scale=None)]),
+     ConfigurationError, "scenario.outliers[0].scale: must hold numbers, got None"),
+    (lambda tmp_path: _parse_with(tmp_path, "scenario", "meas_std", [0.1, None, 0.008]),
+     ConfigurationError, "scenario.meas_std: must hold numbers, got [0.1, None, 0.008]"),
+    (lambda tmp_path: _certify_with(tmp_path, "certificate", "P0", None), ConfigurationError,
+     "certificate.P0: must hold numbers, got None"),
 ], ids=["required-key", "P0-length", "outliers-int", "list-root", "empty-trace", "no-series",
-        "T-bool", "meas_std-bool", "ell-yes", "alpha-bool", "A-bool"])
+        "T-bool", "meas_std-bool", "ell-yes", "alpha-bool", "A-bool", "value-null",
+        "scale-null", "meas_std-null", "certificate-P0-null"])
 def test_an_entry_rejection_names_its_cause(tmp_path, call, error, message):
     message = message.format(path=tmp_path / "list.cfg")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -336,3 +336,42 @@ def test_an_observers_r_is_inverted_once():
     found = {p.name: _r_inverse_offenders(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# one floating-point context per entry: the step core leaves floating-point
+# warnings to its caller (a public step or entry, the lanes' step, the bound
+# check), which opens one np.errstate around it; a context inside the core
+# is one more per step or RK4 stage
+_STEP_CORE = ("_predict", "_correct", "_sat_step", "_bound_step", "_bound_map_core",
+              "_saturated_rhs", "_rk4", "_floored_rk4_step")
+_FP_CONTEXTS = {"errstate", "seterr"}
+
+
+def _core_contexts(text: str):
+    """(function, line number) of each errstate or seterr name in a
+    function of the step core (its decorators included) of a module's text."""
+    return [(fn.name, node.lineno) for fn in ast.walk(ast.parse(text))
+            if isinstance(fn, ast.FunctionDef) and fn.name in _STEP_CORE
+            for node in ast.walk(fn)
+            if getattr(node, "id", getattr(node, "attr", None)) in _FP_CONTEXTS]
+
+
+def test_the_context_scan_sees_each_spelling():
+    for body in ('with np.errstate(all="ignore"):\n        return x',
+                 'with numpy.errstate(over="ignore", invalid="ignore"):\n        return x',
+                 'with errstate(all="ignore"):\n        return x',
+                 'old = np.seterr(all="ignore")\n    return x'):
+        assert _core_contexts(f"def _rk4(x):\n    {body}\n"), body
+    assert _core_contexts('@np.errstate(all="ignore")\ndef _predict(x):\n    return x\n')
+    # a caller of the core opens its one context
+    assert not _core_contexts(
+        'def dt_predict(x):\n    with np.errstate(all="ignore"):\n        return _predict(x)\n')
+
+
+def test_the_step_core_opens_no_floating_point_context():
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    defined = {fn.name for text in texts.values() for fn in ast.walk(ast.parse(text))
+               if isinstance(fn, ast.FunctionDef)}
+    assert set(_STEP_CORE) <= defined
+    found = {name: _core_contexts(text) for name, text in texts.items()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
