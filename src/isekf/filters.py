@@ -318,15 +318,6 @@ def _filter_step(model: NonlinearModel, x: np.ndarray, P: np.ndarray, y: np.ndar
         return x, P, None if sat is None else _sat_step(sat, innov, params.lam, params.gam)
 
 
-def _as_slice(idx: np.ndarray):
-    """A sorted array of distinct indices as the slice it spans when it is
-    one contiguous run (indexing by it is then a view), else unchanged."""
-    start = int(idx[0]) if idx.size else 0
-    if idx.size and idx[-1] != start + idx.size - 1:
-        return idx
-    return slice(start, start + idx.size)
-
-
 class _Lanes:
     """Discrete-time filters stepped side by side along a lane axis.
 
@@ -339,7 +330,8 @@ class _Lanes:
     bit for bit, so a plain EKF lane has both at +inf.
 
     step runs _filter_step's core (_predict, _correct, _sat_step) once on
-    the stack of live lanes, with _filter_step's bits lane by lane.  When
+    the stack of live lanes, with _filter_step's bits lane by lane, in its
+    caller's one floating-point context (simulate_seeds').  When
     that call raises (the core's NumericalFailure, or the stacked solve's
     LinAlgError), every live lane is re-run through _filter_step.  A lane
     whose re-run raises NumericalFailure leaves the stack and holds its
@@ -372,13 +364,11 @@ class _Lanes:
 
     def _restack(self) -> None:
         """The live lanes' stack: their lanes and rows of sat (None while all
-        live), its saturated lanes' places and lanes (slices where they are
-        contiguous: a view, not a gather), gate widths and lam, gam."""
+        live), its saturated lanes' places and lanes, gate widths and lam, gam."""
         on, sat_on = np.flatnonzero(self.live), np.flatnonzero(self.live[self.sat_rows])
         sat_lanes = self.sat_rows[sat_on]
         self.stack = ((None, None) if on.size == self.live.size else (on, sat_on)) + (
-            _as_slice(on.searchsorted(sat_lanes)), _as_slice(sat_lanes), self.ell[on],
-            self.lam[sat_on], self.gam[sat_on])
+            on.searchsorted(sat_lanes), sat_lanes, self.ell[on], self.lam[sat_on], self.gam[sat_on])
 
     def step(self, y: np.ndarray, u) -> dict:
         """One predict + correct of every live lane on its measurement y[l]
@@ -391,10 +381,9 @@ class _Lanes:
         else:
             x, P, sat, bound, y_on = self.x[on], self.P[on], self.sat[sat_on], self.bound[on], y[on]
         try:
-            with np.errstate(all="ignore"):
-                x, P = _predict(self.model, x, P, u)
-                x, P, innov = _correct(self.model, x, P, y_on, bound, ell)
-                sat = _sat_step(sat, innov[rows], lam, gam)
+            x, P = _predict(self.model, x, P, u)
+            x, P, innov = _correct(self.model, x, P, y_on, bound, ell)
+            sat = _sat_step(sat, innov[rows], lam, gam)
         except (NumericalFailure, np.linalg.LinAlgError):
             return self._rerun(y, u)
         if on is None:

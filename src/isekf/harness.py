@@ -208,15 +208,15 @@ def _build(where: str, cls, *args, **kw):
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
-def _parse_schedule(sc: dict) -> Optional[OutlierSchedule]:
-    """The paper schedule, no schedule, or an explicit segment list; the
-    routing matrix defaults to the paper's."""
-    spec = sc.get("outliers")
-    if spec == "none":
-        return None
+def _parse_schedule(sc: dict) -> OutlierSchedule:
+    """The paper schedule, no segment or a segment list; the routing matrix,
+    read and checked for each, defaults to the paper's."""
     paper = paper_schedule()
     D = _read(sc, "d_routing", "scenario", _matrix, paper.D)
-    if spec is None or spec == "paper":
+    spec = sc.get("outliers")
+    if spec == "none":
+        segs = ()
+    elif spec is None or spec == "paper":
         segs = paper.segments
     elif isinstance(spec, list):
         segs = []

@@ -481,37 +481,38 @@ def simulate_seeds(cfg: ScenarioConfig, seeds: Sequence[int]) -> list[Simulation
     sched = cfg.schedule
     k_arr = np.arange(N + 1)
     u = cfg.input_profile.rows(N)
-    truth, d, y = _truth_and_measurements(cfg, seeds, u)
+    with np.errstate(all="ignore"):  # one context: the truth draw and every step
+        truth, d, y = _truth_and_measurements(cfg, seeds, u)
+        lanes = _Lanes(
+            model,
+            np.tile(truth[0, 0] + cfg.initial_guess_offset, (len(params), 1)),
+            np.repeat([spec.P0 for spec in cfg.filters], n_seeds,
+                      axis=0).reshape(-1, model.n, model.n),
+            np.repeat([spec.ell if spec.kind == "lsigma-ekf" else np.inf for spec in cfg.filters],
+                      n_seeds),
+            params,
+        )
+        seed_of = np.tile(np.arange(n_seeds), len(cfg.filters))
+        y_lanes = y[seed_of]
+        estimates = np.empty((len(params), N + 1, 3))
+        # each saturated lane's sigma, square-rooted after the loop: the clip
+        # level lanes.bound holds is sqrt(sigma), held lanes included
+        sqrt_sigma = np.empty((len(lanes.sat_rows), N + 1, 3))
+        estimates[:, 0] = lanes.x
+        sqrt_sigma[:, 0] = lanes.sat[:, :3]
+        failed_at, failure = [None] * len(params), [None] * len(params)
 
-    lanes = _Lanes(
-        model,
-        np.tile(truth[0, 0] + cfg.initial_guess_offset, (len(params), 1)),
-        np.repeat([spec.P0 for spec in cfg.filters], n_seeds, axis=0).reshape(-1, model.n, model.n),
-        np.repeat([spec.ell if spec.kind == "lsigma-ekf" else np.inf for spec in cfg.filters],
-                  n_seeds),
-        params,
-    )
-    seed_of = np.tile(np.arange(n_seeds), len(cfg.filters))
-    y_lanes = y[seed_of]
-    estimates = np.empty((len(params), N + 1, 3))
-    # each saturated lane's sigma, square-rooted after the loop: the clip
-    # level lanes.bound holds is sqrt(sigma), held lanes included
-    sqrt_sigma = np.empty((len(lanes.sat_rows), N + 1, 3))
-    estimates[:, 0] = lanes.x
-    sqrt_sigma[:, 0] = lanes.sat[:, :3]
-    failed_at, failure = [None] * len(params), [None] * len(params)
-
-    # the inputs as Python floats (exact), so the model maps do float arithmetic
-    u_rows = u.tolist()
-    t0 = time.perf_counter()
-    for k in range(1, N + 1):
-        for lane, exc in lanes.step(y_lanes[:, k], u_rows[k - 1]).items():
-            failed_at[lane], failure[lane] = k, str(exc)
-            log.warning("filter %s (seed %d) failed at step %d: %s",
-                        cfg.filters[lane // n_seeds].label, seeds[seed_of[lane]], k, exc)
-        estimates[:, k] = lanes.x
-        sqrt_sigma[:, k] = lanes.sat[:, :3]
-    np.sqrt(sqrt_sigma, out=sqrt_sigma)
+        # the inputs as Python floats (exact), so the model maps do float arithmetic
+        u_rows = u.tolist()
+        t0 = time.perf_counter()
+        for k in range(1, N + 1):
+            for lane, exc in lanes.step(y_lanes[:, k], u_rows[k - 1]).items():
+                failed_at[lane], failure[lane] = k, str(exc)
+                log.warning("filter %s (seed %d) failed at step %d: %s",
+                            cfg.filters[lane // n_seeds].label, seeds[seed_of[lane]], k, exc)
+            estimates[:, k] = lanes.x
+            sqrt_sigma[:, k] = lanes.sat[:, :3]
+        np.sqrt(sqrt_sigma, out=sqrt_sigma)
     lane_steps = N * len(params)
     per_step = (time.perf_counter() - t0) / lane_steps if lane_steps else 0.0
 
@@ -543,7 +544,8 @@ def _truth_and_measurements(cfg: ScenarioConfig, seeds: list, u: np.ndarray):
     p_k = (p_{k-1} + eta T cos(theta_{k-1})) + w_k (sin for p_y), and one
     np.add.accumulate over [p_0, c_1, w_1, c_2, w_2, ...] adds it left to
     right for all steps.  A truth or measurement that overflows is reported
-    as its ConfigurationError alone, without a floating-point warning."""
+    as its ConfigurationError alone: the caller's floating-point context
+    (simulate_seeds') keeps its warning quiet."""
     N, T, sched = cfg.horizon, cfg.T, cfg.schedule
     n_seeds = len(seeds)
     truth = np.empty((n_seeds, N + 1, 3))
@@ -565,17 +567,16 @@ def _truth_and_measurements(cfg: ScenarioConfig, seeds: list, u: np.ndarray):
             theta = _wrap_float(_wrap_float(theta + turn_k) + w_k)
             heading.append(theta)
         truth[i, :, 2] = heading
-    with np.errstate(all="ignore"):
-        advance = u[:N, 0] * T
-        terms = np.empty((n_seeds, 2 * N + 1))
-        for axis, p0, trig in ((0, start.p_x, np.cos), (1, start.p_y, np.sin)):
-            terms[:, 0] = p0
-            terms[:, 1::2] = advance * trig(truth[:, :N, 2])
-            terms[:, 2::2] = w[:, :, axis]
-            truth[:, :, axis] = np.add.accumulate(terms, axis=1)[:, ::2]
-        if not _all_finite(truth):
-            raise ConfigurationError("robot state must be finite")
-        y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
+    advance = u[:N, 0] * T
+    terms = np.empty((n_seeds, 2 * N + 1))
+    for axis, p0, trig in ((0, start.p_x, np.cos), (1, start.p_y, np.sin)):
+        terms[:, 0] = p0
+        terms[:, 1::2] = advance * trig(truth[:, :N, 2])
+        terms[:, 2::2] = w[:, :, axis]
+        truth[:, :, axis] = np.add.accumulate(terms, axis=1)[:, ::2]
+    if not _all_finite(truth):
+        raise ConfigurationError("robot state must be finite")
+    y = _measure(truth, sched.D, d, _noise_factor(cfg.R), v)
     if not _all_finite(y):
         raise ConfigurationError("measurement must be finite")
     return truth, d, y

@@ -53,6 +53,8 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:  # a step below v's rounding unit: no tick comes after v
+            break
         v += step
     return ticks
 

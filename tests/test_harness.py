@@ -1117,6 +1117,25 @@ def test_a_span_of_a_few_subnormals_steps_by_the_raw_step():
     assert svgplot._nice_ticks(0.0, 12 * tiny) == [0.0, 4 * tiny, 8 * tiny, 12 * tiny]
 
 
+def test_a_step_below_the_rounding_unit_of_the_bounds_ends_the_ticks():
+    # on [1e17, 1e17 + 16] the step is 5 and the ulp of 1e17 is 16, so
+    # v + step == v: the ticks end at the first.  The chart renders first in
+    # a child process that a 0.5 s timer ends, so a tick loop that never ends
+    # fails this test without hanging it or growing its tick list for long;
+    # only once the child has ended does the loop run in this process.
+    code = ("import signal; from isekf import svgplot; "
+            "chart = svgplot.LineChart('t', 'x', 'y'); "
+            "chart.add_series('s', [0, 1], [1e17, 1e17 + 16]); "
+            "signal.setitimer(signal.ITIMER_REAL, 0.5); "
+            "svg = chart.render(); ticks = svgplot._nice_ticks(1e17, 1e17 + 16); "
+            "signal.setitimer(signal.ITIMER_REAL, 0); "
+            "print(ticks, svg.count('>1e+17</text>'))")
+    done = subprocess.run([sys.executable, "-c", code], env=_isekf_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[1e+17] 1\n", "")
+    assert svgplot._nice_ticks(1e17, 1e17 + 16) == [1e17]
+
+
 @pytest.mark.parametrize("y", [[3.0, 3.0], [1e17, 1e17], [0.0, 2 * math.ulp(0.0)]],
                          ids=["flat", "flat-beyond-unit-rounding", "two-subnormals"])
 def test_a_degenerate_series_renders(y):
@@ -1181,6 +1200,10 @@ def _plot_empty_trace(tmp_path):
      ConfigurationError, "filters.ekf.P0: must be a list of 3 numbers"),
     (lambda tmp_path: _parse_with(tmp_path, "scenario", "outliers", 5), ConfigurationError,
      "scenario.outliers must be 'paper', 'none' or a list"),
+    # d_routing is checked without outliers too
+    (lambda tmp_path: parse_config(write_cfg(tmp_path, minimal_cfg_dict(
+        outliers="none", d_routing=[[1.0, 0.0]]))), ConfigurationError,
+     "scenario: D must have 3 rows, one per measurement channel, got shape (1, 2)"),
     (_parse_list_root, ConfigurationError, "config root of {path} must be a mapping"),
     (_plot_empty_trace, ConfigurationError, "cannot plot an empty trace"),
     (lambda tmp_path: svgplot.LineChart("empty", "x", "y").render(), ValueError,
@@ -1205,9 +1228,9 @@ def _plot_empty_trace(tmp_path):
      ConfigurationError, "scenario.meas_std: must hold numbers, got [0.1, None, 0.008]"),
     (lambda tmp_path: _certify_with(tmp_path, "certificate", "P0", None), ConfigurationError,
      "certificate.P0: must hold numbers, got None"),
-], ids=["required-key", "P0-length", "outliers-int", "list-root", "empty-trace", "no-series",
-        "T-bool", "meas_std-bool", "ell-yes", "alpha-bool", "A-bool", "value-null",
-        "scale-null", "meas_std-null", "certificate-P0-null"])
+], ids=["required-key", "P0-length", "outliers-int", "d_routing-none", "list-root",
+        "empty-trace", "no-series", "T-bool", "meas_std-bool", "ell-yes", "alpha-bool",
+        "A-bool", "value-null", "scale-null", "meas_std-null", "certificate-P0-null"])
 def test_an_entry_rejection_names_its_cause(tmp_path, call, error, message):
     message = message.format(path=tmp_path / "list.cfg")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

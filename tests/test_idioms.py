@@ -339,19 +339,32 @@ def test_an_observers_r_is_inverted_once():
 
 
 # one floating-point context per entry: the step core leaves floating-point
-# warnings to its caller (a public step or entry, the lanes' step, the bound
+# warnings to its caller (a public step or entry, simulate_seeds, the bound
 # check), which opens one np.errstate around it; a context inside the core
-# is one more per step or RK4 stage
+# is one more per step or RK4 stage.  The lanes' step and the truth draw run
+# in simulate_seeds' one context.
 _STEP_CORE = ("_predict", "_correct", "_sat_step", "_bound_step", "_bound_map_core",
-              "_saturated_rhs", "_rk4", "_floored_rk4_step")
+              "_saturated_rhs", "_rk4", "_floored_rk4_step", "_truth_and_measurements")
+# methods, as class.method: the one of that class, not every function of that name
+_STEP_CORE_METHODS = ("_Lanes.step",)
 _FP_CONTEXTS = {"errstate", "seterr"}
+
+
+def _core_functions(text: str):
+    """(name, node) of each function of the step core in a module's text:
+    the functions named in _STEP_CORE and the methods of _STEP_CORE_METHODS."""
+    tree = ast.parse(text)
+    return [(fn.name, fn) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in _STEP_CORE] + [
+        (f"{cls.name}.{fn.name}", fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in _STEP_CORE_METHODS]
 
 
 def _core_contexts(text: str):
     """(function, line number) of each errstate or seterr name in a
     function of the step core (its decorators included) of a module's text."""
-    return [(fn.name, node.lineno) for fn in ast.walk(ast.parse(text))
-            if isinstance(fn, ast.FunctionDef) and fn.name in _STEP_CORE
+    return [(name, node.lineno) for name, fn in _core_functions(text)
             for node in ast.walk(fn)
             if getattr(node, "id", getattr(node, "attr", None)) in _FP_CONTEXTS]
 
@@ -363,6 +376,12 @@ def test_the_context_scan_sees_each_spelling():
                  'old = np.seterr(all="ignore")\n    return x'):
         assert _core_contexts(f"def _rk4(x):\n    {body}\n"), body
     assert _core_contexts('@np.errstate(all="ignore")\ndef _predict(x):\n    return x\n')
+    # a method of the core, in its class only
+    method = 'class {}:\n    def step(self, y):\n        with np.errstate(all="ignore"):\n' \
+             '            return y\n'
+    assert _core_contexts(method.format("_Lanes")) == [("_Lanes.step", 3)]
+    assert not _core_contexts(method.format("_Chart"))
+    assert not _core_contexts('def step(y):\n    with np.errstate(all="ignore"):\n        return y\n')
     # a caller of the core opens its one context
     assert not _core_contexts(
         'def dt_predict(x):\n    with np.errstate(all="ignore"):\n        return _predict(x)\n')
@@ -370,8 +389,7 @@ def test_the_context_scan_sees_each_spelling():
 
 def test_the_step_core_opens_no_floating_point_context():
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    defined = {fn.name for text in texts.values() for fn in ast.walk(ast.parse(text))
-               if isinstance(fn, ast.FunctionDef)}
-    assert set(_STEP_CORE) <= defined
+    defined = {name for text in texts.values() for name, _ in _core_functions(text)}
+    assert defined == set(_STEP_CORE) | set(_STEP_CORE_METHODS)
     found = {name: _core_contexts(text) for name, text in texts.items()}
     assert {name: hits for name, hits in found.items() if hits} == {}

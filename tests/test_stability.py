@@ -163,6 +163,15 @@ def test_the_flow_samples_follow_the_closed_form_where_the_norm_overstates_the_s
         assert P[0, 0] == pytest.approx(th / (beta - a * th), rel=1e-12), t
 
 
+def test_a_nilpotent_argument_takes_no_squaring():
+    # a strictly upper-triangular M has M^3 = 0 and B^27 = 0: s = 0, and the
+    # Pade approximant is the exponential's finite series I + M + M^2 / 2
+    M = np.array([[0.0, 1.5, -2.0], [0.0, 0.0, 0.75], [0.0, 0.0, 0.0]])
+    assert stability._pade13_squarings(M) == 0
+    series = np.eye(3) + M + M @ M / 2.0
+    assert np.abs(stability._expm(M) - series).max() <= 4.5e-16
+
+
 def test_care_zero_q_stable():
     sys = LinearSystem(A=-np.eye(2), C=np.eye(2), Q=np.zeros((2, 2)), R=np.eye(2),
                        D=np.zeros((2, 1)), mode="continuous")
